@@ -14,7 +14,8 @@
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //! * **`determinism` (R4)** — no `SystemTime::now`, `thread_rng`,
 //!   `from_entropy`, or `rand::random` anywhere; `Instant::now` only in
-//!   `crates/bench` (wall-clock reporting, never simulated state).
+//!   `crates/bench` and `perfbench` (wall-clock reporting, never simulated
+//!   state).
 //! * **`wildcard-match` (R5)** — no `_ =>` match arms in
 //!   `crates/schemes`: adding a scheme or page size must be a compile
 //!   error at every dispatch site, not a silent fall-through.
@@ -155,7 +156,8 @@ impl Scope {
             check_panics: !is_test_file
                 && (rel_path == "crates/sim/src/engine.rs" || in_src("tlb") || in_src("schemes")),
             check_wildcards: !is_test_file && in_src("schemes"),
-            allow_instant: rel_path.starts_with("crates/bench/"),
+            allow_instant: rel_path.starts_with("crates/bench/")
+                || rel_path.starts_with("perfbench/"),
         }
     }
 }

@@ -145,9 +145,12 @@ fn determinism_rule_trips_on_clock_and_entropy_sources() {
 fn determinism_rule_passes_seeded_rng_and_bench_wall_clock() {
     let seeded = "fn f(seed: u64) { let r = SmallRng::seed_from_u64(seed); }\n";
     assert!(check_file("crates/mem/src/fixture.rs", seeded).is_empty());
-    // Wall-clock timing of the harness itself is fine in crates/bench.
+    // Wall-clock timing of the harness itself is fine in crates/bench and
+    // in the perfbench package.
     let timed = "fn f() { let t = Instant::now(); }\n";
     assert!(check_file("crates/bench/src/bin/fixture.rs", timed).is_empty());
+    assert!(check_file("perfbench/src/fixture.rs", timed).is_empty());
+    assert!(!check_file("crates/sim/src/fixture.rs", timed).is_empty());
 }
 
 #[test]

@@ -19,7 +19,7 @@
 
 use crate::distance::{CostModel, DistanceSelector};
 use crate::os::OsKernel;
-use hytlb_mem::{AddressSpaceMap, ChunkCursor};
+use hytlb_mem::{AddressSpaceMap, ChunkTable};
 use hytlb_pagetable::PageWalker;
 use hytlb_schemes::{
     AccessResult, AnchorIndexing, LatencyModel, SchemeStats, SharedL2, TranslationPath,
@@ -112,10 +112,10 @@ pub struct AnchorScheme {
     stats: SchemeStats,
     name: String,
     shootdowns: u64,
-    /// Last-chunk cache for the walker's huge-page-shape probe; the OS
-    /// never remaps pages after construction (epoch checks only re-anchor),
-    /// so the cursor can never go stale.
-    walk_cursor: ChunkCursor,
+    /// The mapping's chunks long enough to hold a 2 MB page, for the
+    /// walker's huge-page-shape check; the OS never remaps pages after
+    /// construction (epoch checks only re-anchor), so it never goes stale.
+    huge_chunks: ChunkTable,
 }
 
 impl AnchorScheme {
@@ -126,6 +126,7 @@ impl AnchorScheme {
     /// Panics if a static distance in the config is invalid.
     #[must_use]
     pub fn new(map: Arc<AddressSpaceMap>, config: AnchorConfig) -> Self {
+        let huge_chunks = ChunkTable::with_min_len(&map, HUGE_PAGE_PAGES);
         let selector =
             DistanceSelector::new((1..=16).map(|s| 1u64 << s).collect(), config.cost_model, 0.10);
         let (os, name) = match config.mode {
@@ -146,7 +147,7 @@ impl AnchorScheme {
             stats: SchemeStats::default(),
             name,
             shootdowns: 0,
-            walk_cursor: ChunkCursor::default(),
+            huge_chunks,
         }
     }
 
@@ -173,7 +174,7 @@ impl AnchorScheme {
         // The walker knows from the PD entry whether the region is
         // huge-page shaped; the anchor scheme's L2 stores 4 KB, 2 MB and
         // anchor entries side by side (Table 3).
-        if let Some(head) = self.os.map().huge_page_at_with(vpn, &mut self.walk_cursor) {
+        if let Some(head) = self.huge_chunks.huge_page_at(vpn) {
             let head_pfn = PhysFrameNum::new(pfn.as_u64() - (vpn - head));
             if head_pfn.is_aligned(HUGE_PAGE_PAGES) {
                 self.l2.insert_2m(head, head_pfn);

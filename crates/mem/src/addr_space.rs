@@ -227,12 +227,7 @@ impl AddressSpaceMap {
         cursor: &mut ChunkCursor,
     ) -> Option<VirtPageNum> {
         let head = vpn.align_down(HUGE_PAGE_PAGES);
-        let c = self.chunk_containing_with(head, cursor)?;
-        if c.end_vpn() < head + HUGE_PAGE_PAGES {
-            return None;
-        }
-        let head_pfn = c.translate(head).expect("head inside chunk");
-        head_pfn.is_aligned(HUGE_PAGE_PAGES).then_some(head)
+        huge_head_in(&self.chunk_containing_with(head, cursor)?, head)
     }
 
     /// Translates a virtual page to its backing frame.
@@ -261,13 +256,7 @@ impl AddressSpaceMap {
     #[must_use]
     pub fn huge_page_at(&self, vpn: VirtPageNum) -> Option<VirtPageNum> {
         let head = vpn.align_down(HUGE_PAGE_PAGES);
-        let c = self.chunk_containing(head)?;
-        // The whole 2 MB region must fall inside this single maximal chunk.
-        if c.end_vpn() < head + HUGE_PAGE_PAGES {
-            return None;
-        }
-        let head_pfn = c.translate(head).expect("head inside chunk");
-        head_pfn.is_aligned(HUGE_PAGE_PAGES).then_some(head)
+        huge_head_in(self.chunk_containing(head)?, head)
     }
 
     /// Like [`AddressSpaceMap::huge_page_at`] for x86-64 1 GB giant pages:
@@ -314,6 +303,16 @@ impl AddressSpaceMap {
     }
 }
 
+/// `head` when the 2 MB region starting at the 2 MB-aligned `head` lies
+/// inside the single maximal chunk `c` and is backed by a 2 MB-aligned
+/// frame run: the x86-64 huge-page shape.
+fn huge_head_in(c: &MapChunk, head: VirtPageNum) -> Option<VirtPageNum> {
+    if c.end_vpn() < head + HUGE_PAGE_PAGES {
+        return None;
+    }
+    c.translate(head)?.is_aligned(HUGE_PAGE_PAGES).then_some(head)
+}
+
 /// Memento for [`AddressSpaceMap::chunk_containing_with`]: caches the last
 /// chunk a lookup resolved so runs of lookups inside one chunk skip the
 /// `BTreeMap` search entirely. `Default` starts empty (first lookup always
@@ -321,6 +320,75 @@ impl AddressSpaceMap {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChunkCursor {
     last: Option<MapChunk>,
+}
+
+/// An immutable, sorted copy of the chunks of an [`AddressSpaceMap`] that
+/// are at least `min_len` pages long, for miss paths that only ever act on
+/// long chunks (a range-TLB refill, a 2 MB-shape check). A lookup is a
+/// binary search over a flat slice that is empty or tiny on most mappings,
+/// instead of a search of the whole map's `BTreeMap`.
+///
+/// Built once from a map that is never mutated afterwards; it does not
+/// follow later changes to the map.
+///
+/// # Examples
+///
+/// ```
+/// use hytlb_mem::{AddressSpaceMap, ChunkTable};
+/// use hytlb_types::{Permissions, PhysFrameNum, VirtPageNum};
+///
+/// let mut map = AddressSpaceMap::new();
+/// map.map_range(VirtPageNum::new(0), PhysFrameNum::new(100), 4, Permissions::READ_WRITE);
+/// map.map_range(VirtPageNum::new(8), PhysFrameNum::new(200), 16, Permissions::READ_WRITE);
+/// let long = ChunkTable::with_min_len(&map, 8);
+/// assert_eq!(long.len(), 1);
+/// assert_eq!(long.chunk_containing(VirtPageNum::new(2)), None); // chunk too short
+/// assert_eq!(long.chunk_containing(VirtPageNum::new(9)).map(|c| c.len), Some(16));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ChunkTable {
+    /// Ascending by `vpn`, disjoint (a subsequence of the map's chunks).
+    chunks: Box<[MapChunk]>,
+    min_len: u64,
+}
+
+impl ChunkTable {
+    /// Copies every chunk of `map` with `len >= min_len`.
+    #[must_use]
+    pub fn with_min_len(map: &AddressSpaceMap, min_len: u64) -> Self {
+        ChunkTable { chunks: map.chunks().filter(|c| c.len >= min_len).copied().collect(), min_len }
+    }
+
+    /// Number of chunks held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// `true` when no chunk of the map was long enough.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
+    }
+
+    /// The held chunk containing `vpn`: equal to
+    /// [`AddressSpaceMap::chunk_containing`] filtered by `len >= min_len`.
+    #[must_use]
+    pub fn chunk_containing(&self, vpn: VirtPageNum) -> Option<MapChunk> {
+        let after = self.chunks.partition_point(|c| c.vpn <= vpn);
+        let c = *self.chunks.get(after.checked_sub(1)?)?;
+        c.contains(vpn).then_some(c)
+    }
+
+    /// [`AddressSpaceMap::huge_page_at`] answered from this table. A 2 MB
+    /// page needs a chunk of at least 512 pages, so the answers agree
+    /// whenever `min_len <= HUGE_PAGE_PAGES`.
+    #[must_use]
+    pub fn huge_page_at(&self, vpn: VirtPageNum) -> Option<VirtPageNum> {
+        debug_assert!(self.min_len <= HUGE_PAGE_PAGES, "table drops huge-page-sized chunks");
+        let head = vpn.align_down(HUGE_PAGE_PAGES);
+        huge_head_in(&self.chunk_containing(head)?, head)
+    }
 }
 
 /// Maps logical page indices to virtual page numbers of a specific
@@ -739,6 +807,69 @@ mod tests {
             let vpn = VirtPageNum::new(v);
             assert_eq!(m.huge_page_at_with(vpn, &mut cursor), m.huge_page_at(vpn), "vpn {v}");
         }
+    }
+
+    /// Every page of `map`, two pages either side of each chunk (its
+    /// neighbours, or the edges of the holes between chunks), and two far
+    /// holes.
+    fn probe_pages(map: &AddressSpaceMap) -> Vec<VirtPageNum> {
+        let mut probes = vec![VirtPageNum::new(0), VirtPageNum::new(1 << 40)];
+        for c in map.chunks() {
+            let first = c.vpn.as_u64().saturating_sub(2);
+            let last = c.end_vpn().as_u64() + 2;
+            probes.extend((first..last).map(VirtPageNum::new));
+        }
+        probes
+    }
+
+    fn assert_chunk_tables_agree(map: &AddressSpaceMap, label: &str) {
+        let probes = probe_pages(map);
+        for min_len in [1, 9, HUGE_PAGE_PAGES, HUGE_PAGE_PAGES + 1] {
+            let table = ChunkTable::with_min_len(map, min_len);
+            for &vpn in &probes {
+                let want = map.chunk_containing(vpn).copied().filter(|c| c.len >= min_len);
+                assert_eq!(table.chunk_containing(vpn), want, "{label} min_len {min_len} {vpn}");
+                if min_len <= HUGE_PAGE_PAGES {
+                    assert_eq!(table.huge_page_at(vpn), map.huge_page_at(vpn), "{label} {vpn}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_table_agrees_with_map_on_every_scenario() {
+        for scenario in crate::Scenario::all() {
+            let map = scenario.generate(4096, 7);
+            assert_chunk_tables_agree(&map, &scenario.to_string());
+        }
+    }
+
+    #[test]
+    fn chunk_table_agrees_at_the_huge_page_length_seams() {
+        // Chunks of exactly 511, 512 and 513 pages, 2 MB-aligned in both
+        // spaces, one misaligned physically, with holes between them.
+        let mut m = AddressSpaceMap::new();
+        m.map_range(VirtPageNum::new(512), PhysFrameNum::new(2048), 511, rw());
+        m.map_range(VirtPageNum::new(2048), PhysFrameNum::new(4096), 512, rw());
+        m.map_range(VirtPageNum::new(4096), PhysFrameNum::new(8192), 513, rw());
+        m.map_range(VirtPageNum::new(6144), PhysFrameNum::new(12_289), 513, rw());
+        m.map_range(VirtPageNum::new(7000), PhysFrameNum::new(50), 3, rw());
+        assert_eq!(m.chunk_count(), 5);
+        assert_chunk_tables_agree(&m, "seams");
+        let huge = ChunkTable::with_min_len(&m, HUGE_PAGE_PAGES);
+        assert_eq!(huge.len(), 3);
+        assert_eq!(huge.huge_page_at(VirtPageNum::new(2100)), Some(VirtPageNum::new(2048)));
+        assert_eq!(huge.huge_page_at(VirtPageNum::new(600)), None);
+    }
+
+    #[test]
+    fn empty_chunk_table_finds_nothing() {
+        let mut m = AddressSpaceMap::new();
+        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(0), 8, rw());
+        let table = ChunkTable::with_min_len(&m, 9);
+        assert!(table.is_empty());
+        assert_eq!(table.chunk_containing(VirtPageNum::new(3)), None);
+        assert_eq!(ChunkTable::default().huge_page_at(VirtPageNum::new(3)), None);
     }
 
     #[test]

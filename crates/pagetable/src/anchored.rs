@@ -211,12 +211,8 @@ impl AnchoredPageTable {
     #[must_use]
     pub fn anchor_probe_at(&self, vpn: VirtPageNum, distance: u64) -> Option<AnchorProbe> {
         let avpn = vpn.align_down(distance);
-        let leaf = self.table.lookup(avpn)?;
-        let contiguity = self.table.read_anchor_contiguity(avpn, distance)?;
-        if contiguity == 0 {
-            return None;
-        }
-        Some(AnchorProbe { avpn, pfn: leaf.pfn_for(avpn), contiguity })
+        let (pfn, contiguity) = self.table.read_anchor(avpn, distance)?;
+        (contiguity != 0).then_some(AnchorProbe { avpn, pfn, contiguity })
     }
 }
 

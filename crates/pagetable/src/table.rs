@@ -84,6 +84,38 @@ fn index_at(vpn: VirtPageNum, level: usize) -> usize {
     vpn.index_bits(shift, 0x1ff)
 }
 
+/// What one radix traversal found: the leaf translation, the nodes touched,
+/// and the PT node's entries when the traversal reached that level.
+struct Descent<'a> {
+    leaf: Option<LeafEntry>,
+    depth: u32,
+    pt: Option<&'a [PageTableEntry; ENTRIES]>,
+}
+
+/// The 8-PTE cache block of a PT node that covers `vpn`.
+fn block_of(entries: &[PageTableEntry; ENTRIES], vpn: VirtPageNum) -> &[PageTableEntry] {
+    let idx = index_at(vpn, LEVELS - 1);
+    let base = idx - idx % PTES_PER_CACHE_BLOCK;
+    &entries[base..base + PTES_PER_CACHE_BLOCK]
+}
+
+/// The contiguity field anchored at `anchor_vpn` in its PT node: spread
+/// over the anchor's cache block for distances ≥ 8, otherwise the anchor
+/// PTE's own ignored bits.
+fn anchor_contiguity(
+    entries: &[PageTableEntry; ENTRIES],
+    anchor_vpn: VirtPageNum,
+    distance: u64,
+) -> u64 {
+    let idx = index_at(anchor_vpn, LEVELS - 1);
+    if distance >= PTES_PER_CACHE_BLOCK as u64 {
+        debug_assert_eq!(idx % PTES_PER_CACHE_BLOCK, 0, "anchor aligned to its cache block");
+        read_distributed_contiguity(block_of(entries, anchor_vpn))
+    } else {
+        entries[idx].ignored_bits()
+    }
+}
+
 impl PageTable {
     /// Creates an empty page table.
     #[must_use]
@@ -255,40 +287,7 @@ impl PageTable {
     /// Looks a VPN up, returning the leaf translation if mapped.
     #[must_use]
     pub fn lookup(&self, vpn: VirtPageNum) -> Option<LeafEntry> {
-        let mut node = &self.root;
-        for level in 0..LEVELS {
-            let idx = index_at(vpn, level);
-            match node {
-                Node::Interior { entries, children } => {
-                    let e = entries[idx];
-                    if !e.is_present() {
-                        return None;
-                    }
-                    if e.is_huge() {
-                        // PS bit at the PDPT level (1) = 1 GB leaf; at the
-                        // PD level (2) = 2 MB leaf.
-                        let size = if level == 1 { PageSize::Giant1G } else { PageSize::Huge2M };
-                        return Some(LeafEntry {
-                            head_vpn: vpn.align_down(size.base_pages()),
-                            head_pfn: e.pfn(),
-                            size,
-                            perms: e.permissions(),
-                        });
-                    }
-                    node = children[idx].as_ref()?;
-                }
-                Node::Leaf { entries } => {
-                    let e = entries[idx];
-                    return e.is_present().then(|| LeafEntry {
-                        head_vpn: vpn,
-                        head_pfn: e.pfn(),
-                        size: PageSize::Base4K,
-                        perms: e.permissions(),
-                    });
-                }
-            }
-        }
-        None
+        self.descend(vpn).leaf
     }
 
     /// [`PageTable::lookup`] and [`PageTable::walk_depth`] fused into one
@@ -297,6 +296,34 @@ impl PageTable {
     /// path — one descent instead of two.
     #[must_use]
     pub fn lookup_with_depth(&self, vpn: VirtPageNum) -> (Option<LeafEntry>, u32) {
+        let d = self.descend(vpn);
+        (d.leaf, d.depth)
+    }
+
+    /// [`PageTable::lookup_with_depth`] plus the [`PageTable::leaf_block`]
+    /// around `vpn`, all from one radix traversal: what a coalescing walker
+    /// (CoLT / cluster TLB) receives when the walk's last cache line
+    /// arrives.
+    #[must_use]
+    pub fn lookup_with_block(
+        &self,
+        vpn: VirtPageNum,
+    ) -> (Option<LeafEntry>, u32, Option<&[PageTableEntry]>) {
+        let d = self.descend(vpn);
+        (d.leaf, d.depth, d.pt.map(|entries| block_of(entries, vpn)))
+    }
+
+    /// Number of page-table node accesses a hardware walker performs to
+    /// resolve `vpn`: 4 for a 4 KB leaf, 3 for a 2 MB leaf, and however far
+    /// it got before finding a hole for unmapped addresses.
+    #[must_use]
+    pub fn walk_depth(&self, vpn: VirtPageNum) -> u32 {
+        self.descend(vpn).depth
+    }
+
+    /// The one radix traversal behind every read: stops at the first
+    /// non-present or huge entry, or at the PT node.
+    fn descend(&self, vpn: VirtPageNum) -> Descent<'_> {
         let mut node = &self.root;
         let mut depth = 0;
         for level in 0..LEVELS {
@@ -306,9 +333,11 @@ impl PageTable {
                 Node::Interior { entries, children } => {
                     let e = entries[idx];
                     if !e.is_present() {
-                        return (None, depth);
+                        return Descent { leaf: None, depth, pt: None };
                     }
                     if e.is_huge() {
+                        // PS bit at the PDPT level (1) = 1 GB leaf; at the
+                        // PD level (2) = 2 MB leaf.
                         let size = if level == 1 { PageSize::Giant1G } else { PageSize::Huge2M };
                         let leaf = LeafEntry {
                             head_vpn: vpn.align_down(size.base_pages()),
@@ -316,11 +345,11 @@ impl PageTable {
                             size,
                             perms: e.permissions(),
                         };
-                        return (Some(leaf), depth);
+                        return Descent { leaf: Some(leaf), depth, pt: None };
                     }
                     match children[idx].as_ref() {
                         Some(c) => node = c,
-                        None => return (None, depth),
+                        None => return Descent { leaf: None, depth, pt: None },
                     }
                 }
                 Node::Leaf { entries } => {
@@ -331,58 +360,11 @@ impl PageTable {
                         size: PageSize::Base4K,
                         perms: e.permissions(),
                     });
-                    return (leaf, depth);
+                    return Descent { leaf, depth, pt: Some(entries) };
                 }
             }
         }
-        (None, depth)
-    }
-
-    /// Number of page-table node accesses a hardware walker performs to
-    /// resolve `vpn`: 4 for a 4 KB leaf, 3 for a 2 MB leaf, and however far
-    /// it got before finding a hole for unmapped addresses.
-    #[must_use]
-    pub fn walk_depth(&self, vpn: VirtPageNum) -> u32 {
-        let mut node = &self.root;
-        let mut depth = 0;
-        for level in 0..LEVELS {
-            let idx = index_at(vpn, level);
-            depth += 1;
-            match node {
-                Node::Interior { entries, children } => {
-                    let e = entries[idx];
-                    if !e.is_present() || e.is_huge() {
-                        return depth;
-                    }
-                    match children[idx].as_ref() {
-                        Some(c) => node = c,
-                        None => return depth,
-                    }
-                }
-                Node::Leaf { .. } => return depth,
-            }
-        }
-        depth
-    }
-
-    fn pt_leaf_entries(&self, vpn: VirtPageNum) -> Option<&[PageTableEntry; ENTRIES]> {
-        let mut node = &self.root;
-        for level in 0..LEVELS - 1 {
-            let idx = index_at(vpn, level);
-            match node {
-                Node::Interior { entries, children } => {
-                    if entries[idx].is_huge() {
-                        return None;
-                    }
-                    node = children[idx].as_ref()?;
-                }
-                Node::Leaf { .. } => return None,
-            }
-        }
-        match node {
-            Node::Leaf { entries } => Some(entries),
-            Node::Interior { .. } => None,
-        }
+        Descent { leaf: None, depth, pt: None }
     }
 
     fn pt_leaf_entries_mut(&mut self, vpn: VirtPageNum) -> Option<&mut [PageTableEntry; ENTRIES]> {
@@ -413,10 +395,7 @@ impl PageTable {
     /// node (unmapped or covered by a 2 MB leaf).
     #[must_use]
     pub fn leaf_block(&self, vpn: VirtPageNum) -> Option<&[PageTableEntry]> {
-        let entries = self.pt_leaf_entries(vpn)?;
-        let idx = index_at(vpn, LEVELS - 1);
-        let base = idx - idx % PTES_PER_CACHE_BLOCK;
-        Some(&entries[base..base + PTES_PER_CACHE_BLOCK])
+        self.descend(vpn).pt.map(|entries| block_of(entries, vpn))
     }
 
     /// Reads the contiguity field anchored at `anchor_vpn`.
@@ -427,15 +406,23 @@ impl PageTable {
     /// anchor (e.g. the region is mapped by a 2 MB leaf or unmapped).
     #[must_use]
     pub fn read_anchor_contiguity(&self, anchor_vpn: VirtPageNum, distance: u64) -> Option<u64> {
-        let entries = self.pt_leaf_entries(anchor_vpn)?;
-        let idx = index_at(anchor_vpn, LEVELS - 1);
-        if distance >= PTES_PER_CACHE_BLOCK as u64 {
-            debug_assert_eq!(idx % PTES_PER_CACHE_BLOCK, 0, "anchor aligned to its cache block");
-            let base = idx - idx % PTES_PER_CACHE_BLOCK;
-            Some(read_distributed_contiguity(&entries[base..base + PTES_PER_CACHE_BLOCK]))
-        } else {
-            Some(entries[idx].ignored_bits())
-        }
+        let entries = self.descend(anchor_vpn).pt?;
+        Some(anchor_contiguity(entries, anchor_vpn, distance))
+    }
+
+    /// [`PageTable::lookup`] of an anchor page and
+    /// [`PageTable::read_anchor_contiguity`] from one radix traversal: the
+    /// anchor's frame and contiguity field, or `None` unless a present 4 KB
+    /// PTE maps `anchor_vpn`. This is the walker's anchor PTE fetch.
+    #[must_use]
+    pub fn read_anchor(
+        &self,
+        anchor_vpn: VirtPageNum,
+        distance: u64,
+    ) -> Option<(PhysFrameNum, u64)> {
+        let d = self.descend(anchor_vpn);
+        let (leaf, entries) = (d.leaf?, d.pt?);
+        Some((leaf.head_pfn, anchor_contiguity(entries, anchor_vpn, distance)))
     }
 
     /// Writes the contiguity field anchored at `anchor_vpn`. Returns `false`
@@ -570,6 +557,8 @@ mod tests {
             .chain([VirtPageNum::new(0), VirtPageNum::new(1 << 30)]);
         for vpn in probes {
             assert_eq!(pt.lookup_with_depth(vpn), (pt.lookup(vpn), pt.walk_depth(vpn)), "{vpn}");
+            let fused = pt.lookup_with_block(vpn);
+            assert_eq!(fused, (pt.lookup(vpn), pt.walk_depth(vpn), pt.leaf_block(vpn)), "{vpn}");
         }
         let mut giant = PageTable::new();
         giant.map_giant(VirtPageNum::new(0), PhysFrameNum::new(0), rw());

@@ -1,6 +1,6 @@
 //! Hardware page-table walker model.
 
-use crate::{LeafEntry, PageTable};
+use crate::{LeafEntry, PageTable, PageTableEntry};
 use hytlb_types::{Cycles, VirtPageNum};
 
 /// Latency model for a page walk.
@@ -72,6 +72,23 @@ impl PageWalker {
     #[must_use]
     pub fn walk(&self, table: &PageTable, vpn: VirtPageNum) -> WalkResult {
         let (leaf, accesses) = table.lookup_with_depth(vpn);
+        self.result(leaf, accesses)
+    }
+
+    /// [`PageWalker::walk`] that also returns the 8-PTE cache block around
+    /// `vpn` from the same descent (see [`PageTable::lookup_with_block`]);
+    /// the block is `None` unless the walk reached a 4 KB PT node.
+    #[must_use]
+    pub fn walk_with_block<'t>(
+        &self,
+        table: &'t PageTable,
+        vpn: VirtPageNum,
+    ) -> (WalkResult, Option<&'t [PageTableEntry]>) {
+        let (leaf, accesses, block) = table.lookup_with_block(vpn);
+        (self.result(leaf, accesses), block)
+    }
+
+    fn result(&self, leaf: Option<LeafEntry>, accesses: u32) -> WalkResult {
         let cycles = match self.latency {
             WalkLatency::Fixed(c) => c,
             WalkLatency::PerAccess { per_level } => per_level * u64::from(accesses),

@@ -15,7 +15,7 @@
 use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{PageTable, PageWalker};
+use hytlb_pagetable::{PageTable, PageTableEntry, PageWalker};
 use hytlb_tlb::{L1Tlb, SetAssocTlb};
 use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
 use std::sync::Arc;
@@ -101,11 +101,10 @@ impl ClusterScheme {
         self.cluster.lookup(set, vcn).and_then(|e| e.pfn_for(sub))
     }
 
-    /// Builds a cluster entry from the PTE cache block around `vpn`,
-    /// anchored on `vpn`'s own frame. Returns the entry if at least two
-    /// pages coalesce.
-    fn coalesce_block(&self, vpn: VirtPageNum, pfn: PhysFrameNum) -> Option<ClusterEntry> {
-        let block = self.table.leaf_block(vpn)?;
+    /// Builds a cluster entry from the PTE cache block the walk fetched,
+    /// anchored on the walked page's own frame. Returns the entry if at
+    /// least two pages coalesce.
+    fn coalesce_block(block: &[PageTableEntry], pfn: PhysFrameNum) -> Option<ClusterEntry> {
         let pcn = pfn.as_u64() / CLUSTER_SPAN;
         let mut entry = ClusterEntry { pcn, valid: 0, offsets: [0; CLUSTER_SPAN as usize] };
         for (i, pte) in block.iter().enumerate() {
@@ -153,7 +152,7 @@ impl TranslationScheme for ClusterScheme {
                 pfn: Some(pfn),
             }
         } else {
-            let walk = self.walker.walk(&self.table, vpn);
+            let (walk, block) = self.walker.walk_with_block(&self.table, vpn);
             match walk.leaf {
                 Some(leaf) => {
                     let pfn = leaf.pfn_for(vpn);
@@ -175,7 +174,8 @@ impl TranslationScheme for ClusterScheme {
                             // pages; the unclusterable side is stored as
                             // regular 4 KB entries instead of thrashing
                             // the group's entry back and forth.
-                            let candidate = self.coalesce_block(vpn, pfn);
+                            let candidate =
+                                block.and_then(|block| Self::coalesce_block(block, pfn));
                             let existing_cov =
                                 self.cluster.peek(set, vcn).map_or(0, ClusterEntry::coverage);
                             match candidate {

@@ -14,8 +14,8 @@
 
 use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
 use crate::shared_l2::SharedL2;
-use hytlb_mem::{AddressSpaceMap, ChunkCursor};
-use hytlb_pagetable::{PageTable, PageWalker};
+use hytlb_mem::{AddressSpaceMap, ChunkTable};
+use hytlb_pagetable::{PageTable, PageTableEntry, PageWalker};
 use hytlb_tlb::{L1Tlb, SetAssocTlb};
 use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
 use std::sync::Arc;
@@ -63,10 +63,9 @@ pub struct ColtScheme {
     latency: LatencyModel,
     stats: SchemeStats,
     coalesced_fills: u64,
-    map: Arc<AddressSpaceMap>,
-    /// Last-chunk cache for the FA refill probe; `map` is never mutated
-    /// after construction, so the cursor can never go stale.
-    chunk_cursor: ChunkCursor,
+    /// The mapping's runs longer than one window, which CoLT-FA refills
+    /// from; empty without CoLT-FA.
+    fa_runs: ChunkTable,
 }
 
 impl ColtScheme {
@@ -103,8 +102,8 @@ impl ColtScheme {
             latency,
             stats: SchemeStats::default(),
             coalesced_fills: 0,
-            map,
-            chunk_cursor: ChunkCursor::default(),
+            fa_runs: fa
+                .map_or_else(ChunkTable::default, |_| ChunkTable::with_min_len(&map, WINDOW + 1)),
         }
     }
 
@@ -125,10 +124,14 @@ impl ColtScheme {
         self.coalesced.lookup(set, wdw).and_then(|e| e.pfn_for(off))
     }
 
-    /// Scans the PTE cache block for the maximal contiguous run containing
-    /// `vpn` (this is CoLT's free post-walk scan of the arriving line).
-    fn coalesce_run(&self, vpn: VirtPageNum, pfn: PhysFrameNum) -> Option<ColtEntry> {
-        let block = self.table.leaf_block(vpn)?;
+    /// Scans the PTE cache block the walk fetched for the maximal
+    /// contiguous run containing `vpn` (this is CoLT's free post-walk scan
+    /// of the arriving line).
+    fn coalesce_run(
+        block: &[PageTableEntry],
+        vpn: VirtPageNum,
+        pfn: PhysFrameNum,
+    ) -> Option<ColtEntry> {
         let off = hytlb_types::usize_from(vpn.offset_within(WINDOW));
         // Expand left.
         let mut first = off;
@@ -192,13 +195,13 @@ impl TranslationScheme for ColtScheme {
                 pfn: Some(pfn),
             }
         } else {
-            let walk = self.walker.walk(&self.table, vpn);
+            let (walk, block) = self.walker.walk_with_block(&self.table, vpn);
             match walk.leaf {
                 Some(leaf) => {
                     let pfn = leaf.pfn_for(vpn);
                     let wdw = vpn.as_u64() / WINDOW;
                     let set = self.window_set(wdw);
-                    let candidate = self.coalesce_run(vpn, pfn);
+                    let candidate = block.and_then(|block| Self::coalesce_run(block, vpn, pfn));
                     let existing_len = self.coalesced.peek(set, wdw).map_or(0, |e| e.len);
                     match candidate {
                         Some(entry) if entry.len > existing_len => {
@@ -211,16 +214,12 @@ impl TranslationScheme for ColtScheme {
                     // run (no window bound) when it is long enough to be
                     // worth one of the few FA slots.
                     if let Some(fa) = self.fa.as_mut() {
-                        if let Some(chunk) =
-                            self.map.chunk_containing_with(vpn, &mut self.chunk_cursor)
-                        {
-                            if chunk.len > WINDOW {
-                                fa.insert(hytlb_tlb::RangeEntry {
-                                    start_vpn: chunk.vpn,
-                                    start_pfn: chunk.pfn,
-                                    len: chunk.len,
-                                });
-                            }
+                        if let Some(chunk) = self.fa_runs.chunk_containing(vpn) {
+                            fa.insert(hytlb_tlb::RangeEntry {
+                                start_vpn: chunk.vpn,
+                                start_pfn: chunk.pfn,
+                                len: chunk.len,
+                            });
                         }
                     }
                     self.l1.insert(vpn, pfn, PageSize::Base4K);

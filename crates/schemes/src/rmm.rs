@@ -14,7 +14,7 @@
 
 use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
 use crate::shared_l2::SharedL2;
-use hytlb_mem::{AddressSpaceMap, ChunkCursor};
+use hytlb_mem::{AddressSpaceMap, ChunkTable};
 use hytlb_pagetable::{PageTable, PageWalker};
 use hytlb_tlb::{L1Tlb, RangeEntry, RangeTlb};
 use hytlb_types::{Cycles, PageSize, VirtAddr};
@@ -40,10 +40,8 @@ pub struct RmmScheme {
     walker: PageWalker,
     latency: LatencyModel,
     stats: SchemeStats,
-    map: Arc<AddressSpaceMap>,
-    /// Last-chunk cache for the walk-path range-table probe; `map` is never
-    /// mutated after construction, so the cursor can never go stale.
-    chunk_cursor: ChunkCursor,
+    /// The range table: the mapping's chunks long enough to become ranges.
+    range_table: ChunkTable,
 }
 
 impl RmmScheme {
@@ -73,8 +71,7 @@ impl RmmScheme {
             walker: PageWalker::default(),
             latency,
             stats: SchemeStats::default(),
-            map,
-            chunk_cursor: ChunkCursor::default(),
+            range_table: ChunkTable::with_min_len(&map, MIN_RANGE_PAGES),
         }
     }
 
@@ -129,15 +126,12 @@ impl TranslationScheme for RmmScheme {
                     }
                     // Refill the range TLB from the range table: the chunk
                     // containing this page, if large enough to be a range.
-                    if let Some(chunk) = self.map.chunk_containing_with(vpn, &mut self.chunk_cursor)
-                    {
-                        if chunk.len >= MIN_RANGE_PAGES {
-                            self.ranges.insert(RangeEntry {
-                                start_vpn: chunk.vpn,
-                                start_pfn: chunk.pfn,
-                                len: chunk.len,
-                            });
-                        }
+                    if let Some(chunk) = self.range_table.chunk_containing(vpn) {
+                        self.ranges.insert(RangeEntry {
+                            start_vpn: chunk.vpn,
+                            start_pfn: chunk.pfn,
+                            len: chunk.len,
+                        });
                     }
                     self.l1.insert(vpn, pfn, leaf.size);
                     AccessResult {

@@ -29,10 +29,23 @@ pub struct L1Entry {
 /// l1.insert(vpn, PhysFrameNum::new(7), PageSize::Base4K);
 /// assert_eq!(l1.lookup(vpn), Some(PhysFrameNum::new(7)));
 /// ```
+///
+/// # Same-page memo
+///
+/// The L1 remembers the last `(vpn, pfn)` it served and answers a repeated
+/// lookup of that VPN without probing the arrays. This never changes a
+/// result or a later hit, miss or eviction: after any L1 op on page `v`,
+/// the way holding `v` carries its set's newest LRU stamp, so the skipped
+/// re-probe could only have re-stamped an entry that is already the most
+/// recent of its set, and stamps are only ever compared within one set.
+/// The memo is set by a lookup hit and by a 4 KB or 2 MB insert (the
+/// latter only when the 4 KB array does not also hold the page), and
+/// cleared by a lookup miss, a 1 GB insert and [`L1Tlb::flush`].
 #[derive(Debug, Clone)]
 pub struct L1Tlb {
     base: SetAssocTlb<L1Entry>,
     huge: SetAssocTlb<L1Entry>,
+    last: Option<(VirtPageNum, PhysFrameNum)>,
 }
 
 impl L1Tlb {
@@ -46,6 +59,7 @@ impl L1Tlb {
         L1Tlb {
             base: SetAssocTlb::new(base_sets, base_ways),
             huge: SetAssocTlb::new(huge_sets, huge_ways),
+            last: None,
         }
     }
 
@@ -71,6 +85,19 @@ impl L1Tlb {
 
     /// Looks up `vpn` in both size classes, returning its backing frame.
     pub fn lookup(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
+        if let Some((last_vpn, pfn)) = self.last {
+            if last_vpn == vpn {
+                return Some(pfn);
+            }
+        }
+        let pfn = self.probe(vpn);
+        self.last = pfn.map(|pfn| (vpn, pfn));
+        pfn
+    }
+
+    /// The array probe behind [`L1Tlb::lookup`]: 4 KB array first, then the
+    /// 2 MB array under the huge page's head.
+    fn probe(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
         let set = self.base_set(vpn);
         if let Some(e) = self.base.lookup(set, vpn.as_u64()) {
             return Some(e.head_pfn);
@@ -78,6 +105,17 @@ impl L1Tlb {
         let head = vpn.align_down(HUGE_PAGE_PAGES);
         let set = self.huge_set(head);
         self.huge.lookup(set, head.as_u64()).map(|e| e.head_pfn + (vpn - head))
+    }
+
+    /// The frame a lookup of `vpn` would return, without touching LRU
+    /// recency or the same-page memo.
+    #[must_use]
+    pub fn peek(&self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
+        if let Some(e) = self.base.peek(self.base_set(vpn), vpn.as_u64()) {
+            return Some(e.head_pfn);
+        }
+        let head = vpn.align_down(HUGE_PAGE_PAGES);
+        self.huge.peek(self.huge_set(head), head.as_u64()).map(|e| e.head_pfn + (vpn - head))
     }
 
     /// Installs a translation. For [`PageSize::Huge2M`], `vpn`/`pfn` may be
@@ -90,14 +128,19 @@ impl L1Tlb {
             PageSize::Base4K => {
                 let set = self.base_set(vpn);
                 self.base.insert(set, vpn.as_u64(), L1Entry { head_pfn: pfn, size });
+                self.last = Some((vpn, pfn));
             }
             PageSize::Huge2M => {
                 let head = vpn.align_down(HUGE_PAGE_PAGES);
                 let head_pfn = PhysFrameNum::new(pfn.as_u64() - (vpn - head));
                 let set = self.huge_set(head);
                 self.huge.insert(set, head.as_u64(), L1Entry { head_pfn, size });
+                // A lookup probes the 4 KB array first, so the new 2 MB
+                // entry answers for `vpn` only if that array misses it.
+                let base_set = self.base_set(vpn);
+                self.last = self.base.peek(base_set, vpn.as_u64()).is_none().then_some((vpn, pfn));
             }
-            PageSize::Giant1G => {}
+            PageSize::Giant1G => self.last = None,
         }
     }
 
@@ -105,6 +148,7 @@ impl L1Tlb {
     pub fn flush(&mut self) {
         self.base.flush();
         self.huge.flush();
+        self.last = None;
     }
 
     /// Live entries across both arrays.

@@ -71,7 +71,9 @@ proptest! {
         prop_assert_eq!(m.chunk_count(), 0);
     }
 
-    /// Anchor probes never mistranslate, for any distance.
+    /// Anchor probes never mistranslate, for any distance, and the
+    /// one-descent anchor read agrees with `lookup` plus
+    /// `read_anchor_contiguity` on mapped pages, their neighbours and holes.
     #[test]
     fn anchor_probe_matches_map(map in arb_map(), dlog in 1u32..17) {
         let d = 1u64 << dlog;
@@ -83,6 +85,17 @@ proptest! {
                     prop_assert_eq!(p.translate(vpn), pfn);
                 }
             }
+        }
+        let table = apt.table();
+        let probes = map
+            .iter_pages()
+            .flat_map(|(vpn, _)| [VirtPageNum::new(vpn.as_u64() - 1), vpn, vpn + 1]);
+        for avpn in probes.map(|vpn| vpn.align_down(d)).chain([VirtPageNum::new(1 << 40)]) {
+            let two_reads = table
+                .lookup(avpn)
+                .zip(table.read_anchor_contiguity(avpn, d))
+                .map(|(leaf, contiguity)| (leaf.pfn_for(avpn), contiguity));
+            prop_assert_eq!(table.read_anchor(avpn, d), two_reads, "anchor {}", avpn);
         }
     }
 
