@@ -13,7 +13,8 @@
 use hytlb_core::DistanceSelector;
 use hytlb_mem::Scenario;
 use hytlb_pagetable::FLAG_MASKS;
-use hytlb_sim::{PaperConfig, SchemeKind};
+use hytlb_schemes::TranslationScheme;
+use hytlb_sim::{PaperConfig, SchemeDispatch, SchemeKind};
 use std::sync::Arc;
 
 /// Runs every invariant check and returns the violations, each a
@@ -99,7 +100,7 @@ pub fn check_tlb_geometries() -> Vec<String> {
     let map = Arc::new(Scenario::MediumContiguity.generate(4096, config.seed));
     let mut violations = Vec::new();
     for kind in audited_kinds() {
-        let scheme = kind.build(&map, &config);
+        let scheme = SchemeDispatch::build(kind, &map, &config);
         let geometries = scheme.geometries();
         if geometries.is_empty() {
             violations.push(format!("scheme {} reports no TLB geometries to audit", kind.label()));

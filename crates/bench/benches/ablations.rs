@@ -1,72 +1,69 @@
-//! Criterion: ablation microbenchmarks (DESIGN.md §4) — the performance
-//! side of the miss-count ablations in `--bin ablations`.
+//! Ablation microbenchmarks (DESIGN.md §4) — the performance side of the
+//! miss-count ablations in `--bin ablations`: wall-clock of a full run per
+//! variant (miss differences are reported by the binary).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hytlb_bench::Bench;
 use hytlb_core::{AnchorConfig, AnchorScheme, FillPolicy};
 use hytlb_mem::Scenario;
 use hytlb_schemes::AnchorIndexing;
-use hytlb_sim::{Machine, PaperConfig};
+use hytlb_sim::{Machine, PaperConfig, SchemeDispatch};
 use hytlb_trace::WorkloadKind;
+use hytlb_types::VirtAddr;
 use std::sync::Arc;
 
 fn config() -> PaperConfig {
     PaperConfig { accesses: 30_000, footprint_shift: 5, ..PaperConfig::default() }
 }
 
-/// Ablation 1: Figure 6 indexing vs naive — wall-clock of a full run (miss
-/// differences are reported by the `ablations` binary).
-fn indexing(c: &mut Criterion) {
+/// Times a full run of the anchor scheme under `cfg` over one cell.
+fn bench_anchor(
+    bench: &mut Bench,
+    label: &str,
+    map: &Arc<hytlb_mem::AddressSpaceMap>,
+    resolved: &[VirtAddr],
+    cfg: AnchorConfig,
+) {
     let config = config();
-    let footprint = config.footprint_for(WorkloadKind::Milc);
-    let map = Arc::new(Scenario::HighContiguity.generate(footprint, config.seed));
-    let trace: Vec<u64> = WorkloadKind::Milc
-        .generator(footprint, config.seed)
-        .take(config.accesses as usize)
-        .collect();
-    let mut group = c.benchmark_group("ablation_indexing");
-    group.sample_size(10);
+    bench.run(label, config.accesses, || {
+        let scheme = SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(map), cfg.clone()));
+        Machine::new(scheme, &config).try_run_resolved(resolved).expect("mapped trace").tlb_misses()
+    });
+}
+
+/// A scenario's mapping and `workload`'s resolved trace at bench scale.
+fn cell(
+    workload: WorkloadKind,
+    scenario: Scenario,
+) -> (Arc<hytlb_mem::AddressSpaceMap>, Vec<VirtAddr>) {
+    let config = config();
+    let footprint = config.footprint_for(workload);
+    let map = Arc::new(scenario.generate(footprint, config.seed));
+    let trace: Vec<u64> =
+        workload.generator(footprint, config.seed).take(config.accesses as usize).collect();
+    let resolved = map.page_index().resolve(&trace);
+    (map, resolved)
+}
+
+fn main() {
+    let mut bench = Bench::new("ablations", 10);
+
+    // Ablation 1: Figure 6 indexing vs naive.
+    let (map, resolved) = cell(WorkloadKind::Milc, Scenario::HighContiguity);
     for (label, indexing) in
-        [("fig6", AnchorIndexing::Fig6), ("naive", AnchorIndexing::NaiveLowBits)]
+        [("indexing/fig6", AnchorIndexing::Fig6), ("indexing/naive", AnchorIndexing::NaiveLowBits)]
     {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &indexing, |b, &indexing| {
-            b.iter(|| {
-                let cfg = AnchorConfig { indexing, ..AnchorConfig::dynamic() };
-                let scheme = AnchorScheme::new(Arc::clone(&map), cfg);
-                Machine::from_scheme(Box::new(scheme), &map, &config)
-                    .run(trace.iter().copied())
-                    .tlb_misses()
-            });
-        });
+        let cfg = AnchorConfig { indexing, ..AnchorConfig::dynamic() };
+        bench_anchor(&mut bench, label, &map, &resolved, cfg);
     }
-    group.finish();
-}
 
-/// Ablation 3: fill policies.
-fn fill_policy(c: &mut Criterion) {
-    let config = config();
-    let footprint = config.footprint_for(WorkloadKind::Canneal);
-    let map = Arc::new(Scenario::MediumContiguity.generate(footprint, config.seed));
-    let trace: Vec<u64> = WorkloadKind::Canneal
-        .generator(footprint, config.seed)
-        .take(config.accesses as usize)
-        .collect();
-    let mut group = c.benchmark_group("ablation_fill_policy");
-    group.sample_size(10);
-    for (label, fill) in
-        [("prefer_anchor", FillPolicy::PreferAnchor), ("always_regular", FillPolicy::AlwaysRegular)]
-    {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &fill, |b, &fill| {
-            b.iter(|| {
-                let cfg = AnchorConfig { fill, ..AnchorConfig::dynamic() };
-                let scheme = AnchorScheme::new(Arc::clone(&map), cfg);
-                Machine::from_scheme(Box::new(scheme), &map, &config)
-                    .run(trace.iter().copied())
-                    .tlb_misses()
-            });
-        });
+    // Ablation 2: fill policies.
+    let (map, resolved) = cell(WorkloadKind::Canneal, Scenario::MediumContiguity);
+    for (label, fill) in [
+        ("fill/prefer_anchor", FillPolicy::PreferAnchor),
+        ("fill/always_regular", FillPolicy::AlwaysRegular),
+    ] {
+        let cfg = AnchorConfig { fill, ..AnchorConfig::dynamic() };
+        bench_anchor(&mut bench, label, &map, &resolved, cfg);
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, indexing, fill_policy);
-criterion_main!(benches);

@@ -1,16 +1,22 @@
-//! Criterion: the anchor architecture's individual components — the
-//! counterparts of Table 2 (lookup flow), Table 6 (Algorithm 1) and the
-//! §3.3 distance-change sweep.
+//! The anchor architecture's individual components — the counterparts of
+//! Table 2 (lookup flow), Table 6 (Algorithm 1) and the §3.3
+//! distance-change sweep.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hytlb_bench::Bench;
 use hytlb_core::DistanceSelector;
 use hytlb_mem::{ContiguityHistogram, Scenario};
 use hytlb_pagetable::{AnchoredPageTable, PageTable};
 use hytlb_schemes::{AnchorIndexing, SharedL2};
 use hytlb_types::{PhysFrameNum, VirtPageNum};
+use std::hint::black_box;
 
-/// Table 2 critical path: a shared-L2 anchor lookup + contiguity check.
-fn anchor_lookup(c: &mut Criterion) {
+/// Lookups per timed run of the Table 2 critical path.
+const LOOKUPS: u64 = 100_000;
+
+fn main() {
+    let mut bench = Bench::new("anchor_components", 10);
+
+    // Table 2 critical path: a shared-L2 anchor lookup + contiguity check.
     let mut l2 = SharedL2::paper_default();
     let d_log = 6u32;
     for i in 0..1024u64 {
@@ -22,44 +28,35 @@ fn anchor_lookup(c: &mut Criterion) {
             AnchorIndexing::Fig6,
         );
     }
-    let mut i = 0u64;
-    c.bench_function("table2_anchor_lookup_hit", |b| {
-        b.iter(|| {
+    bench.run("table2_anchor_lookup_hit", LOOKUPS, || {
+        let mut i = 0u64;
+        for _ in 0..LOOKUPS {
             i = (i + 37) % (1024 << d_log);
-            l2.lookup_anchor(VirtPageNum::new(i), d_log, AnchorIndexing::Fig6)
-                .filter(|h| h.covers(VirtPageNum::new(i)))
-                .map(|h| h.translate(VirtPageNum::new(i)))
-        });
+            let vpn = VirtPageNum::new(i);
+            black_box(
+                l2.lookup_anchor(vpn, d_log, AnchorIndexing::Fig6)
+                    .filter(|h| h.covers(vpn))
+                    .map(|h| h.translate(vpn)),
+            );
+        }
     });
-}
 
-/// Algorithm 1: full candidate sweep over a realistic histogram.
-fn distance_selection(c: &mut Criterion) {
+    // Algorithm 1: full candidate sweep over a realistic histogram.
     let selector = DistanceSelector::paper_default();
-    let mut group = c.benchmark_group("table6_algorithm1_select");
     for scenario in [Scenario::DemandPaging, Scenario::LowContiguity, Scenario::MaxContiguity] {
-        let map = scenario.generate(1 << 16, 7);
-        let hist = ContiguityHistogram::from_map(&map);
-        group.bench_with_input(BenchmarkId::from_parameter(scenario.label()), &hist, |b, hist| {
-            b.iter(|| selector.select(hist));
+        let hist = ContiguityHistogram::from_map(&scenario.generate(1 << 16, 7));
+        bench.run(&format!("table6_algorithm1_select/{}", scenario.label()), 1, || {
+            selector.select(&hist)
         });
     }
-    group.finish();
-}
 
-/// §3.3: re-anchoring sweeps at the paper's three distances.
-fn distance_change_sweep(c: &mut Criterion) {
-    let map = Scenario::MaxContiguity.generate(1 << 18, 7); // 1 GB
-    let mut group = c.benchmark_group("sec3_3_distance_change_sweep");
-    group.sample_size(10);
+    // §3.3: re-anchoring sweeps at the paper's three distances over 1 GB.
+    let map = Scenario::MaxContiguity.generate(1 << 18, 7);
     for d in [8u64, 64, 512] {
-        group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, &d| {
-            let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), 8);
-            b.iter(|| apt.reanchor(&map, d).anchors_written);
+        let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), 8);
+        bench.run(&format!("sec3_3_distance_change_sweep/{d}"), 1, || {
+            apt.reanchor(&map, d).anchors_written
         });
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, anchor_lookup, distance_selection, distance_change_sweep);
-criterion_main!(benches);

@@ -1,10 +1,10 @@
-//! Criterion: the parallel matrix driver against the serial reference on
-//! a reduced Figure 9 slice, plus the memoization layer in isolation.
+//! The parallel matrix driver against the serial reference on a reduced
+//! Figure 9 slice, plus the memoization layer in isolation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hytlb_bench::Bench;
 use hytlb_mem::Scenario;
 use hytlb_sim::experiment::run_suite_serial;
-use hytlb_sim::matrix::{run_matrix_with, MatrixCache};
+use hytlb_sim::matrix::{try_run_matrix_with, MatrixCache};
 use hytlb_sim::{PaperConfig, SchemeKind};
 use hytlb_trace::WorkloadKind;
 
@@ -17,58 +17,36 @@ const SCENARIOS: [Scenario; 3] =
 const WORKLOADS: [WorkloadKind; 3] =
     [WorkloadKind::Canneal, WorkloadKind::Gups, WorkloadKind::Omnetpp];
 
-/// Serial reference vs the worker pool at 1, 2 and 4 threads.
-fn matrix_driver(c: &mut Criterion) {
+fn main() {
+    let mut bench = Bench::new("matrix_driver", 10);
     let kinds = SchemeKind::paper_set();
-    let cells = (SCENARIOS.len() * WORKLOADS.len() * kinds.len()) as u64;
-    let mut group = c.benchmark_group("matrix_driver");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(cells));
-    group.bench_function("serial_reference", |b| {
-        let config = bench_config();
-        b.iter(|| {
-            SCENARIOS
-                .iter()
-                .map(|&s| run_suite_serial(s, &WORKLOADS, &kinds, &config))
-                .collect::<Vec<_>>()
-        });
+    let config = bench_config();
+    let accesses = (SCENARIOS.len() * WORKLOADS.len() * kinds.len()) as u64 * config.accesses;
+
+    // Serial reference vs the worker pool at 1, 2 and 4 threads.
+    bench.run("matrix_driver/serial_reference", accesses, || {
+        SCENARIOS
+            .iter()
+            .map(|&s| run_suite_serial(s, &WORKLOADS, &kinds, &config).expect("mapped traces"))
+            .collect::<Vec<_>>()
     });
     for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &threads| {
-            let config = PaperConfig { threads: Some(threads), ..bench_config() };
-            b.iter(|| {
-                run_matrix_with(&MatrixCache::new(), &SCENARIOS, &WORKLOADS, &kinds, &config)
-            });
+        let config = PaperConfig { threads: Some(threads), ..bench_config() };
+        bench.run(&format!("matrix_driver/parallel/{threads}"), accesses, || {
+            try_run_matrix_with(&MatrixCache::new(), &SCENARIOS, &WORKLOADS, &kinds, &config)
+                .expect("mapped traces")
         });
     }
-    group.finish();
-}
 
-/// Cost of a cache hit vs regenerating the mapping and trace.
-fn matrix_cache(c: &mut Criterion) {
-    let config = bench_config();
-    let mut group = c.benchmark_group("matrix_cache");
-    group.sample_size(10);
-    group.bench_function("mapping_and_trace_miss", |b| {
-        b.iter(|| {
-            let cache = MatrixCache::new();
-            let m = cache.mapping(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-            let t = cache.trace(WorkloadKind::Canneal, &config);
-            (m.map.mapped_pages(), t.len())
-        });
-    });
-    group.bench_function("mapping_and_trace_hit", |b| {
-        let cache = MatrixCache::new();
-        let _ = cache.mapping(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-        let _ = cache.trace(WorkloadKind::Canneal, &config);
-        b.iter(|| {
-            let m = cache.mapping(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-            let t = cache.trace(WorkloadKind::Canneal, &config);
-            (m.map.mapped_pages(), t.len())
-        });
-    });
-    group.finish();
+    // Cost of a cache hit vs regenerating the mapping and trace.
+    let lookup = |cache: &MatrixCache| {
+        let m = cache.mapping(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
+        let t = cache.try_trace(WorkloadKind::Canneal, &config).expect("generated trace");
+        (m.map.mapped_pages(), t.len())
+    };
+    bench.run("matrix_cache/mapping_and_trace_miss", 1, || lookup(&MatrixCache::new()));
+    let cache = MatrixCache::new();
+    lookup(&cache);
+    bench.run("matrix_cache/mapping_and_trace_hit", 1, || lookup(&cache));
+    bench.finish();
 }
-
-criterion_group!(benches, matrix_driver, matrix_cache);
-criterion_main!(benches);

@@ -1,17 +1,17 @@
 //! Trace-file subsystem benchmark: compression ratio and streaming
-//! throughput of the `HYTLBTR2` format against the legacy v1 format and
+//! throughput of the `HYTLBTR2` format against raw 8-byte addresses and
 //! against regenerating traces from scratch.
 //!
-//! For each workload this measures (min of 3 runs each):
+//! For each workload this measures (min of 3 runs each, via
+//! [`hytlb_bench::min_of`]):
 //!
 //! * **regenerate** — running the trace generator, the baseline that
 //!   disk-backed replay competes with;
-//! * **v1 write** — the legacy raw-u64 format;
-//! * **v2 encode** — the compressed block format;
-//! * **v2 decode** — streaming replay, asserted bit-identical to the
+//! * **encode** — writing the compressed block format;
+//! * **decode** — streaming replay, asserted bit-identical to the
 //!   generated trace.
 //!
-//! Compression is reported against the v1 file. Note the entropy floor:
+//! Compression is reported against raw 8 B/access. Note the entropy floor:
 //! every generator draws page *offsets* uniformly at random (12
 //! incompressible bits/access), and gups also draws its *pages*
 //! uniformly over the whole footprint, so gups caps out near 2.3x no
@@ -26,41 +26,32 @@
 //! cargo bench -p hytlb-bench --bench tracefile -- --quick
 //! ```
 
-use hytlb_bench::emit;
+use hytlb_bench::{emit, min_of};
 use hytlb_sim::PaperConfig;
 use hytlb_trace::WorkloadKind;
 use hytlb_tracefile::{TraceMeta, TraceReader, TraceWriter};
-use std::time::Instant;
 
 struct Row {
     label: &'static str,
     accesses: u64,
     regen_s: f64,
-    v1_write_s: f64,
-    v1_bytes: u64,
     v2_encode_s: f64,
     v2_decode_s: f64,
     v2_bytes: u64,
 }
 
 impl Row {
-    fn ratio_vs_v1(&self) -> f64 {
-        self.v1_bytes as f64 / self.v2_bytes as f64
+    fn raw_bytes(&self) -> u64 {
+        self.accesses * 8
+    }
+
+    fn ratio_vs_raw(&self) -> f64 {
+        self.raw_bytes() as f64 / self.v2_bytes as f64
     }
 }
 
-/// Smallest elapsed seconds over three runs of `f`.
-fn min_of_3<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best_s = f64::INFINITY;
-    let mut value = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let out = f();
-        best_s = best_s.min(start.elapsed().as_secs_f64());
-        value = Some(out);
-    }
-    (value.expect("three runs"), best_s)
-}
+/// Timed runs per measurement; the minimum is reported.
+const ROUNDS: usize = 3;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -84,19 +75,12 @@ fn main() {
         let footprint = config.footprint_for(workload);
         let take = config.accesses as usize;
 
-        let (trace, regen_s) = min_of_3(|| {
+        let (trace, regen_s) = min_of(ROUNDS, || {
             workload.generator(footprint, config.seed).take(take).collect::<Vec<u64>>()
         });
 
-        let (v1, v1_write_s) = min_of_3(|| {
-            let mut out = Vec::new();
-            hytlb_trace::write_trace(&mut out, workload.label(), footprint, config.seed, &trace)
-                .expect("vec write");
-            out
-        });
-
         let meta = TraceMeta::new(workload.label(), footprint, config.seed);
-        let (v2, v2_encode_s) = min_of_3(|| {
+        let (v2, v2_encode_s) = min_of(ROUNDS, || {
             let mut out = Vec::new();
             let mut writer = TraceWriter::new(&mut out, &meta).expect("vec write");
             writer.extend(trace.iter().copied()).expect("vec write");
@@ -106,7 +90,7 @@ fn main() {
 
         // Block-at-a-time streaming replay — the same path `TraceStore`
         // replay takes, and the fair comparison against regeneration.
-        let (decoded, v2_decode_s) = min_of_3(|| {
+        let (decoded, v2_decode_s) = min_of(ROUNDS, || {
             let mut reader = TraceReader::new(&v2[..]).expect("own file parses");
             let mut out = Vec::with_capacity(take);
             while let Some(block) = reader.next_block().expect("own file decodes") {
@@ -120,8 +104,6 @@ fn main() {
             label: workload.label(),
             accesses: trace.len() as u64,
             regen_s,
-            v1_write_s,
-            v1_bytes: v1.len() as u64,
             v2_encode_s,
             v2_decode_s,
             v2_bytes: v2.len() as u64,
@@ -130,7 +112,7 @@ fn main() {
 
     let mut text = format!(
         "{:<10} {:>9} {:>9} {:>8} {:>11} {:>11} {:>11} {:>12}\n",
-        "workload", "v1 MiB", "v2 MiB", "ratio", "regen Ma/s", "enc Ma/s", "dec Ma/s", "dec/regen"
+        "workload", "raw MiB", "v2 MiB", "ratio", "regen Ma/s", "enc Ma/s", "dec Ma/s", "dec/regen"
     );
     let mut workloads_json = Vec::new();
     let mut ge_3x = 0usize;
@@ -140,7 +122,7 @@ fn main() {
         let regen_aps = accesses / row.regen_s.max(1e-9);
         let encode_aps = accesses / row.v2_encode_s.max(1e-9);
         let decode_aps = accesses / row.v2_decode_s.max(1e-9);
-        let ratio = row.ratio_vs_v1();
+        let ratio = row.ratio_vs_raw();
         if ratio >= 3.0 {
             ge_3x += 1;
         }
@@ -150,7 +132,7 @@ fn main() {
         text.push_str(&format!(
             "{:<10} {:>9.2} {:>9.2} {:>7.2}x {:>11.1} {:>11.1} {:>11.1} {:>11.2}x\n",
             row.label,
-            row.v1_bytes as f64 / (1 << 20) as f64,
+            row.raw_bytes() as f64 / (1 << 20) as f64,
             row.v2_bytes as f64 / (1 << 20) as f64,
             ratio,
             regen_aps / 1e6,
@@ -161,23 +143,21 @@ fn main() {
         workloads_json.push(serde_json::json!({
             "workload": row.label,
             "accesses": row.accesses,
-            "v1_bytes": row.v1_bytes,
+            "raw_bytes": row.raw_bytes(),
             "v2_bytes": row.v2_bytes,
-            "compression_ratio_vs_v1": ratio,
-            "compression_ratio_vs_raw": (row.accesses * 8) as f64 / row.v2_bytes as f64,
+            "compression_ratio_vs_raw": ratio,
             "regenerate_accesses_per_sec": regen_aps,
             "encode_accesses_per_sec": encode_aps,
             "decode_accesses_per_sec": decode_aps,
-            "encode_mib_per_sec": row.v1_bytes as f64 / (1 << 20) as f64 / row.v2_encode_s.max(1e-9),
-            "decode_mib_per_sec": row.v1_bytes as f64 / (1 << 20) as f64 / row.v2_decode_s.max(1e-9),
-            "v1_write_seconds": row.v1_write_s,
+            "encode_mib_per_sec": row.raw_bytes() as f64 / (1 << 20) as f64 / row.v2_encode_s.max(1e-9),
+            "decode_mib_per_sec": row.raw_bytes() as f64 / (1 << 20) as f64 / row.v2_decode_s.max(1e-9),
             "decode_vs_regenerate": decode_aps / regen_aps.max(1e-9),
         }));
     }
     text.push_str(&format!(
-        "\n{} of {} workloads at >=3x vs v1; decode outpaces regeneration on {} of {}\n\
+        "\n{} of {} workloads at >=3x vs raw; decode outpaces regeneration on {} of {}\n\
          (gups pages are uniform random over the footprint — its ~2.3x is the entropy floor,\n\
-         not a codec shortfall; throughput columns count trace accesses, MiB/s is of v1 bytes)\n\
+         not a codec shortfall; throughput columns count trace accesses, MiB/s is of raw bytes)\n\
          decode bit-identical to generator output: yes\n",
         ge_3x,
         rows.len(),
@@ -189,7 +169,7 @@ fn main() {
         "quick": quick,
         "workloads": workloads_json,
         "summary": serde_json::json!({
-            "workloads_ge_3x_vs_v1": ge_3x,
+            "workloads_ge_3x_vs_raw": ge_3x,
             "decode_beats_regenerate": decode_beats_regen,
             "workload_count": rows.len(),
             "bit_identical": true,
@@ -197,7 +177,7 @@ fn main() {
     });
     emit("BENCH_tracefile", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
 
-    assert!(ge_3x >= 3, "expected >=3 workloads at >=3x compression vs v1, got {ge_3x}");
+    assert!(ge_3x >= 3, "expected >=3 workloads at >=3x compression vs raw, got {ge_3x}");
     assert!(
         decode_beats_regen >= 3,
         "expected decode to outpace regeneration on >=3 workloads, got {decode_beats_regen}"

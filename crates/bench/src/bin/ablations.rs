@@ -6,13 +6,13 @@
 //! 4. Multi-region anchors (§4.2) vs. a single process-wide distance, on a
 //!    deliberately bimodal mapping.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_core::{AnchorConfig, AnchorScheme, CostModel, DistanceMode, FillPolicy};
 use hytlb_mem::{AddressSpaceMap, ContiguityHistogram, Scenario};
 use hytlb_schemes::AnchorIndexing;
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, PaperConfig, RunStats};
+use hytlb_sim::{Machine, PaperConfig, RunStats, SchemeDispatch, SimError};
 use hytlb_trace::WorkloadKind;
 use hytlb_types::{Permissions, PhysFrameNum, VirtPageNum};
 use std::sync::Arc;
@@ -22,13 +22,13 @@ fn run_anchor(
     cfg: AnchorConfig,
     trace: &[u64],
     config: &PaperConfig,
-) -> RunStats {
-    let scheme = AnchorScheme::new(Arc::clone(map), cfg);
-    Machine::from_scheme(Box::new(scheme), map, config).run(trace.iter().copied())
+) -> Result<RunStats, SimError> {
+    let scheme = SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(map), cfg));
+    Machine::new(scheme, config).try_run_resolved(&map.page_index().resolve(trace))
 }
 
-fn main() {
-    let config = config_from_args();
+fn main() -> Result<(), SimError> {
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Ablations: indexing / fill policy / cost model / regions", &config);
     let mut text = String::new();
     let mut json = Vec::new();
@@ -46,7 +46,7 @@ fn main() {
             ("naive low bits", AnchorIndexing::NaiveLowBits),
         ] {
             let cfg = AnchorConfig { indexing, ..AnchorConfig::static_distance(32) };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "indexing", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -71,7 +71,7 @@ fn main() {
             ("always regular", FillPolicy::AlwaysRegular),
         ] {
             let cfg = AnchorConfig { fill, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "fill", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -106,7 +106,7 @@ fn main() {
             );
             let d = selector.select(&hist);
             let cfg = AnchorConfig { cost_model, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "cost_model", "variant": label, "distance": d, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -161,7 +161,7 @@ fn main() {
             ("regions (<=8)", DistanceMode::MultiRegion(8)),
         ] {
             let cfg = AnchorConfig { mode, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "regions", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -177,4 +177,5 @@ fn main() {
     }
 
     emit("ablations", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    Ok(())
 }

@@ -8,14 +8,14 @@
 //! (16 entries cover the footprint); a single 2 MB notch of fragmentation
 //! (high contiguity) already locks them out, while anchors keep scaling.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::Scenario;
 use hytlb_sim::report::render_table;
-use hytlb_sim::{run_matrix, SchemeKind};
+use hytlb_sim::{try_run_matrix_with, MatrixCache, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
-    let mut config = config_from_args();
+fn main() -> Result<(), SimError> {
+    let mut config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     // Fixed-size coverage limits only bind beyond the L2's 2 MB reach
     // (1024 entries x 2 MB = 2 GB), so this experiment runs gups at its
     // full 8 GB footprint by default; --quick still shrinks it.
@@ -33,7 +33,8 @@ fn main() {
     ];
     let cols: Vec<String> = kinds[1..].iter().map(|k| k.label()).collect();
     let scenarios = [Scenario::MaxContiguity, Scenario::HighContiguity, Scenario::MediumContiguity];
-    let suites = run_matrix(&scenarios, &[workload], &kinds, &config);
+    let suites =
+        try_run_matrix_with(&MatrixCache::new(), &scenarios, &[workload], &kinds, &config)?;
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for suite in &suites {
@@ -61,4 +62,5 @@ fn main() {
         render_table("scenario", &cols, &rows)
     );
     emit("ext_1gb_pages", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    Ok(())
 }

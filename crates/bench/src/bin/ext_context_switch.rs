@@ -8,21 +8,23 @@
 //! entries re-cover their working set in far fewer walks, so coalescing's
 //! advantage *grows* as switches become more frequent.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::Scenario;
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::{Machine, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
+use std::sync::Arc;
 
-fn main() {
-    let config = config_from_args();
+fn main() -> Result<(), SimError> {
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Extension: context-switch flush sensitivity", &config);
 
     let workload = WorkloadKind::Canneal;
     let scenario = Scenario::MediumContiguity;
     let map = mapping_for(workload, scenario, &config);
-    let trace = trace_for(workload, &config);
+    let index = Arc::new(map.page_index());
+    let resolved = index.resolve(&trace_for(workload, &config));
     let periods = [u64::MAX, 1_000_000, 100_000, 10_000];
     let kinds = [SchemeKind::Baseline, SchemeKind::Cluster2Mb, SchemeKind::AnchorDynamic];
 
@@ -32,20 +34,20 @@ fn main() {
     for period in periods {
         let label =
             if period == u64::MAX { "no switches".to_owned() } else { format!("every {period}") };
-        let cells: Vec<String> = kinds
+        let cells = kinds
             .iter()
             .map(|&k| {
-                let run = Machine::for_scheme(k, &map, &config)
-                    .run_with_flush_period(trace.iter().copied(), period);
+                let run = Machine::for_scheme_indexed(k, &map, &index, &config)
+                    .try_run_resolved_with_flush_period(&resolved, period)?;
                 json.push(serde_json::json!({
                     "scheme": run.scheme,
                     "flush_period": period,
                     "walks": run.tlb_misses(),
                     "cpi": run.translation_cpi(),
                 }));
-                run.tlb_misses().to_string()
+                Ok(run.tlb_misses().to_string())
             })
-            .collect();
+            .collect::<Result<Vec<_>, SimError>>()?;
         rows.push((label, cells));
     }
     let text = format!(
@@ -57,4 +59,5 @@ fn main() {
         render_table("flush period", &cols, &rows)
     );
     emit("ext_context_switch", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    Ok(())
 }

@@ -6,18 +6,18 @@
 //! entries. This experiment lines all three up against the anchor TLB on
 //! the scenario spectrum.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_core::{AnchorConfig, AnchorScheme};
 use hytlb_mem::Scenario;
-use hytlb_schemes::{ColtScheme, LatencyModel, TranslationScheme};
+use hytlb_schemes::{ColtScheme, LatencyModel};
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::{Machine, SchemeDispatch, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 use std::sync::Arc;
 
-fn main() {
-    let config = config_from_args();
+fn main() -> Result<(), SimError> {
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Extension: HW-only coalescing design space (§2.1)", &config);
 
     let workload = WorkloadKind::Canneal;
@@ -32,29 +32,28 @@ fn main() {
     for scenario in [Scenario::LowContiguity, Scenario::MediumContiguity, Scenario::HighContiguity]
     {
         let map = mapping_for(workload, scenario, &config);
-        let trace = trace_for(workload, &config);
-        let base =
-            Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(trace.iter().copied());
+        let resolved = map.page_index().resolve(&trace_for(workload, &config));
+        let replay = |scheme| Machine::new(scheme, &config).try_run_resolved(&resolved);
+        let base = replay(SchemeDispatch::build(SchemeKind::Baseline, &map, &config))?;
         let latency = LatencyModel::default();
-        let arc = Arc::new(map.clone());
-        let schemes: Vec<Box<dyn TranslationScheme>> = vec![
-            SchemeKind::Cluster.build(&arc, &config),
-            Box::new(ColtScheme::new(Arc::clone(&arc), latency)),
-            Box::new(ColtScheme::with_fully_associative(Arc::clone(&arc), latency, 32)),
-            Box::new(AnchorScheme::new(Arc::clone(&arc), AnchorConfig::dynamic())),
+        let schemes = [
+            SchemeDispatch::build(SchemeKind::Cluster, &map, &config),
+            SchemeDispatch::Colt(ColtScheme::new(Arc::clone(&map), latency)),
+            SchemeDispatch::Colt(ColtScheme::with_fully_associative(Arc::clone(&map), latency, 32)),
+            SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic())),
         ];
-        let cells: Vec<String> = schemes
+        let cells = schemes
             .into_iter()
             .map(|scheme| {
-                let run = Machine::from_scheme(scheme, &map, &config).run(trace.iter().copied());
+                let run = replay(scheme)?;
                 json.push(serde_json::json!({
                     "scenario": scenario.label(),
                     "scheme": run.scheme,
                     "relative_misses_pct": run.relative_misses_pct(&base),
                 }));
-                format!("{:.1}", run.relative_misses_pct(&base))
+                Ok(format!("{:.1}", run.relative_misses_pct(&base)))
             })
-            .collect();
+            .collect::<Result<Vec<_>, SimError>>()?;
         rows.push((scenario.label().to_owned(), cells));
     }
     let text = format!(
@@ -65,4 +64,5 @@ fn main() {
         render_table("scenario", &cols, &rows)
     );
     emit("ext_hw_coalescing", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    Ok(())
 }

@@ -7,14 +7,15 @@
 //! scheme copes: THP collapses under interleaving while the anchor TLB
 //! adapts its distance to the interleave granularity.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::{ContiguityHistogram, FragmentationLevel, NumaPolicy, NumaTopology};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::{Machine, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
+use std::sync::Arc;
 
-fn main() {
-    let config = config_from_args();
+fn main() -> Result<(), SimError> {
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Extension: NUMA placement vs translation coverage (§2.2)", &config);
 
     let footprint = config.footprint_for(WorkloadKind::Canneal);
@@ -41,12 +42,15 @@ fn main() {
     for (label, policy) in policies {
         let mut numa = NumaTopology::new(4, footprint * 2);
         numa.shatter_all(FragmentationLevel::Light, config.seed);
-        let map = std::sync::Arc::new(numa.allocate_map(footprint, policy).expect("capacity"));
+        let map = Arc::new(numa.allocate_map(footprint, policy).expect("capacity"));
+        let index = Arc::new(map.page_index());
+        let resolved = index.resolve(&trace);
         let hist = ContiguityHistogram::from_map(&map);
         let mut cells = vec![format!("{:.0}", hist.mean_contiguity())];
         let mut distance = None;
         for &kind in &kinds {
-            let run = Machine::for_scheme(kind, &map, &config).run(trace.iter().copied());
+            let run = Machine::for_scheme_indexed(kind, &map, &index, &config)
+                .try_run_resolved(&resolved)?;
             distance = distance.or(run.anchor_distance);
             json.push(serde_json::json!({
                 "policy": label,
@@ -56,12 +60,7 @@ fn main() {
             }));
             cells.push(run.tlb_misses().to_string());
         }
-        cells.push(run_distance_label(
-            Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config)
-                .run(trace.iter().copied())
-                .anchor_distance,
-        ));
-        let _ = distance;
+        cells.push(distance.map_or_else(|| "-".to_owned(), hytlb_sim::report::format_distance));
         rows.push((label.to_owned(), cells));
     }
     let text = format!(
@@ -72,8 +71,5 @@ fn main() {
         render_table("NUMA policy", &cols, &rows)
     );
     emit("ext_numa", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
-}
-
-fn run_distance_label(d: Option<u64>) -> String {
-    d.map_or_else(|| "-".to_owned(), hytlb_sim::report::format_distance)
+    Ok(())
 }

@@ -6,7 +6,7 @@
 //! workload/scenario — showing where the constant is a good average and
 //! where (sparse, giant footprints) it underestimates.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::Scenario;
 use hytlb_pagetable::{CachedWalker, PageTable};
 use hytlb_sim::experiment::{mapping_for, trace_for};
@@ -15,7 +15,7 @@ use hytlb_trace::WorkloadKind;
 use hytlb_types::PAGE_SIZE_U64;
 
 fn main() {
-    let config = config_from_args();
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Extension: MMU-cache walk latency vs the fixed 50-cycle model", &config);
 
     let cols =

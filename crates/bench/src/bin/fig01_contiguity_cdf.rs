@@ -8,12 +8,12 @@
 //! are the CDF values at chunk sizes 2^0 .. 2^10 pages — the x-axis of the
 //! paper's figure.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::{ContiguityHistogram, FragmentationLevel, Scenario};
 use hytlb_sim::report::render_table;
 
 fn main() {
-    let config = config_from_args();
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Figure 1: contiguity CDFs under fragmentation pressure", &config);
 
     // canneal's ~1 GB working set and raytrace's ~1.3 GB, scaled.

@@ -6,15 +6,15 @@
 //! chunks but plateaus; RMM is ineffective at small chunks and nearly
 //! eliminates misses at large ones.
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::Scenario;
 use hytlb_sim::experiment::run_suite;
 use hytlb_sim::report::render_table;
-use hytlb_sim::SchemeKind;
+use hytlb_sim::{SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
-    let config = config_from_args();
+fn main() -> Result<(), SimError> {
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Figure 2: motivation — prior schemes vs. mapping contiguity", &config);
 
     let kinds = [SchemeKind::Baseline, SchemeKind::Cluster, SchemeKind::Rmm];
@@ -27,7 +27,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut suites = Vec::new();
     for (label, scenario) in scenarios {
-        let suite = run_suite(scenario, &WorkloadKind::all(), &kinds, &config);
+        let suite = run_suite(scenario, &WorkloadKind::all(), &kinds, &config)?;
         let means = suite.mean_relative_misses();
         rows.push((label.to_owned(), means.iter().map(|m| format!("{m:.1}")).collect()));
         suites.push(suite);
@@ -38,4 +38,5 @@ fn main() {
         render_table("mean rel. misses %", &cols, &rows)
     );
     emit("fig02_motivation", &text, &serde_json::to_string_pretty(&suites).expect("serializable"));
+    Ok(())
 }

@@ -1,12 +1,12 @@
 //! Figure 9: mean relative TLB misses of every scheme under all six
 //! mapping scenarios.
 
-use hytlb_bench::{banner, config_from_args, emit, per_benchmark_suites};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage, per_benchmark_suites};
 use hytlb_mem::Scenario;
 use hytlb_sim::report::{render_table, suite_bars, to_json};
 
 fn main() {
-    let config = config_from_args();
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Figure 9: mean relative TLB misses, all mapping scenarios", &config);
 
     // One matrix call: all six scenarios share the worker pool, and each

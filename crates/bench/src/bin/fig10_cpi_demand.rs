@@ -1,12 +1,12 @@
 //! Figure 10: translation-CPI breakdown (L2 hit / coalesced hit / page
 //! walk) per benchmark and scheme under demand paging.
 
-use hytlb_bench::{banner, config_from_args, emit, per_benchmark_suite};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage, per_benchmark_suite};
 use hytlb_mem::Scenario;
 use hytlb_sim::report::{cpi_table, to_json};
 
 fn main() {
-    let config = config_from_args();
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Figure 10: translation CPI breakdown, demand paging", &config);
     let suite = per_benchmark_suite(Scenario::DemandPaging, &config);
     let text = format!(

@@ -7,16 +7,17 @@
 //! (the paper: "the distance selection algorithm did not make any changes
 //! after making the initial selection decision").
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_core::DistanceSelector;
 use hytlb_mem::{ContiguityHistogram, Scenario};
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::{format_distance, render_table};
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::{Machine, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
+use std::sync::Arc;
 
-fn main() {
-    let config = config_from_args();
+fn main() -> Result<(), SimError> {
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Table 6: selected anchor distances + stability", &config);
 
     let selector = DistanceSelector::paper_default();
@@ -45,9 +46,10 @@ fn main() {
     for workload in [WorkloadKind::Gups, WorkloadKind::Omnetpp, WorkloadKind::Mcf] {
         let scenario = Scenario::DemandPaging;
         let map = mapping_for(workload, scenario, &config);
-        let mut machine = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config);
-        let trace = trace_for(workload, &config);
-        let stats = machine.run(trace);
+        let index = Arc::new(map.page_index());
+        let resolved = index.resolve(&trace_for(workload, &config));
+        let stats = Machine::for_scheme_indexed(SchemeKind::AnchorDynamic, &map, &index, &config)
+            .try_run_resolved(&resolved)?;
         let d = stats.anchor_distance.expect("anchor scheme");
         text.push_str(&format!(
             "  {:<12} demand: distance {} held across {} epochs\n",
@@ -62,4 +64,5 @@ fn main() {
          big-chunk apps (gups, graph500, mcf) and small ones for omnetpp/xalancbmk.\n",
     );
     emit("table6_distances", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    Ok(())
 }

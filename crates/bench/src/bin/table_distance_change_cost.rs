@@ -6,14 +6,14 @@
 //! actual wall-clock time of our software sweep, for the same 30 GB
 //! footprint (scaled down under --quick).
 
-use hytlb_bench::{banner, config_from_args, emit};
+use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::Scenario;
 use hytlb_pagetable::{AnchoredPageTable, PageTable};
 use hytlb_sim::report::render_table;
 use std::time::Instant;
 
 fn main() {
-    let config = config_from_args();
+    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
     banner("Distance-change cost (paper §3.3)", &config);
 
     // 30 GB = 7,864,320 pages, exactly the paper's measurement; only

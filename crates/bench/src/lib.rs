@@ -8,6 +8,10 @@
 //! * `--accesses N` — override the trace length
 //!
 //! Output goes to stdout and, as both text and JSON, into `results/`.
+//!
+//! The bench targets under `benches/` share one timing harness,
+//! [`min_of`] and [`Bench`]: min-of-N wall-clock, reported as text and
+//! JSON into `results/BENCH_<name>.{txt,json}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,17 +19,21 @@
 use hytlb_sim::PaperConfig;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
-/// Parses the common CLI flags into a [`PaperConfig`].
-///
-/// # Panics
-///
-/// Panics with a usage message on malformed arguments.
-#[must_use]
-pub fn config_from_args() -> PaperConfig {
+/// The flags every regenerator accepts.
+pub const USAGE: &str = "flags: --quick --paper --seed N --accesses N";
+
+/// Parses the common CLI flags into a [`PaperConfig`]. A malformed or
+/// unknown flag is an `Err` naming it; see [`exit_usage`].
+pub fn config_from_args() -> Result<PaperConfig, String> {
+    parse_config(std::env::args().skip(1))
+}
+
+fn parse_config(args: impl IntoIterator<Item = String>) -> Result<PaperConfig, String> {
     let mut config =
         PaperConfig { accesses: 1_000_000, footprint_shift: 2, ..PaperConfig::default() };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => {
@@ -37,21 +45,26 @@ pub fn config_from_args() -> PaperConfig {
                 config.footprint_shift = 0;
             }
             "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--seed needs an integer"));
+                config.seed =
+                    args.next().and_then(|v| v.parse().ok()).ok_or("--seed needs an integer")?;
             }
             "--accesses" => {
                 config.accesses = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--accesses needs an integer"));
+                    .ok_or("--accesses needs an integer")?;
             }
-            other => panic!("unknown flag {other}; flags: --quick --paper --seed N --accesses N"),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    config
+    Ok(config)
+}
+
+/// Prints `error` and the flag summary to stderr and exits with status 2,
+/// the conventional code for a bad invocation.
+pub fn exit_usage(error: &str) -> ! {
+    eprintln!("error: {error}\n{USAGE}");
+    std::process::exit(2)
 }
 
 /// Prints a result and archives it under `results/<name>.txt` and
@@ -121,15 +134,114 @@ pub fn per_benchmark_suites(scenarios: &[Scenario], config: &PaperConfig) -> Vec
     )
 }
 
+/// Runs `f` `rounds` times and returns its last output with the smallest
+/// elapsed wall-clock seconds. Every run is deterministic, so the minimum
+/// discards scheduler and frequency noise without changing any result.
+///
+/// # Panics
+///
+/// Panics if `rounds` is zero.
+pub fn min_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    assert!(rounds > 0, "need at least one round");
+    let mut best_s = f64::INFINITY;
+    let mut value = None;
+    for _ in 0..rounds {
+        let start = Instant::now();
+        let out = std::hint::black_box(f());
+        best_s = best_s.min(start.elapsed().as_secs_f64());
+        value = Some(out);
+    }
+    (value.expect("rounds > 0"), best_s)
+}
+
+/// The timings of one bench target, emitted as
+/// `results/BENCH_<name>.{txt,json}` by [`Bench::finish`].
+#[derive(Debug)]
+pub struct Bench {
+    name: String,
+    rounds: usize,
+    text: String,
+    rows: Vec<serde_json::Value>,
+}
+
+impl Bench {
+    /// Starts the bench target `name`, timing each routine over `rounds`
+    /// runs.
+    #[must_use]
+    pub fn new(name: &str, rounds: usize) -> Self {
+        println!("== BENCH: {name} (min of {rounds}) ==");
+        Bench { name: name.to_owned(), rounds, text: String::new(), rows: Vec::new() }
+    }
+
+    /// Times `f` with [`min_of`], records it under `label` and returns
+    /// its last output. One run of `f` processes `elements` items
+    /// (accesses, lookups, ...), from which ns/element and elements/s are
+    /// derived.
+    pub fn run<T>(&mut self, label: &str, elements: u64, f: impl FnMut() -> T) -> T {
+        let (value, seconds) = min_of(self.rounds, f);
+        let per_sec = elements as f64 / seconds.max(1e-12);
+        let line = format!(
+            "{label:<44} {:>12.3} ms {:>12.1} ns/elem {:>10.2} M elem/s",
+            seconds * 1e3,
+            seconds * 1e9 / elements.max(1) as f64,
+            per_sec / 1e6
+        );
+        self.text.push_str(&line);
+        self.text.push('\n');
+        self.rows.push(serde_json::json!({
+            "name": label,
+            "min_seconds": seconds,
+            "elements": elements,
+            "elements_per_sec": per_sec,
+        }));
+        value
+    }
+
+    /// Prints the recorded timings and writes them to
+    /// `results/BENCH_<name>.{txt,json}`.
+    pub fn finish(self) {
+        let json = serde_json::json!({
+            "bench": self.name,
+            "rounds": self.rounds,
+            "results": self.rows,
+        });
+        let json = serde_json::to_string_pretty(&json).expect("serializable");
+        emit(&format!("BENCH_{}", self.name), &self.text, &json);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Result<PaperConfig, String> {
+        parse_config(list.iter().map(|s| (*s).to_owned()))
+    }
+
     #[test]
     fn default_config_is_mid_scale() {
-        // config_from_args reads argv; here we just validate the base.
-        let c = PaperConfig { accesses: 1_000_000, footprint_shift: 2, ..PaperConfig::default() };
-        assert!(c.accesses >= 200_000);
+        let c = args(&[]).unwrap();
+        assert_eq!((c.accesses, c.footprint_shift), (1_000_000, 2));
         assert!(c.footprint_for(hytlb_trace::WorkloadKind::Gups) > 4096);
+    }
+
+    #[test]
+    fn flags_parse_and_bad_flags_are_errors() {
+        let c = args(&["--quick", "--seed", "7"]).unwrap();
+        assert_eq!((c.accesses, c.footprint_shift, c.seed), (200_000, 4, 7));
+        assert!(args(&["--seed", "x"]).unwrap_err().contains("--seed"));
+        assert!(args(&["--accesses"]).unwrap_err().contains("--accesses"));
+        assert!(args(&["--frobnicate"]).unwrap_err().contains("--frobnicate"));
+    }
+
+    #[test]
+    fn min_of_keeps_the_last_value() {
+        let mut calls = 0;
+        let (last, seconds) = min_of(3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((last, calls), (3, 3));
+        assert!(seconds >= 0.0);
     }
 }

@@ -191,6 +191,7 @@ impl TranslationScheme for AnchorScheme {
         &self.name
     }
 
+    #[inline]
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         let vpn = vaddr.page_number();
         let latency = self.config.latency;
@@ -271,10 +272,6 @@ impl TranslationScheme for AnchorScheme {
         };
         self.stats.record(result);
         result
-    }
-
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), hytlb_schemes::BatchFault> {
-        hytlb_schemes::run_batch(self, vaddrs)
     }
 
     fn stats(&self) -> &SchemeStats {

@@ -480,10 +480,11 @@ impl PageIndex {
 
     /// Resolves a trace of *logical* byte addresses (the representation
     /// workload generators emit) into virtual addresses of this mapping, in
-    /// one pass. Element-for-element identical to the scalar placement math
-    /// in the simulation engine (`page = logical / 4096`, VPN via
-    /// `nth_page`, byte offset preserved), but uses the flat table when
-    /// present and the MRU-chunk cursor otherwise.
+    /// one pass. Element-for-element identical to the per-address placement
+    /// math (`page = logical / 4096`, VPN via `nth_page`, byte offset
+    /// preserved), but uses the flat table when present and the MRU-chunk
+    /// cursor otherwise. This is how the simulation engine places every
+    /// logical trace.
     ///
     /// # Panics
     ///

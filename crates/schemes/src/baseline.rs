@@ -58,6 +58,7 @@ impl TranslationScheme for BaselineScheme {
         "Base"
     }
 
+    #[inline]
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         let vpn = vaddr.page_number();
         let result = if let Some(pfn) = self.l1.lookup(vpn) {
@@ -89,10 +90,6 @@ impl TranslationScheme for BaselineScheme {
         };
         self.stats.record(result);
         result
-    }
-
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
     }
 
     fn stats(&self) -> &SchemeStats {

@@ -126,6 +126,7 @@ impl TranslationScheme for ClusterScheme {
         }
     }
 
+    #[inline]
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         let vpn = vaddr.page_number();
         let result = if let Some(pfn) = self.l1.lookup(vpn) {
@@ -201,10 +202,6 @@ impl TranslationScheme for ClusterScheme {
         };
         self.stats.record(result);
         result
-    }
-
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
     }
 
     fn stats(&self) -> &SchemeStats {

@@ -169,6 +169,7 @@ impl TranslationScheme for ColtScheme {
         "CoLT"
     }
 
+    #[inline]
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         let vpn = vaddr.page_number();
         let result = if let Some(pfn) = self.l1.lookup(vpn) {
@@ -236,10 +237,6 @@ impl TranslationScheme for ColtScheme {
         };
         self.stats.record(result);
         result
-    }
-
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
     }
 
     fn stats(&self) -> &SchemeStats {

@@ -38,8 +38,7 @@ pub use cluster::{ClusterScheme, CLUSTER_SPAN};
 pub use colt::ColtScheme;
 pub use rmm::RmmScheme;
 pub use scheme::{
-    run_batch, AccessResult, BatchFault, LatencyModel, SchemeStats, TranslationPath,
-    TranslationScheme,
+    AccessResult, BatchFault, LatencyModel, SchemeStats, TranslationPath, TranslationScheme,
 };
 pub use shared_l2::{AnchorHit, AnchorIndexing, SharedL2};
 pub use thp::ThpScheme;

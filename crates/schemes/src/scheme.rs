@@ -130,33 +130,14 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// An unmapped address hit inside [`TranslationScheme::access_batch`].
 ///
-/// Identifies the first faulting access so the engine can surface the same
-/// error the scalar path would have produced at that point.
+/// Identifies the first faulting access so the engine can report exactly
+/// which address failed to translate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchFault {
     /// Position of the faulting address within the batch slice.
     pub index: usize,
     /// The virtual address that failed to translate.
     pub vaddr: VirtAddr,
-}
-
-/// Drives a batch of accesses through a *concrete* scheme type.
-///
-/// Generic over `S` so the per-access `access` call is statically dispatched
-/// (and inlinable) instead of going through the `dyn TranslationScheme`
-/// vtable; scheme impls forward `access_batch` here to devirtualize their
-/// inner loop. Stops at the first fault, reporting its batch position.
-pub fn run_batch<S: TranslationScheme + ?Sized>(
-    scheme: &mut S,
-    vaddrs: &[VirtAddr],
-) -> Result<(), BatchFault> {
-    for (index, &vaddr) in vaddrs.iter().enumerate() {
-        let result = scheme.access(vaddr);
-        if result.pfn.is_none() {
-            return Err(BatchFault { index, vaddr });
-        }
-    }
-    Ok(())
 }
 
 /// A complete address-translation scheme: L1 TLB + L2 structures + walker.
@@ -174,10 +155,13 @@ pub trait TranslationScheme: Send {
 
     /// Translates a batch of virtual addresses, stopping at the first
     /// unmapped one. Statistics accumulate exactly as if each address had
-    /// been passed to [`TranslationScheme::access`] in order — the batch
-    /// form only exists so concrete schemes can run their inner loop
-    /// without a per-access virtual call (see [`run_batch`]). The default
-    /// loops scalar `access`.
+    /// been passed to [`TranslationScheme::access`] in order. The default
+    /// body is compiled once per implementing type, so its per-access
+    /// `access` call is statically dispatched — the batch form exists so
+    /// the engine pays one dispatch per chunk, not per access. That
+    /// instance is compiled in the engine's crate, so implementations mark
+    /// `access` `#[inline]`: without it the call crosses crates through the
+    /// GOT, an indirect call per access.
     fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
         for (index, &vaddr) in vaddrs.iter().enumerate() {
             let result = self.access(vaddr);

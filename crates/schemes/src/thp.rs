@@ -50,6 +50,7 @@ impl TranslationScheme for ThpScheme {
         "THP"
     }
 
+    #[inline]
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         let vpn = vaddr.page_number();
         let result = if let Some(pfn) = self.l1.lookup(vpn) {
@@ -94,10 +95,6 @@ impl TranslationScheme for ThpScheme {
         };
         self.stats.record(result);
         result
-    }
-
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
     }
 
     fn stats(&self) -> &SchemeStats {

@@ -106,6 +106,7 @@ impl TranslationScheme for Thp1GScheme {
         "THP-1G"
     }
 
+    #[inline]
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         let vpn = vaddr.page_number();
         let result = if let Some(pfn) = self.l1.lookup(vpn) {
@@ -159,10 +160,6 @@ impl TranslationScheme for Thp1GScheme {
         };
         self.stats.record(result);
         result
-    }
-
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
     }
 
     fn stats(&self) -> &SchemeStats {

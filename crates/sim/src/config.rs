@@ -1,12 +1,6 @@
-//! Evaluation configuration and the scheme registry.
+//! Evaluation configuration and the scheme kinds.
 
-use hytlb_core::{AnchorConfig, AnchorScheme};
-use hytlb_mem::AddressSpaceMap;
-use hytlb_schemes::{
-    BaselineScheme, ClusterScheme, ColtScheme, LatencyModel, RmmScheme, Thp1GScheme, ThpScheme,
-    TranslationScheme,
-};
-use std::sync::Arc;
+use hytlb_schemes::LatencyModel;
 
 /// The paper's evaluation configuration (Table 3 plus trace parameters).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -30,7 +24,7 @@ pub struct PaperConfig {
     /// 2^13 pages so they always exceed the L2 reach.
     pub footprint_shift: u32,
     /// Worker threads for the matrix driver
-    /// ([`matrix::run_matrix`](crate::matrix::run_matrix)). `None` defers
+    /// ([`matrix::try_run_matrix_with`](crate::matrix::try_run_matrix_with)). `None` defers
     /// to the `HYTLB_THREADS` environment variable, then to the machine's
     /// available parallelism. Never affects results, only wall-clock.
     pub threads: Option<usize>,
@@ -157,37 +151,6 @@ impl SchemeKind {
             SchemeKind::AnchorMultiRegion(n) => format!("Anchor-region{n}"),
         }
     }
-
-    /// Builds the scheme over a mapping.
-    #[must_use]
-    pub fn build(
-        self,
-        map: &Arc<AddressSpaceMap>,
-        config: &PaperConfig,
-    ) -> Box<dyn TranslationScheme> {
-        let latency = config.latency;
-        match self {
-            SchemeKind::Baseline => Box::new(BaselineScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Thp => Box::new(ThpScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Thp1G => Box::new(Thp1GScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Cluster => Box::new(ClusterScheme::new(Arc::clone(map), latency, false)),
-            SchemeKind::Cluster2Mb => Box::new(ClusterScheme::new(Arc::clone(map), latency, true)),
-            SchemeKind::Colt => Box::new(ColtScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Rmm => Box::new(RmmScheme::new(Arc::clone(map), latency)),
-            SchemeKind::AnchorDynamic => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::dynamic() };
-                Box::new(AnchorScheme::new(Arc::clone(map), cfg))
-            }
-            SchemeKind::AnchorStatic(d) => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::static_distance(d) };
-                Box::new(AnchorScheme::new(Arc::clone(map), cfg))
-            }
-            SchemeKind::AnchorMultiRegion(n) => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::multi_region(n) };
-                Box::new(AnchorScheme::new(Arc::clone(map), cfg))
-            }
-        }
-    }
 }
 
 impl core::fmt::Display for SchemeKind {
@@ -199,7 +162,10 @@ impl core::fmt::Display for SchemeKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchemeDispatch;
     use hytlb_mem::Scenario;
+    use hytlb_schemes::TranslationScheme;
+    use std::sync::Arc;
 
     #[test]
     fn config_arithmetic() {
@@ -233,7 +199,7 @@ mod tests {
         ];
         kinds.extend(SchemeKind::paper_set());
         for kind in kinds {
-            let mut s = kind.build(&map, &config);
+            let mut s = SchemeDispatch::build(kind, &map, &config);
             for (vpn, pfn) in map.iter_pages().take(200) {
                 assert_eq!(s.access(vpn.base_addr()).pfn, Some(pfn), "{kind}");
             }

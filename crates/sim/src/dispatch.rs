@@ -1,12 +1,12 @@
-//! Enum dispatch over the concrete translation schemes.
+//! The scheme registry: enum dispatch over the concrete translation schemes.
 //!
-//! The simulation hot loop historically drove a `Box<dyn TranslationScheme>`,
-//! paying a vtable call per simulated access. [`SchemeDispatch`] replaces the
-//! box with an enum of the concrete scheme types: the engine's batched inner
-//! loop matches *once per chunk*, and within the selected arm every
-//! `access` call is statically dispatched (and inlinable) through each
-//! scheme's monomorphized `access_batch`. A `Boxed` escape hatch keeps the
-//! engine usable with caller-supplied scheme objects (ablations, tests).
+//! [`SchemeDispatch`] holds one concrete scheme by value. The engine's
+//! batched inner loop matches *once per chunk*, and within the selected arm
+//! every `access` call is statically dispatched (and inlinable) through the
+//! scheme's monomorphized `access_batch` — there is no per-access vtable
+//! call. [`SchemeDispatch::build`] is the one place a [`SchemeKind`] turns
+//! into a scheme; callers that need a custom-config scheme (ablations) build
+//! it themselves and wrap it in its variant.
 
 use crate::config::{PaperConfig, SchemeKind};
 use hytlb_core::{AnchorConfig, AnchorScheme};
@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 /// A translation scheme held by value, dispatched with one `match` instead
 /// of a per-access vtable call. See the module docs.
+#[derive(Debug)]
 pub enum SchemeDispatch {
     /// [`BaselineScheme`] (4 KB only).
     Baseline(BaselineScheme),
@@ -36,22 +37,11 @@ pub enum SchemeDispatch {
     Rmm(RmmScheme),
     /// [`AnchorScheme`] in any distance mode.
     Anchor(AnchorScheme),
-    /// A caller-supplied scheme object (keeps the engine open to scheme
-    /// impls outside this registry; still one virtual call per access).
-    Boxed(Box<dyn TranslationScheme>),
-}
-
-impl std::fmt::Debug for SchemeDispatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `Box<dyn TranslationScheme>` has no `Debug` bound, so derive is
-        // unavailable; the scheme's display name identifies it just as well.
-        f.debug_struct("SchemeDispatch").field("scheme", &self.name()).finish()
-    }
 }
 
 impl SchemeDispatch {
-    /// Builds the scheme for `kind` over a mapping, mirroring
-    /// [`SchemeKind::build`] but returning the concrete variant.
+    /// Builds the scheme for `kind` over a mapping. The map is shared by
+    /// reference count, never copied.
     #[must_use]
     pub fn build(kind: SchemeKind, map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Self {
         let latency = config.latency;
@@ -98,7 +88,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.name(),
             SchemeDispatch::Rmm(s) => s.name(),
             SchemeDispatch::Anchor(s) => s.name(),
-            SchemeDispatch::Boxed(s) => s.name(),
         }
     }
 
@@ -111,7 +100,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.access(vaddr),
             SchemeDispatch::Rmm(s) => s.access(vaddr),
             SchemeDispatch::Anchor(s) => s.access(vaddr),
-            SchemeDispatch::Boxed(s) => s.access(vaddr),
         }
     }
 
@@ -124,7 +112,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.access_batch(vaddrs),
             SchemeDispatch::Rmm(s) => s.access_batch(vaddrs),
             SchemeDispatch::Anchor(s) => s.access_batch(vaddrs),
-            SchemeDispatch::Boxed(s) => s.access_batch(vaddrs),
         }
     }
 
@@ -137,7 +124,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.stats(),
             SchemeDispatch::Rmm(s) => s.stats(),
             SchemeDispatch::Anchor(s) => s.stats(),
-            SchemeDispatch::Boxed(s) => s.stats(),
         }
     }
 
@@ -150,7 +136,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.on_epoch(),
             SchemeDispatch::Rmm(s) => s.on_epoch(),
             SchemeDispatch::Anchor(s) => s.on_epoch(),
-            SchemeDispatch::Boxed(s) => s.on_epoch(),
         }
     }
 
@@ -163,7 +148,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.flush(),
             SchemeDispatch::Rmm(s) => s.flush(),
             SchemeDispatch::Anchor(s) => s.flush(),
-            SchemeDispatch::Boxed(s) => s.flush(),
         }
     }
 
@@ -176,7 +160,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.anchor_distance(),
             SchemeDispatch::Rmm(s) => s.anchor_distance(),
             SchemeDispatch::Anchor(s) => s.anchor_distance(),
-            SchemeDispatch::Boxed(s) => s.anchor_distance(),
         }
     }
 
@@ -189,7 +172,6 @@ impl TranslationScheme for SchemeDispatch {
             SchemeDispatch::Colt(s) => s.geometries(),
             SchemeDispatch::Rmm(s) => s.geometries(),
             SchemeDispatch::Anchor(s) => s.geometries(),
-            SchemeDispatch::Boxed(s) => s.geometries(),
         }
     }
 }
@@ -198,34 +180,6 @@ impl TranslationScheme for SchemeDispatch {
 mod tests {
     use super::*;
     use hytlb_mem::Scenario;
-
-    #[test]
-    fn dispatch_matches_boxed_build_on_every_kind() {
-        let config = PaperConfig::quick();
-        let map = Arc::new(Scenario::MediumContiguity.generate(2048, 7));
-        let mut kinds = vec![
-            SchemeKind::AnchorStatic(16),
-            SchemeKind::AnchorMultiRegion(4),
-            SchemeKind::Colt,
-            SchemeKind::Thp1G,
-        ];
-        kinds.extend(SchemeKind::paper_set());
-        for kind in kinds {
-            let mut fast = SchemeDispatch::build(kind, &map, &config);
-            let mut reference = kind.build(&map, &config);
-            assert_eq!(fast.name(), reference.name(), "{kind}");
-            for (vpn, _) in map.iter_pages().take(300) {
-                assert_eq!(
-                    fast.access(vpn.base_addr()),
-                    reference.access(vpn.base_addr()),
-                    "{kind} at {vpn}"
-                );
-            }
-            assert_eq!(fast.stats(), reference.stats(), "{kind}");
-            assert_eq!(fast.anchor_distance(), reference.anchor_distance(), "{kind}");
-            assert_eq!(fast.geometries().len(), reference.geometries().len(), "{kind}");
-        }
-    }
 
     #[test]
     fn batch_equals_scalar_through_dispatch() {

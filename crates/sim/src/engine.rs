@@ -1,11 +1,11 @@
-//! The machine: a translation scheme driven by a logical-address trace.
+//! The machine: a translation scheme driven by a resolved-address trace.
 
 use crate::config::{PaperConfig, SchemeKind};
 use crate::dispatch::SchemeDispatch;
 use crate::error::SimError;
 use hytlb_mem::{AddressSpaceMap, PageIndex};
 use hytlb_schemes::{SchemeStats, TranslationScheme};
-use hytlb_types::{VirtAddr, PAGE_SIZE_U64};
+use hytlb_types::VirtAddr;
 use std::sync::Arc;
 
 /// Accesses per chunk of the batched resolved-trace loop: large enough to
@@ -77,39 +77,31 @@ impl RunStats {
     }
 }
 
-/// A scheme plus the placement layer that turns logical trace addresses
-/// into virtual addresses of the mapping under test.
+/// A scheme driven by a pre-resolved virtual-address trace.
+///
+/// Logical traces (what workload generators emit) are placed onto the
+/// mapping once with [`PageIndex::resolve`]; the machine then replays the
+/// resolved addresses through its single hot loop,
+/// [`Machine::try_run_resolved_with_flush_period`].
+#[derive(Debug)]
 pub struct Machine {
     scheme: SchemeDispatch,
-    index: Arc<PageIndex>,
     config: PaperConfig,
 }
 
-impl std::fmt::Debug for Machine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Machine")
-            .field("scheme", &self.scheme.name())
-            .field("mapped_pages", &self.index.len())
-            .finish()
-    }
-}
-
 impl Machine {
+    /// Builds a machine around a prebuilt scheme — a registry scheme from
+    /// [`SchemeDispatch::build`], or a concrete scheme with a custom config
+    /// (ablations) wrapped in its [`SchemeDispatch`] variant.
+    #[must_use]
+    pub fn new(scheme: SchemeDispatch, config: &PaperConfig) -> Self {
+        Machine { scheme, config: *config }
+    }
+
     /// Builds a machine running `kind` over `map`. The map is shared with
     /// the scheme by reference count — no copy of the address-space data is
     /// made, so a matrix of machines over one mapping costs one mapping.
-    #[must_use]
-    pub fn for_scheme(kind: SchemeKind, map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Self {
-        Machine {
-            scheme: SchemeDispatch::build(kind, map, config),
-            index: Arc::new(map.page_index()),
-            config: *config,
-        }
-    }
-
-    /// Like [`Machine::for_scheme`], but reuses a pre-built [`PageIndex`]
-    /// as well, so every machine of a matrix cell shares both the mapping
-    /// and its placement index.
+    /// `index` is the placement index the caller resolves its trace with.
     ///
     /// # Panics
     ///
@@ -122,161 +114,26 @@ impl Machine {
         config: &PaperConfig,
     ) -> Self {
         assert_eq!(index.len(), map.mapped_pages(), "page index does not match the mapping");
-        Machine {
-            scheme: SchemeDispatch::build(kind, map, config),
-            index: Arc::clone(index),
-            config: *config,
-        }
+        Machine::new(SchemeDispatch::build(kind, map, config), config)
     }
 
-    /// Builds a machine around an existing scheme (used for ablations that
-    /// construct schemes with custom configs).
-    #[must_use]
-    pub fn from_scheme(
-        scheme: Box<dyn TranslationScheme>,
-        map: &Arc<AddressSpaceMap>,
-        config: &PaperConfig,
-    ) -> Self {
-        Machine {
-            scheme: SchemeDispatch::Boxed(scheme),
-            index: Arc::new(map.page_index()),
-            config: *config,
-        }
-    }
-
-    /// The underlying scheme.
-    #[must_use]
-    pub fn scheme(&self) -> &dyn TranslationScheme {
-        &self.scheme
-    }
-
-    /// Drives a logical-address trace through the MMU. Logical addresses
-    /// must lie within `mapped_pages × 4096` (generators built with the
-    /// same footprint guarantee this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a trace address exceeds the mapping's footprint, or if the
-    /// MMU mistranslates (cross-checked against nothing at runtime — the
-    /// schemes assert internally — but faults on mapped-only traces are a
-    /// harness bug and do panic). Use [`Machine::try_run`] for the
-    /// non-panicking variant.
-    pub fn run<I: IntoIterator<Item = u64>>(&mut self, trace: I) -> RunStats {
-        self.run_with_flush_period(trace, u64::MAX)
-    }
-
-    /// Like [`Machine::run`], but reports a fault as a typed
-    /// [`SimError::TraceFault`] naming the scheme and the address instead
-    /// of panicking, so matrix drivers can attribute the failure to a cell.
-    pub fn try_run<I: IntoIterator<Item = u64>>(&mut self, trace: I) -> Result<RunStats, SimError> {
-        self.try_run_with_flush_period(trace, u64::MAX)
-    }
-
-    /// Like [`Machine::run`], but flushes all TLB state every
-    /// `flush_period` accesses — modelling context switches, which flush
-    /// the TLB on native x86 Linux (paper §3.3). Coalesced schemes refill
-    /// their reach with far fewer walks than the baseline, so frequent
-    /// switches *widen* their advantage.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::run`].
-    pub fn run_with_flush_period<I: IntoIterator<Item = u64>>(
-        &mut self,
-        trace: I,
-        flush_period: u64,
-    ) -> RunStats {
-        // audit:allow(panic): invariant — the panicking wrapper exists for
-        // the many quick-experiment callers; the error already names the
-        // scheme and address, and matrix cells use the try_ variant.
-        self.try_run_with_flush_period(trace, flush_period).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The non-panicking core of [`Machine::run_with_flush_period`]: a
-    /// fault on a mapped-only trace surfaces as [`SimError::TraceFault`].
-    /// Checked in release builds too — a silent mistranslation would
-    /// corrupt every figure downstream.
-    pub fn try_run_with_flush_period<I: IntoIterator<Item = u64>>(
-        &mut self,
-        trace: I,
-        flush_period: u64,
-    ) -> Result<RunStats, SimError> {
-        let epoch_every = self.config.epoch_accesses();
-        let mut since_epoch = 0u64;
-        let mut since_flush = 0u64;
-        let mut accesses = 0u64;
-        for logical in trace {
-            let page = logical / PAGE_SIZE_U64;
-            let offset = logical % PAGE_SIZE_U64;
-            let vpn = self.index.nth_page(page);
-            let va = VirtAddr::new(vpn.base_addr().as_u64() + offset);
-            let result = self.scheme.access(va);
-            // A fault here means the placement layer or a scheme's walk
-            // path is broken: traces only ever touch mapped pages.
-            if result.pfn.is_none() {
-                return Err(SimError::TraceFault {
-                    scheme: self.scheme.name().to_owned(),
-                    vaddr: va,
-                });
-            }
-            accesses += 1;
-            since_epoch += 1;
-            since_flush += 1;
-            if since_epoch >= epoch_every {
-                self.scheme.on_epoch();
-                since_epoch = 0;
-            }
-            if since_flush >= flush_period {
-                self.scheme.flush();
-                since_flush = 0;
-            }
-        }
-        Ok(self.finish(accesses))
-    }
-
-    /// Drives a *pre-resolved* virtual-address trace through the MMU in
-    /// chunks, skipping the per-access placement math of [`Machine::run`]
-    /// (see [`hytlb_mem::PageIndex::resolve`]) and the per-access virtual
-    /// call (each chunk runs through the scheme's monomorphized batch
-    /// loop). Bit-identical to `run` over the logical trace that produced
-    /// `resolved`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::run`].
-    pub fn run_resolved(&mut self, resolved: &[VirtAddr]) -> RunStats {
-        self.run_resolved_with_flush_period(resolved, u64::MAX)
-    }
-
-    /// [`Machine::run_resolved`] with periodic TLB flushes, the batched
-    /// counterpart of [`Machine::run_with_flush_period`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::run`].
-    pub fn run_resolved_with_flush_period(
-        &mut self,
-        resolved: &[VirtAddr],
-        flush_period: u64,
-    ) -> RunStats {
-        // The panicking wrapper exists for the many quick-experiment
-        // callers; the error already names the scheme and address, and
-        // matrix cells use the try_ variant.
-        self.try_run_resolved_with_flush_period(resolved, flush_period)
-            // audit:allow(panic): invariant — see the wrapper comment above.
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Machine::run_resolved`].
+    /// Drives a resolved trace through the MMU with no TLB flushes.
     pub fn try_run_resolved(&mut self, resolved: &[VirtAddr]) -> Result<RunStats, SimError> {
         self.try_run_resolved_with_flush_period(resolved, u64::MAX)
     }
 
-    /// The non-panicking core of the batched hot loop. Chunks are cut so
-    /// that every epoch and flush boundary lands exactly on a chunk end,
-    /// which makes `on_epoch`/`flush` fire at exactly the same access
-    /// counts as the scalar reference loop — bit-identical stats by
-    /// construction.
+    /// The hot loop: drives a resolved trace through the MMU in chunks,
+    /// flushing all TLB state every `flush_period` accesses — modelling
+    /// context switches, which flush the TLB on native x86 Linux (paper
+    /// §3.3). Each chunk runs through the scheme's monomorphized
+    /// `access_batch` after one `match`. Chunks are cut so that every epoch
+    /// and flush boundary lands exactly on a chunk end, so `on_epoch` and
+    /// `flush` fire at exactly the access counts a per-access loop would
+    /// fire them at.
+    ///
+    /// A fault on a mapped-only trace surfaces as [`SimError::TraceFault`]
+    /// naming the scheme and the address. Checked in release builds too — a
+    /// silent mistranslation would corrupt every figure downstream.
     pub fn try_run_resolved_with_flush_period(
         &mut self,
         resolved: &[VirtAddr],
@@ -290,8 +147,8 @@ impl Machine {
             let remaining = (resolved.len() - pos) as u64;
             // `since_epoch < epoch_every` is a loop invariant (reset on
             // fire), so this cannot underflow. The flush gap is clamped to
-            // one access so a `flush_period` of 0 — which the scalar loop
-            // services after every access — still makes progress.
+            // one access so a `flush_period` of 0 — a flush after every
+            // access — still makes progress.
             let until_epoch = epoch_every - since_epoch;
             let until_flush = flush_period.saturating_sub(since_flush).max(1);
             let take = RESOLVED_BATCH.min(remaining).min(until_epoch).min(until_flush);
@@ -349,12 +206,29 @@ mod tests {
         PaperConfig { accesses: 20_000, ..PaperConfig::quick() }
     }
 
+    /// Runs `kind` over `map` on a logical trace, flushing every
+    /// `flush_period` accesses.
+    fn run(
+        kind: SchemeKind,
+        map: &Arc<AddressSpaceMap>,
+        trace: &[u64],
+        flush_period: u64,
+    ) -> RunStats {
+        let index = Arc::new(map.page_index());
+        Machine::for_scheme_indexed(kind, map, &index, &quick())
+            .try_run_resolved_with_flush_period(&index.resolve(trace), flush_period)
+            .expect("mapped trace")
+    }
+
+    fn trace(workload: WorkloadKind, pages: u64, seed: u64, accesses: usize) -> Vec<u64> {
+        workload.generator(pages, seed).take(accesses).collect()
+    }
+
     #[test]
     fn run_counts_accesses_and_cpi() {
-        let config = quick();
         let map = Arc::new(Scenario::MediumContiguity.generate(4096, 1));
-        let mut m = Machine::for_scheme(SchemeKind::Baseline, &map, &config);
-        let stats = m.run(WorkloadKind::Canneal.generator(4096, 1).take(20_000));
+        let trace = trace(WorkloadKind::Canneal, 4096, 1, 20_000);
+        let stats = run(SchemeKind::Baseline, &map, &trace, u64::MAX);
         assert_eq!(stats.accesses, 20_000);
         assert_eq!(stats.stats.accesses, 20_000);
         assert!(stats.translation_cpi() > 0.0);
@@ -364,10 +238,9 @@ mod tests {
 
     #[test]
     fn anchor_machine_reports_distance() {
-        let config = quick();
         let map = Arc::new(Scenario::LowContiguity.generate(4096, 2));
-        let mut m = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config);
-        let stats = m.run(WorkloadKind::Gups.generator(4096, 2).take(5_000));
+        let trace = trace(WorkloadKind::Gups, 4096, 2, 5_000);
+        let stats = run(SchemeKind::AnchorDynamic, &map, &trace, u64::MAX);
         let d = stats.anchor_distance.expect("anchor scheme has a distance");
         assert!(d.is_power_of_two());
         assert!(d <= 16, "low contiguity should select a small distance, got {d}");
@@ -375,78 +248,33 @@ mod tests {
 
     #[test]
     fn flush_period_increases_walks() {
-        let config = quick();
         let map = Arc::new(Scenario::MediumContiguity.generate(4096, 5));
-        let trace: Vec<u64> = WorkloadKind::Canneal.generator(4096, 5).take(30_000).collect();
-        let calm = Machine::for_scheme(SchemeKind::Baseline, &map, &config)
-            .run_with_flush_period(trace.iter().copied(), u64::MAX);
-        let churned = Machine::for_scheme(SchemeKind::Baseline, &map, &config)
-            .run_with_flush_period(trace.iter().copied(), 1_000);
+        let trace = trace(WorkloadKind::Canneal, 4096, 5, 30_000);
+        let calm = run(SchemeKind::Baseline, &map, &trace, u64::MAX);
+        let churned = run(SchemeKind::Baseline, &map, &trace, 1_000);
         assert!(churned.tlb_misses() > calm.tlb_misses());
         assert_eq!(churned.accesses, calm.accesses);
     }
 
     #[test]
     fn coalescing_recovers_faster_from_flushes() {
-        let config = quick();
         let map = Arc::new(Scenario::MediumContiguity.generate(8192, 6));
-        let trace: Vec<u64> = WorkloadKind::Canneal.generator(8192, 6).take(50_000).collect();
-        let walks = |kind| {
-            Machine::for_scheme(kind, &map, &config)
-                .run_with_flush_period(trace.iter().copied(), 5_000)
-                .tlb_misses()
-        };
+        let trace = trace(WorkloadKind::Canneal, 8192, 6, 50_000);
+        let walks = |kind| run(kind, &map, &trace, 5_000).tlb_misses();
         assert!(walks(SchemeKind::AnchorDynamic) < walks(SchemeKind::Baseline));
     }
 
     #[test]
-    fn try_run_names_the_faulting_scheme_and_address() {
+    fn fault_names_the_scheme() {
         let config = quick();
-        // The scheme only knows a 64-page mapping, but the placement layer
-        // uses a 4096-page one: the trace soon leaves the scheme's map.
+        // The scheme only knows a 64-page mapping, but the trace is placed
+        // onto a 4096-page one: it soon leaves the scheme's map.
         let small = Arc::new(Scenario::MediumContiguity.generate(64, 7));
         let big = Arc::new(Scenario::MediumContiguity.generate(4096, 7));
-        let scheme = SchemeKind::Baseline.build(&small, &config);
-        let mut m = Machine::from_scheme(scheme, &big, &config);
-        let err = m
-            .try_run(WorkloadKind::Gups.generator(4096, 7).take(5_000))
-            .expect_err("mismatched maps must fault");
-        match err {
-            crate::SimError::TraceFault { scheme, .. } => assert_eq!(scheme, "Base"),
-            other => panic!("unexpected error: {other}"),
-        }
-    }
-
-    #[test]
-    fn resolved_run_matches_scalar_reference() {
-        // Small epoch so boundaries land mid-chunk, plus a flush period
-        // coprime with the batch size.
-        let config =
-            PaperConfig { accesses: 30_000, epoch_instructions: 9_000, ..PaperConfig::quick() };
-        let map = Arc::new(Scenario::MediumContiguity.generate(4096, 5));
-        let index = Arc::new(map.page_index());
-        let trace: Vec<u64> = WorkloadKind::Canneal.generator(4096, 5).take(30_000).collect();
-        let resolved = index.resolve(&trace);
-        for flush_period in [u64::MAX, 7_777] {
-            let scalar =
-                Machine::for_scheme_indexed(SchemeKind::AnchorDynamic, &map, &index, &config)
-                    .run_with_flush_period(trace.iter().copied(), flush_period);
-            let batched =
-                Machine::for_scheme_indexed(SchemeKind::AnchorDynamic, &map, &index, &config)
-                    .run_resolved_with_flush_period(&resolved, flush_period);
-            assert_eq!(scalar, batched, "flush_period {flush_period}");
-        }
-    }
-
-    #[test]
-    fn resolved_run_names_the_faulting_scheme() {
-        let config = quick();
-        let small = Arc::new(Scenario::MediumContiguity.generate(64, 7));
-        let big = Arc::new(Scenario::MediumContiguity.generate(4096, 7));
-        let scheme = SchemeKind::Baseline.build(&small, &config);
-        let mut m = Machine::from_scheme(scheme, &big, &config);
+        let mut m =
+            Machine::new(SchemeDispatch::build(SchemeKind::Baseline, &small, &config), &config);
         let trace: Vec<u64> = WorkloadKind::Gups.generator(4096, 7).take(5_000).collect();
-        let resolved = Arc::new(big.page_index()).resolve(&trace);
+        let resolved = big.page_index().resolve(&trace);
         let err = m.try_run_resolved(&resolved).expect_err("mismatched maps must fault");
         match err {
             crate::SimError::TraceFault { scheme, .. } => assert_eq!(scheme, "Base"),
@@ -456,13 +284,10 @@ mod tests {
 
     #[test]
     fn relative_misses_math() {
-        let config = quick();
         let map = Arc::new(Scenario::MaxContiguity.generate(1 << 13, 3));
-        let trace: Vec<u64> = WorkloadKind::Milc.generator(1 << 13, 3).take(30_000).collect();
-        let base =
-            Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(trace.iter().copied());
-        let anchor = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config)
-            .run(trace.iter().copied());
+        let trace = trace(WorkloadKind::Milc, 1 << 13, 3, 30_000);
+        let base = run(SchemeKind::Baseline, &map, &trace, u64::MAX);
+        let anchor = run(SchemeKind::AnchorDynamic, &map, &trace, u64::MAX);
         let rel = anchor.relative_misses_pct(&base);
         assert!(rel < 30.0, "anchor at {rel}% of baseline misses");
         assert!((base.relative_misses_pct(&base) - 100.0).abs() < 1e-9);

@@ -7,6 +7,8 @@
 
 use crate::config::{PaperConfig, SchemeKind};
 use crate::engine::{Machine, RunStats};
+use crate::error::SimError;
+use crate::matrix::{try_run_matrix_with, MatrixCache};
 use hytlb_mem::{AddressSpaceMap, AllocationProfile, FragmentationLevel, Scenario};
 use hytlb_trace::WorkloadKind;
 use std::sync::Arc;
@@ -114,88 +116,89 @@ pub fn trace_for(workload: WorkloadKind, config: &PaperConfig) -> Vec<u64> {
 }
 
 /// Runs one (workload, scenario, scheme) cell from scratch.
-#[must_use]
 pub fn run_cell(
     workload: WorkloadKind,
     scenario: Scenario,
     kind: SchemeKind,
     config: &PaperConfig,
-) -> RunStats {
+) -> Result<RunStats, SimError> {
     let map = mapping_for(workload, scenario, config);
-    let trace = trace_for(workload, config);
-    Machine::for_scheme(kind, &map, config).run(trace)
+    let index = Arc::new(map.page_index());
+    let resolved = index.resolve(&trace_for(workload, config));
+    Machine::for_scheme_indexed(kind, &map, &index, config).try_run_resolved(&resolved)
 }
 
 /// Runs a full suite: every workload × every scheme under one scenario,
 /// sharing the mapping and trace across schemes. Cells run on the matrix
 /// worker pool (see [`crate::matrix`]); results are bit-identical to
 /// [`run_suite_serial`] because each cell is deterministic.
-#[must_use]
 pub fn run_suite(
     scenario: Scenario,
     workloads: &[WorkloadKind],
     kinds: &[SchemeKind],
     config: &PaperConfig,
-) -> SuiteResult {
-    crate::matrix::run_matrix(&[scenario], workloads, kinds, config)
-        .pop()
-        .expect("one scenario in, one suite out")
+) -> Result<SuiteResult, SimError> {
+    let mut suites =
+        try_run_matrix_with(&MatrixCache::new(), &[scenario], workloads, kinds, config)?;
+    Ok(suites.remove(0))
 }
 
 /// The single-threaded reference implementation of [`run_suite`]: plain
 /// nested loops, no cache, no worker pool. The matrix driver is validated
 /// cell-for-cell against this.
-#[must_use]
 pub fn run_suite_serial(
     scenario: Scenario,
     workloads: &[WorkloadKind],
     kinds: &[SchemeKind],
     config: &PaperConfig,
-) -> SuiteResult {
+) -> Result<SuiteResult, SimError> {
     let rows = workloads
         .iter()
         .map(|&workload| {
             let map = mapping_for(workload, scenario, config);
-            // One placement index per mapping: every scheme of the row
-            // shares it instead of re-deriving it per machine.
+            // One placement index and one resolved trace per mapping: every
+            // scheme of the row shares them.
             let index = Arc::new(map.page_index());
-            let trace = trace_for(workload, config);
+            let resolved = index.resolve(&trace_for(workload, config));
             let runs = kinds
                 .iter()
                 .map(|&kind| {
                     Machine::for_scheme_indexed(kind, &map, &index, config)
-                        .run(trace.iter().copied())
+                        .try_run_resolved(&resolved)
                 })
-                .collect();
-            WorkloadRow { workload, runs }
+                .collect::<Result<_, _>>()?;
+            Ok(WorkloadRow { workload, runs })
         })
-        .collect();
-    SuiteResult { scenario, schemes: kinds.iter().map(|k| k.label()).collect(), rows }
+        .collect::<Result<_, SimError>>()?;
+    Ok(SuiteResult { scenario, schemes: kinds.iter().map(|k| k.label()).collect(), rows })
 }
 
 /// The `Static Ideal` scheme: exhaustively sweeps anchor distances for one
 /// (workload, scenario) and returns the run with the fewest TLB misses,
 /// mirroring the paper's "one optimal distance ... by exhaustive evaluation
 /// of all possible distances".
-#[must_use]
+///
+/// # Panics
+///
+/// Panics if `candidates` is empty.
 pub fn static_ideal(
     workload: WorkloadKind,
     scenario: Scenario,
     candidates: &[u64],
     config: &PaperConfig,
-) -> RunStats {
+) -> Result<RunStats, SimError> {
     assert!(!candidates.is_empty(), "need at least one candidate distance");
     let map = mapping_for(workload, scenario, config);
     let index = Arc::new(map.page_index());
-    let trace = trace_for(workload, config);
-    candidates
+    let resolved = index.resolve(&trace_for(workload, config));
+    let runs = candidates
         .iter()
         .map(|&d| {
             Machine::for_scheme_indexed(SchemeKind::AnchorStatic(d), &map, &index, config)
-                .run(trace.iter().copied())
+                .try_run_resolved(&resolved)
         })
-        .min_by_key(RunStats::tlb_misses)
-        .expect("candidates nonempty")
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(runs.into_iter().min_by_key(RunStats::tlb_misses).expect("candidates nonempty"))
 }
 
 /// The distance sweep used for `Static Ideal` when exhaustive search is too
@@ -222,7 +225,8 @@ mod tests {
             &[WorkloadKind::Gups, WorkloadKind::Omnetpp],
             &kinds,
             &config,
-        );
+        )
+        .unwrap();
         assert_eq!(suite.rows.len(), 2);
         assert_eq!(suite.schemes, ["Base", "Dynamic"]);
         for row in &suite.rows {
@@ -237,10 +241,9 @@ mod tests {
     #[test]
     fn cells_are_reproducible() {
         let config = tiny();
-        let a =
-            run_cell(WorkloadKind::Milc, Scenario::LowContiguity, SchemeKind::Baseline, &config);
-        let b =
-            run_cell(WorkloadKind::Milc, Scenario::LowContiguity, SchemeKind::Baseline, &config);
+        let cell =
+            || run_cell(WorkloadKind::Milc, Scenario::LowContiguity, SchemeKind::Baseline, &config);
+        let (a, b) = (cell().unwrap(), cell().unwrap());
         assert_eq!(a, b);
     }
 
@@ -258,14 +261,16 @@ mod tests {
         let config = tiny();
         let candidates = [4u64, 64, 4096];
         let best =
-            static_ideal(WorkloadKind::Canneal, Scenario::MediumContiguity, &candidates, &config);
+            static_ideal(WorkloadKind::Canneal, Scenario::MediumContiguity, &candidates, &config)
+                .unwrap();
         for d in candidates {
             let run = run_cell(
                 WorkloadKind::Canneal,
                 Scenario::MediumContiguity,
                 SchemeKind::AnchorStatic(d),
                 &config,
-            );
+            )
+            .unwrap();
             assert!(best.tlb_misses() <= run.tlb_misses(), "d={d}");
         }
     }

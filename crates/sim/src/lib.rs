@@ -4,10 +4,11 @@
 //!
 //! * [`PaperConfig`] — the evaluation configuration of Table 3 (latencies,
 //!   epoch length, trace length, seeds).
-//! * [`SchemeKind`] — the registry of translation schemes compared in the
-//!   paper, each buildable against any mapping.
-//! * [`Machine`] — a scheme plus the logical-address placement layer;
-//!   drives a trace through the MMU and collects [`RunStats`].
+//! * [`SchemeKind`] — the translation schemes compared in the paper, and
+//!   [`SchemeDispatch`] — the registry that builds one over any mapping.
+//! * [`Machine`] — a scheme driven by a resolved-address trace (logical
+//!   traces are placed with [`hytlb_mem::PageIndex::resolve`]); collects
+//!   [`RunStats`].
 //! * [`experiment`] — the evaluation matrix building blocks (mapping and
 //!   trace generation, suites, static-ideal sweeps) plus the serial
 //!   reference driver.
@@ -24,14 +25,17 @@
 //! use hytlb_sim::{Machine, PaperConfig, SchemeKind};
 //! use hytlb_mem::Scenario;
 //! use hytlb_trace::WorkloadKind;
+//! use std::sync::Arc;
 //!
 //! let config = PaperConfig::default();
-//! let map = std::sync::Arc::new(Scenario::MediumContiguity.generate(4096, config.seed));
-//! let mut machine = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config);
-//! let trace = WorkloadKind::Canneal.generator(4096, config.seed).take(50_000);
-//! let stats = machine.run(trace);
+//! let map = Arc::new(Scenario::MediumContiguity.generate(4096, config.seed));
+//! let index = Arc::new(map.page_index());
+//! let trace: Vec<u64> = WorkloadKind::Canneal.generator(4096, config.seed).take(50_000).collect();
+//! let mut machine = Machine::for_scheme_indexed(SchemeKind::AnchorDynamic, &map, &index, &config);
+//! let stats = machine.try_run_resolved(&index.resolve(&trace))?;
 //! assert_eq!(stats.accesses, 50_000);
 //! assert!(stats.translation_cpi() >= 0.0);
+//! # Ok::<(), hytlb_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,4 +53,4 @@ pub use config::{PaperConfig, SchemeKind};
 pub use dispatch::SchemeDispatch;
 pub use engine::{CpiBreakdown, Machine, RunStats};
 pub use error::SimError;
-pub use matrix::{run_matrix, try_run_matrix, MatrixCache};
+pub use matrix::{try_run_matrix_with, MatrixCache};

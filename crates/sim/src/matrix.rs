@@ -11,7 +11,7 @@
 //!
 //! * **Bit-identical to serial.** Every cell is a pure function of
 //!   `(workload, scenario, scheme, config)`; the pool only changes *when*
-//!   a cell runs, never its inputs. [`run_matrix`] equals
+//!   a cell runs, never its inputs. [`try_run_matrix_with`] equals
 //!   [`run_suite_serial`](crate::experiment::run_suite_serial)
 //!   cell-for-cell, and the static-ideal fold replicates
 //!   [`static_ideal`](crate::experiment::static_ideal)'s first-minimum
@@ -74,7 +74,7 @@ type MemoTable<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
 /// Memoizes mapping and trace generation across matrix cells.
 ///
-/// Cheap to create; hold one across several [`run_matrix_with`] calls to
+/// Cheap to create; hold one across several [`try_run_matrix_with`] calls to
 /// share inputs between figures that cover the same cells.
 #[derive(Debug, Default)]
 pub struct MatrixCache {
@@ -135,22 +135,12 @@ impl MatrixCache {
         .clone()
     }
 
-    /// The trace a workload replays, generating it on first request.
-    /// Scenario-independent, exactly like the paper's per-benchmark Pin
-    /// traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a corpus replay fails; use [`MatrixCache::try_trace`]
-    /// to handle [`SimError::Corpus`] instead.
-    pub fn trace(&self, workload: WorkloadKind, config: &PaperConfig) -> Arc<Vec<u64>> {
-        self.try_trace(workload, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`MatrixCache::trace`]: serves from the corpus
-    /// store when one is attached and has a long-enough recording,
-    /// generating otherwise. The outcome (including a corpus failure)
-    /// is memoized, so the store is consulted at most once per key.
+    /// The trace a workload replays, generated (or loaded) on first
+    /// request. Scenario-independent, exactly like the paper's
+    /// per-benchmark Pin traces. Serves from the corpus store when one is
+    /// attached and has a long-enough recording, generating otherwise.
+    /// The outcome (including a corpus failure) is memoized, so the store
+    /// is consulted at most once per key.
     pub fn try_trace(
         &self,
         workload: WorkloadKind,
@@ -215,25 +205,7 @@ impl MatrixCache {
     /// trace placed onto the cell's mapping (see
     /// [`PageIndex::resolve`](hytlb_mem::PageIndex::resolve)), computed on
     /// first request and shared by every scheme of the cell afterwards.
-    /// This hoists the per-access div/mod + placement lookup of the scalar
-    /// loop out of the schemes dimension entirely — with the paper set it
-    /// is paid once instead of six times per cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a corpus replay fails; use
-    /// [`MatrixCache::try_resolved_trace`] to handle
-    /// [`SimError::Corpus`] instead.
-    pub fn resolved_trace(
-        &self,
-        workload: WorkloadKind,
-        scenario: Scenario,
-        config: &PaperConfig,
-    ) -> Arc<Vec<VirtAddr>> {
-        self.try_resolved_trace(workload, scenario, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`MatrixCache::resolved_trace`].
+    /// Placement is paid once per cell instead of once per scheme.
     pub fn try_resolved_trace(
         &self,
         workload: WorkloadKind,
@@ -281,54 +253,10 @@ pub fn worker_count(config: &PaperConfig) -> usize {
 
 /// Runs every `(scenario, workload, scheme)` cell of the matrix on a
 /// bounded worker pool, one suite per scenario in input order. Inputs are
-/// generated exactly once via a fresh [`MatrixCache`].
-///
-/// # Panics
-///
-/// Panics if a cell fails; the message names the failing cell. Use
-/// [`try_run_matrix`] to handle the failure instead.
-#[must_use]
-pub fn run_matrix(
-    scenarios: &[Scenario],
-    workloads: &[WorkloadKind],
-    kinds: &[SchemeKind],
-    config: &PaperConfig,
-) -> Vec<SuiteResult> {
-    run_matrix_with(&MatrixCache::new(), scenarios, workloads, kinds, config)
-}
-
-/// Non-panicking [`run_matrix`]: a failing cell surfaces as
-/// [`SimError::Cell`] naming its `(scenario, workload, scheme)`.
-pub fn try_run_matrix(
-    scenarios: &[Scenario],
-    workloads: &[WorkloadKind],
-    kinds: &[SchemeKind],
-    config: &PaperConfig,
-) -> Result<Vec<SuiteResult>, SimError> {
-    try_run_matrix_with(&MatrixCache::new(), scenarios, workloads, kinds, config)
-}
-
-/// [`run_matrix`] against a caller-owned cache, so consecutive matrices
-/// (e.g. several figures in one process) reuse mappings and traces.
-///
-/// # Panics
-///
-/// Panics if a cell fails; the message names the failing cell. Use
-/// [`try_run_matrix_with`] to handle the failure instead.
-#[must_use]
-pub fn run_matrix_with(
-    cache: &MatrixCache,
-    scenarios: &[Scenario],
-    workloads: &[WorkloadKind],
-    kinds: &[SchemeKind],
-    config: &PaperConfig,
-) -> Vec<SuiteResult> {
-    try_run_matrix_with(cache, scenarios, workloads, kinds, config)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`run_matrix_with`]: a failing cell surfaces as
-/// [`SimError::Cell`] naming its `(scenario, workload, scheme)`.
+/// generated exactly once per `cache`; hold one cache across consecutive
+/// matrices (e.g. several figures in one process) to reuse mappings and
+/// traces. A failing cell surfaces as [`SimError::Cell`] naming its
+/// `(scenario, workload, scheme)`.
 pub fn try_run_matrix_with(
     cache: &MatrixCache,
     scenarios: &[Scenario],
@@ -366,7 +294,7 @@ pub fn try_run_matrix_with(
         .collect()
 }
 
-/// [`run_matrix_with`] plus a trailing `Static Ideal` column: the sweep's
+/// [`try_run_matrix_with`] plus a trailing `Static Ideal` column: the sweep's
 /// `AnchorStatic` candidates join the scheme dimension of the pool, and
 /// each cell's winner is folded out afterwards with the same
 /// first-minimum tie-breaking as
@@ -374,7 +302,8 @@ pub fn try_run_matrix_with(
 ///
 /// # Panics
 ///
-/// Panics if `sweep` is empty.
+/// Panics if `sweep` is empty, or if a cell fails (the message names the
+/// cell).
 #[must_use]
 pub fn run_matrix_with_static_ideal(
     cache: &MatrixCache,
@@ -387,7 +316,8 @@ pub fn run_matrix_with_static_ideal(
     assert!(!sweep.is_empty(), "need at least one candidate distance");
     let mut all_kinds: Vec<SchemeKind> = kinds.to_vec();
     all_kinds.extend(sweep.iter().map(|&d| SchemeKind::AnchorStatic(d)));
-    let mut suites = run_matrix_with(cache, scenarios, workloads, &all_kinds, config);
+    let mut suites = try_run_matrix_with(cache, scenarios, workloads, &all_kinds, config)
+        .unwrap_or_else(|e| panic!("{e}"));
     for suite in &mut suites {
         suite.schemes.truncate(kinds.len());
         suite.schemes.push("Static Ideal".to_owned());
@@ -453,8 +383,9 @@ mod tests {
         let scenarios = [Scenario::LowContiguity, Scenario::MaxContiguity];
         let workloads = [WorkloadKind::Gups, WorkloadKind::Omnetpp];
         let kinds = [SchemeKind::Baseline, SchemeKind::Thp, SchemeKind::AnchorDynamic];
-        let parallel = run_matrix(&scenarios, &workloads, &kinds, &config);
-        let serial: Vec<SuiteResult> =
+        let parallel =
+            try_run_matrix_with(&MatrixCache::new(), &scenarios, &workloads, &kinds, &config);
+        let serial: Result<Vec<SuiteResult>, SimError> =
             scenarios.iter().map(|&s| run_suite_serial(s, &workloads, &kinds, &config)).collect();
         assert_eq!(parallel, serial);
     }
@@ -466,13 +397,13 @@ mod tests {
         let scenarios = [Scenario::LowContiguity, Scenario::HighContiguity];
         let workloads = [WorkloadKind::Gups, WorkloadKind::Mcf];
         let kinds = [SchemeKind::Baseline, SchemeKind::Rmm];
-        let _ = run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config);
+        try_run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.mapping_builds, scenarios.len() * workloads.len());
         assert_eq!(stats.trace_builds, workloads.len());
         assert_eq!(stats.resolved_builds, scenarios.len() * workloads.len());
         // A second matrix over the same cells generates nothing new.
-        let _ = run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config);
+        try_run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config).unwrap();
         assert_eq!(cache.stats(), stats);
     }
 
@@ -497,7 +428,8 @@ mod tests {
             Scenario::MediumContiguity,
             &sweep,
             &config,
-        );
+        )
+        .unwrap();
         assert_eq!(suite.rows[0].runs[2], best);
     }
 
@@ -518,14 +450,18 @@ mod tests {
         // Replay from the store: same bytes, zero generator runs.
         let replay = MatrixCache::with_corpus(Arc::new(store));
         for &w in &workloads {
-            assert_eq!(replay.trace(w, &config), fresh.trace(w, &config), "{w:?}");
+            assert_eq!(
+                replay.try_trace(w, &config).unwrap(),
+                fresh.try_trace(w, &config).unwrap(),
+                "{w:?}"
+            );
         }
         let stats = replay.stats();
         assert_eq!(stats.trace_loads, 2);
         assert_eq!(stats.trace_builds, 0);
 
         // A workload the corpus lacks falls back to generation.
-        let _ = replay.trace(WorkloadKind::Milc, &config);
+        replay.try_trace(WorkloadKind::Milc, &config).unwrap();
         assert_eq!(replay.stats().trace_builds, 1);
         std::fs::remove_dir_all(&root).ok();
     }
@@ -576,12 +512,14 @@ mod tests {
     #[test]
     fn single_thread_pool_still_covers_all_cells() {
         let config = PaperConfig { threads: Some(1), ..tiny() };
-        let suites = run_matrix(
+        let suites = try_run_matrix_with(
+            &MatrixCache::new(),
             &[Scenario::EagerPaging],
             &[WorkloadKind::Milc],
             &[SchemeKind::Baseline, SchemeKind::Cluster],
             &config,
-        );
+        )
+        .unwrap();
         assert_eq!(suites[0].rows[0].runs.len(), 2);
         assert_eq!(suites[0].rows[0].runs[0].accesses, config.accesses);
     }

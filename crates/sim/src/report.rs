@@ -270,6 +270,7 @@ mod tests {
             &[SchemeKind::Baseline, SchemeKind::AnchorDynamic],
             &config,
         )
+        .unwrap()
     }
 
     #[test]

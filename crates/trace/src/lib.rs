@@ -30,11 +30,9 @@
 #![warn(missing_docs)]
 
 mod analysis;
-mod io;
 mod patterns;
 mod workloads;
 
 pub use analysis::TraceProfile;
-pub use io::{read_trace, write_trace};
 pub use patterns::{AccessPattern, TraceGenerator};
 pub use workloads::WorkloadKind;

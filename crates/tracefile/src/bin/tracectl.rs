@@ -1,4 +1,4 @@
-//! `hytlb-tracectl` — record, inspect, verify and convert trace files.
+//! `hytlb-tracectl` — record, inspect and verify trace files.
 //!
 //! ```text
 //! hytlb-tracectl record  --workload gups --accesses 1000000 --out gups.htr2
@@ -6,7 +6,6 @@
 //! hytlb-tracectl info    gups.htr2
 //! hytlb-tracectl verify  gups.htr2
 //! hytlb-tracectl cat     gups.htr2 --limit 20
-//! hytlb-tracectl convert legacy.trace gups.htr2
 //! ```
 //!
 //! `verify` exits non-zero on any corruption, so it works as a CI
@@ -22,7 +21,7 @@ use hytlb_trace::WorkloadKind;
 use hytlb_tracefile::{verify, TraceFile, TraceMeta, TraceReader, TraceStore, TraceWriter};
 
 const USAGE: &str = "\
-hytlb-tracectl — record, inspect, verify and convert HYTLBTR2 trace files
+hytlb-tracectl — record, inspect and verify HYTLBTR2 trace files
 
 USAGE:
   hytlb-tracectl record --workload <label> --accesses <n>
@@ -31,7 +30,6 @@ USAGE:
   hytlb-tracectl info <file>
   hytlb-tracectl verify <file>
   hytlb-tracectl cat <file> [--limit <n>]
-  hytlb-tracectl convert <legacy-v1-file> <out-v2-file> [--block-accesses <n>]
 
 Workload labels are the simulator's (gups, mcf, graph500, …).
 --footprint-pages and --seed default to the workload's defaults (seed 42).";
@@ -80,7 +78,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "info" => info(rest),
         "verify" => verify_cmd(rest),
         "cat" => cat(rest),
-        "convert" => convert_cmd(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -260,28 +257,6 @@ fn cat(args: &[String]) -> Result<(), CliError> {
         writeln!(out, "{:#014x}", address?)?;
     }
     out.flush()?;
-    Ok(())
-}
-
-fn convert_cmd(args: &[String]) -> Result<(), CliError> {
-    let (flags, positional) = parse_flags(args)?;
-    let [legacy_path, out_path] = positional.as_slice() else {
-        return Err(CliError::Usage("convert takes <legacy-v1-file> <out-v2-file>".into()));
-    };
-    let block = parse_block(&flags)?;
-    let legacy = BufReader::new(File::open(legacy_path)?);
-    // LegacyReader buffers internally, but BufReader also cheapens the
-    // small header reads.
-    let sink = BufWriter::new(File::create(out_path)?);
-    let summary = hytlb_tracefile::convert(legacy, sink, block)?;
-    println!("converted {legacy_path} → {out_path}");
-    println!(
-        "  accesses={} blocks={} bytes={} ({:.2}x smaller than the v1 payload)",
-        summary.written.accesses,
-        summary.written.blocks,
-        summary.written.bytes,
-        summary.written.compression_ratio()
-    );
     Ok(())
 }
 

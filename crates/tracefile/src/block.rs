@@ -17,9 +17,8 @@
 //!   is ~13 bits/access and whole bytes per delta would squander most of
 //!   the headroom below the 64-bit raw encoding.
 //! * **Varint** — plain LEB128 varints of the zig-zag byte-address
-//!   delta. Wins on word-strided streams (e.g. converted legacy traces
-//!   of sequential scans), where one byte per access beats the packed
-//!   floor.
+//!   delta. Wins on word-strided streams (e.g. sequential scans), where
+//!   one byte per access beats the packed floor.
 //!
 //! Every block record carries a CRC-32 over its header fields and
 //! payload, so a flipped bit or truncation surfaces as

@@ -28,8 +28,8 @@
 //!   (workload, footprint, seed) with a JSON manifest, which
 //!   `hytlb_sim::MatrixCache` can replay from instead of regenerating.
 //!
-//! The legacy `HYTLBTR1` format (JSON header + raw u64s) is readable
-//! via [`legacy`] and convertible with `hytlb-tracectl convert`.
+//! `HYTLBTR2` is the only trace format; the reader rejects anything else
+//! (including the retired raw-`u64` `HYTLBTR1` format) with a typed error.
 //!
 //! # Examples
 //!
@@ -55,7 +55,6 @@ pub mod block;
 pub mod crc32;
 pub mod error;
 pub mod format;
-pub mod legacy;
 pub mod reader;
 pub mod store;
 pub mod varint;
@@ -63,7 +62,6 @@ pub mod writer;
 
 pub use error::{Result, TraceFileError};
 pub use format::{TraceInfo, TraceMeta, FILE_MAGIC, FORMAT_VERSION};
-pub use legacy::{convert, ConvertSummary, LegacyReader, LEGACY_MAGIC};
 pub use reader::{verify, DecodedBlock, TraceFile, TraceReader, VerifyReport};
 pub use store::{CorpusEntry, TraceStore};
 pub use writer::{TraceWriter, WriteSummary};

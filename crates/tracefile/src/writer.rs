@@ -25,8 +25,8 @@ pub struct WriteSummary {
 }
 
 impl WriteSummary {
-    /// The size the same trace occupies as raw little-endian u64s (the
-    /// payload of the legacy v1 format).
+    /// The size the same trace occupies as raw little-endian u64s
+    /// (8 bytes per access).
     #[must_use]
     pub fn raw_bytes(&self) -> u64 {
         self.accesses * 8

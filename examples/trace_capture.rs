@@ -3,9 +3,10 @@
 //! replay the identical trace from disk against several mapping
 //! scenarios.
 //!
-//! Both directions stream: capture pushes each address into the block
-//! writer as the generator produces it, and replay decodes the file
-//! block by block — neither side ever holds the whole trace in memory.
+//! Capture streams: each address goes into the block writer as the
+//! generator produces it, so the writer never holds the whole trace.
+//! Replay decodes the file once and places the trace onto each mapping
+//! with `PageIndex::resolve`, the form the simulator's hot loop consumes.
 //!
 //! ```sh
 //! cargo run --release --example trace_capture
@@ -14,8 +15,9 @@
 use hytlb::prelude::*;
 use hytlb::trace::WorkloadKind;
 use hytlb::tracefile::{TraceMeta, TraceReader, TraceWriter};
+use std::sync::Arc;
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = WorkloadKind::Mcf;
     let footprint = 32 * 1024;
     let seed = 7;
@@ -36,20 +38,21 @@ fn main() -> std::io::Result<()> {
         summary.compression_ratio(),
     );
 
-    // 2. Replay the stored trace against three different mappings,
-    //    re-reading it from disk for every run.
-    let stream = |path: &std::path::Path| -> std::io::Result<_> {
-        let reader = TraceReader::new(std::fs::File::open(path)?)?;
-        Ok(reader.addresses().map(|address| address.expect("trace verified at capture")))
-    };
+    // 2. Replay the stored trace against three different mappings.
+    let reader = TraceReader::new(std::fs::File::open(&path)?)?;
+    let trace = reader.addresses().collect::<Result<Vec<u64>, _>>()?;
     let config = PaperConfig::default();
     println!("\nreplaying {workload}:");
     println!("{:<10} {:>12} {:>12}", "scenario", "base walks", "anchor walks");
     for scenario in [Scenario::LowContiguity, Scenario::MediumContiguity, Scenario::MaxContiguity] {
-        let map = std::sync::Arc::new(scenario.generate(footprint, 3));
-        let base = Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(stream(&path)?);
-        let anchor =
-            Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(stream(&path)?);
+        let map = Arc::new(scenario.generate(footprint, 3));
+        let index = Arc::new(map.page_index());
+        let resolved = index.resolve(&trace);
+        let run = |kind| {
+            Machine::for_scheme_indexed(kind, &map, &index, &config).try_run_resolved(&resolved)
+        };
+        let base = run(SchemeKind::Baseline)?;
+        let anchor = run(SchemeKind::AnchorDynamic)?;
         println!(
             "{:<10} {:>12} {:>12}   (d = {})",
             scenario.label(),

@@ -5,9 +5,12 @@
 //! hytlb --list
 //! ```
 
+use hytlb::pagetable::is_valid_anchor_distance;
 use hytlb::prelude::*;
 use hytlb::sim::experiment::{mapping_for, trace_for};
+use hytlb::sim::SimError;
 use hytlb::trace::WorkloadKind;
+use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
@@ -30,7 +33,7 @@ fn parse_scheme(name: &str) -> Option<SchemeKind> {
         "regions" => SchemeKind::AnchorMultiRegion(8),
         other => {
             let d: u64 = other.strip_prefix("anchor-d")?.parse().ok()?;
-            SchemeKind::AnchorStatic(d)
+            is_valid_anchor_distance(d).then_some(SchemeKind::AnchorStatic(d))?
         }
     })
 }
@@ -39,7 +42,7 @@ fn parse_scenario(name: &str) -> Option<Scenario> {
     Scenario::all().into_iter().find(|s| s.label() == name.to_ascii_lowercase())
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut workload = WorkloadKind::Canneal;
     let mut scenario = Scenario::MediumContiguity;
     let mut scheme = SchemeKind::AnchorDynamic;
@@ -54,9 +57,10 @@ fn main() {
                 println!("workloads: {}", WorkloadKind::all().map(|w| w.label()).join(" "));
                 println!("scenarios: {}", Scenario::all().map(|s| s.label()).join(" "));
                 println!(
-                    "schemes:   base thp cluster cluster-2mb colt rmm dynamic regions anchor-d<N>"
+                    "schemes:   base thp cluster cluster-2mb colt rmm dynamic regions anchor-d<N>\n\
+                     \x20          (N a power of two in 2..=65536)"
                 );
-                return;
+                return Ok(());
             }
             "--workload" => {
                 let v = value(&mut args);
@@ -73,7 +77,13 @@ fn main() {
             "--accesses" => config.accesses = value(&mut args).parse().unwrap_or_else(|_| usage()),
             "--seed" => config.seed = value(&mut args).parse().unwrap_or_else(|_| usage()),
             "--shift" => {
-                config.footprint_shift = value(&mut args).parse().unwrap_or_else(|_| usage())
+                // Footprints are u64 page counts: a shift of 64 or more
+                // would overflow.
+                config.footprint_shift = value(&mut args)
+                    .parse()
+                    .ok()
+                    .filter(|&shift| shift < u64::BITS)
+                    .unwrap_or_else(|| usage())
             }
             "--json" => json = true,
             _ => usage(),
@@ -81,13 +91,16 @@ fn main() {
     }
 
     let map = mapping_for(workload, scenario, &config);
-    let trace = trace_for(workload, &config);
-    let base = Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(trace.iter().copied());
-    let run = Machine::for_scheme(scheme, &map, &config).run(trace.iter().copied());
+    let index = Arc::new(map.page_index());
+    let resolved = index.resolve(&trace_for(workload, &config));
+    let run_kind =
+        |kind| Machine::for_scheme_indexed(kind, &map, &index, &config).try_run_resolved(&resolved);
+    let base = run_kind(SchemeKind::Baseline)?;
+    let run = run_kind(scheme)?;
 
     if json {
         println!("{}", hytlb::sim::report::to_json(&run));
-        return;
+        return Ok(());
     }
     println!(
         "{} on {} under {}: footprint {} pages, {} chunks",
@@ -112,4 +125,5 @@ fn main() {
     if let Some(d) = run.anchor_distance {
         println!("  anchor distance: {d}");
     }
+    Ok(())
 }

@@ -33,11 +33,14 @@
 //! // Map 64 MB with medium fragmentation, then run a small random workload
 //! // through the anchor scheme.
 //! let mapping = std::sync::Arc::new(Scenario::MediumContiguity.generate(16 * 1024, 42));
+//! let index = std::sync::Arc::new(mapping.page_index());
 //! let config = PaperConfig::default();
-//! let mut machine = Machine::for_scheme(SchemeKind::AnchorDynamic, &mapping, &config);
-//! let trace = WorkloadKind::Gups.generator(16 * 1024, 7).take(10_000);
-//! let stats = machine.run(trace);
+//! let trace: Vec<u64> = WorkloadKind::Gups.generator(16 * 1024, 7).take(10_000).collect();
+//! let mut machine =
+//!     Machine::for_scheme_indexed(SchemeKind::AnchorDynamic, &mapping, &index, &config);
+//! let stats = machine.try_run_resolved(&index.resolve(&trace))?;
 //! assert!(stats.accesses > 0);
+//! # Ok::<(), hytlb::sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
-//! Bit-identity of the batched, pre-resolved hot loop against the scalar
-//! logical-trace reference, across the whole scheme × scenario matrix, plus
-//! property tests for the `PageIndex` cursor fast paths.
+//! Bit-identity of the engine's batched, pre-resolved hot loop against a
+//! per-access reference loop, across the whole scheme × scenario matrix,
+//! plus property tests for the `PageIndex` cursor fast paths.
 //!
 //! The batched loop ([`Machine::try_run_resolved_with_flush_period`]) cuts
 //! chunks so every epoch and flush boundary lands on a chunk end; these
@@ -8,20 +8,21 @@
 //! the batch size, so boundaries fall mid-chunk and the cutting logic is
 //! actually exercised.
 
-use hytlb::mem::{AddressSpaceMap, PageCursor, Scenario};
-use hytlb::sim::{Machine, PaperConfig, SchemeKind};
+use hytlb::mem::{AddressSpaceMap, PageCursor, PageIndex, Scenario};
+use hytlb::schemes::{SchemeStats, TranslationScheme};
+use hytlb::sim::{Machine, PaperConfig, SchemeDispatch, SchemeKind};
 use hytlb::trace::WorkloadKind;
-use hytlb::types::{Permissions, PhysFrameNum, VirtPageNum, PAGE_SIZE_U64};
+use hytlb::types::{Permissions, PhysFrameNum, VirtAddr, VirtPageNum, PAGE_SIZE_U64};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Every scheme kind the engine can build, including the parameterized
-/// anchor variants that `paper_set` leaves out.
+/// Every scheme kind the engine can build, including the extension and
+/// parameterized anchor variants that `paper_set` leaves out.
 fn all_kinds() -> Vec<SchemeKind> {
     let mut kinds = SchemeKind::paper_set().to_vec();
     kinds.extend([
         SchemeKind::Thp1G,
-        SchemeKind::Cluster2Mb,
+        SchemeKind::Colt,
         SchemeKind::AnchorStatic(16),
         SchemeKind::AnchorMultiRegion(4),
     ]);
@@ -39,54 +40,77 @@ fn boundary_config() -> PaperConfig {
     }
 }
 
-#[test]
-fn batched_loop_is_bit_identical_across_the_matrix() {
-    let config = boundary_config();
-    let workload = WorkloadKind::Canneal;
-    // 2,500 is coprime with the batch size and shorter than an epoch, so
-    // flushes and epochs interleave in both orders during the run.
-    for flush_period in [u64::MAX, 2_500] {
-        for scenario in Scenario::all() {
-            let footprint = config.footprint_for(workload);
-            let map = Arc::new(scenario.generate(footprint, config.seed));
-            let index = Arc::new(map.page_index());
-            let trace: Vec<u64> =
-                workload.generator(footprint, config.seed).take(config.accesses as usize).collect();
-            let resolved = index.resolve(&trace);
-            for kind in all_kinds() {
-                let scalar = Machine::for_scheme_indexed(kind, &map, &index, &config)
-                    .try_run_with_flush_period(trace.iter().copied(), flush_period)
-                    .expect("mapped trace");
-                let batched = Machine::for_scheme_indexed(kind, &map, &index, &config)
-                    .try_run_resolved_with_flush_period(&resolved, flush_period)
-                    .expect("mapped trace");
-                assert_eq!(batched, scalar, "{kind} / {scenario} / flush {flush_period}");
-            }
+/// The oracle: one access at a time through `SchemeDispatch::access`, with
+/// each logical address placed by `PageIndex::nth_page`. `on_epoch` fires
+/// after every `epoch_accesses()`-th access and `flush` after every
+/// `flush_period`-th access since the last flush (after every access when
+/// `flush_period` is 0). Returns the final counters and anchor distance.
+fn per_access_reference(
+    kind: SchemeKind,
+    map: &Arc<AddressSpaceMap>,
+    index: &PageIndex,
+    trace: &[u64],
+    config: &PaperConfig,
+    flush_period: u64,
+) -> (SchemeStats, Option<u64>) {
+    let mut scheme = SchemeDispatch::build(kind, map, config);
+    let epoch_every = config.epoch_accesses();
+    let (mut since_epoch, mut since_flush) = (0u64, 0u64);
+    for &logical in trace {
+        let vpn = index.nth_page(logical / PAGE_SIZE_U64);
+        let va = VirtAddr::new(vpn.base_addr().as_u64() + logical % PAGE_SIZE_U64);
+        assert!(scheme.access(va).pfn.is_some(), "{kind}: fault at {va}");
+        since_epoch += 1;
+        since_flush += 1;
+        if since_epoch >= epoch_every {
+            scheme.on_epoch();
+            since_epoch = 0;
+        }
+        if since_flush >= flush_period {
+            scheme.flush();
+            since_flush = 0;
+        }
+    }
+    (*scheme.stats(), scheme.anchor_distance())
+}
+
+/// Runs every kind over every scenario through both loops at `flush_period`
+/// and asserts identical counters.
+fn assert_matrix_bit_identical(config: &PaperConfig, workload: WorkloadKind, flush_period: u64) {
+    for scenario in Scenario::all() {
+        let footprint = config.footprint_for(workload);
+        let map = Arc::new(scenario.generate(footprint, config.seed));
+        let index = Arc::new(map.page_index());
+        let trace: Vec<u64> =
+            workload.generator(footprint, config.seed).take(config.accesses as usize).collect();
+        let resolved = index.resolve(&trace);
+        for kind in all_kinds() {
+            let batched = Machine::for_scheme_indexed(kind, &map, &index, config)
+                .try_run_resolved_with_flush_period(&resolved, flush_period)
+                .expect("mapped trace");
+            let reference = per_access_reference(kind, &map, &index, &trace, config, flush_period);
+            let context = format!("{kind} / {scenario} / flush {flush_period}");
+            assert_eq!((batched.stats, batched.anchor_distance), reference, "{context}");
+            assert_eq!(batched.accesses, trace.len() as u64, "{context}");
         }
     }
 }
 
 #[test]
-fn batched_loop_survives_flush_after_every_access() {
-    // flush_period == 0 flushes after every access in the scalar loop; the
-    // batched loop must degrade to one-access chunks and still agree.
-    let config = PaperConfig { accesses: 2_000, ..boundary_config() };
-    let workload = WorkloadKind::Gups;
-    let footprint = config.footprint_for(workload);
-    let map = Arc::new(Scenario::LowContiguity.generate(footprint, config.seed));
-    let index = Arc::new(map.page_index());
-    let trace: Vec<u64> =
-        workload.generator(footprint, config.seed).take(config.accesses as usize).collect();
-    let resolved = index.resolve(&trace);
-    for kind in [SchemeKind::Baseline, SchemeKind::AnchorDynamic] {
-        let scalar = Machine::for_scheme_indexed(kind, &map, &index, &config)
-            .try_run_with_flush_period(trace.iter().copied(), 0)
-            .expect("mapped trace");
-        let batched = Machine::for_scheme_indexed(kind, &map, &index, &config)
-            .try_run_resolved_with_flush_period(&resolved, 0)
-            .expect("mapped trace");
-        assert_eq!(batched, scalar, "{kind} with flush_period 0");
+fn batched_loop_is_bit_identical_across_the_matrix() {
+    // 2,500 is coprime with the batch size and shorter than an epoch, so
+    // flushes and epochs interleave in both orders during the run.
+    for flush_period in [u64::MAX, 2_500] {
+        assert_matrix_bit_identical(&boundary_config(), WorkloadKind::Canneal, flush_period);
     }
+}
+
+#[test]
+fn batched_loop_survives_flush_after_every_access() {
+    // flush_period == 0 flushes after every access; the batched loop must
+    // degrade to one-access chunks and still agree.
+    let config = PaperConfig { accesses: 2_000, ..boundary_config() };
+    assert_matrix_bit_identical(&config, WorkloadKind::Gups, 0);
 }
 
 /// Builds a sparse map from (gap, len) chunk specs.

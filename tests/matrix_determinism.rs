@@ -4,7 +4,7 @@
 
 use hytlb::prelude::*;
 use hytlb::sim::experiment::{run_suite, run_suite_serial, static_ideal};
-use hytlb::sim::matrix::{run_matrix, run_matrix_with, run_matrix_with_static_ideal, MatrixCache};
+use hytlb::sim::matrix::{run_matrix_with_static_ideal, try_run_matrix_with, MatrixCache};
 use hytlb::trace::WorkloadKind;
 
 fn tiny_config() -> PaperConfig {
@@ -18,11 +18,13 @@ fn run_matrix_equals_serial_reference_cell_for_cell() {
     let kinds = [SchemeKind::Baseline, SchemeKind::Thp, SchemeKind::Rmm, SchemeKind::AnchorDynamic];
     let serial: Vec<_> = scenarios
         .iter()
-        .map(|&s| run_suite_serial(s, &workloads, &kinds, &tiny_config()))
+        .map(|&s| run_suite_serial(s, &workloads, &kinds, &tiny_config()).unwrap())
         .collect();
     for threads in [1, 2, 7] {
         let config = PaperConfig { threads: Some(threads), ..tiny_config() };
-        let parallel = run_matrix(&scenarios, &workloads, &kinds, &config);
+        let parallel =
+            try_run_matrix_with(&MatrixCache::new(), &scenarios, &workloads, &kinds, &config)
+                .unwrap();
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.scenario, s.scenario);
@@ -42,8 +44,9 @@ fn run_suite_is_matrix_backed_and_unchanged() {
     let config = PaperConfig { threads: Some(3), ..tiny_config() };
     let kinds = [SchemeKind::Baseline, SchemeKind::Cluster2Mb];
     let workloads = [WorkloadKind::Milc, WorkloadKind::Mcf];
-    let suite = run_suite(Scenario::MediumContiguity, &workloads, &kinds, &config);
-    let reference = run_suite_serial(Scenario::MediumContiguity, &workloads, &kinds, &config);
+    let suite = run_suite(Scenario::MediumContiguity, &workloads, &kinds, &config).unwrap();
+    let reference =
+        run_suite_serial(Scenario::MediumContiguity, &workloads, &kinds, &config).unwrap();
     assert_eq!(suite, reference);
 }
 
@@ -65,7 +68,7 @@ fn static_ideal_column_replicates_serial_sweep_tie_breaking() {
     for suite in &suites {
         assert_eq!(suite.schemes.last().map(String::as_str), Some("Static Ideal"));
         for row in &suite.rows {
-            let serial_best = static_ideal(row.workload, suite.scenario, &sweep, &config);
+            let serial_best = static_ideal(row.workload, suite.scenario, &sweep, &config).unwrap();
             assert_eq!(row.runs.last(), Some(&serial_best), "{}/{}", suite.scenario, row.workload);
         }
     }
@@ -77,9 +80,13 @@ fn shared_cache_across_matrices_changes_nothing() {
     let kinds = [SchemeKind::Baseline, SchemeKind::AnchorDynamic];
     let workloads = [WorkloadKind::Gups];
     let cache = MatrixCache::new();
-    let first = run_matrix_with(&cache, &[Scenario::LowContiguity], &workloads, &kinds, &config);
+    let run = || {
+        try_run_matrix_with(&cache, &[Scenario::LowContiguity], &workloads, &kinds, &config)
+            .unwrap()
+    };
+    let first = run();
     // The second run is served entirely from the cache.
-    let second = run_matrix_with(&cache, &[Scenario::LowContiguity], &workloads, &kinds, &config);
+    let second = run();
     assert_eq!(first, second);
     let stats = cache.stats();
     assert_eq!(stats.mapping_builds, 1);

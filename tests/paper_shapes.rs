@@ -29,7 +29,7 @@ fn workloads() -> [WorkloadKind; 4] {
 fn dynamic_is_best_or_tied_everywhere() {
     let config = config();
     for scenario in Scenario::all() {
-        let suite = run_suite(scenario, &workloads(), &SchemeKind::paper_set(), &config);
+        let suite = run_suite(scenario, &workloads(), &SchemeKind::paper_set(), &config).unwrap();
         let means = suite.mean_relative_misses();
         // Columns: Base THP Cluster Cluster-2MB RMM Dynamic.
         let dynamic = means[5];
@@ -52,6 +52,7 @@ fn prior_schemes_have_their_published_failure_modes() {
         &[SchemeKind::Baseline, SchemeKind::Cluster, SchemeKind::Rmm],
         &config,
     )
+    .unwrap()
     .mean_relative_misses();
     let max = run_suite(
         Scenario::MaxContiguity,
@@ -59,6 +60,7 @@ fn prior_schemes_have_their_published_failure_modes() {
         &[SchemeKind::Baseline, SchemeKind::Cluster, SchemeKind::Rmm],
         &config,
     )
+    .unwrap()
     .mean_relative_misses();
     assert!(low[1] < 95.0, "cluster helps at low contiguity: {low:?}");
     assert!(low[2] > 95.0, "RMM useless at low contiguity: {low:?}");
@@ -72,7 +74,8 @@ fn selected_distances_track_contiguity_regimes() {
     let config = config();
     let d_for = |scenario| {
         let suite =
-            run_suite(scenario, &[WorkloadKind::Canneal], &[SchemeKind::AnchorDynamic], &config);
+            run_suite(scenario, &[WorkloadKind::Canneal], &[SchemeKind::AnchorDynamic], &config)
+                .unwrap();
         suite.rows[0].runs[0].anchor_distance.expect("anchor run")
     };
     let low = d_for(Scenario::LowContiguity);
@@ -93,7 +96,8 @@ fn anchor_coverage_scales_beyond_hw_coalescing() {
         &[WorkloadKind::Milc],
         &[SchemeKind::Cluster2Mb, SchemeKind::Colt, SchemeKind::AnchorDynamic],
         &config,
-    );
+    )
+    .unwrap();
     let runs = &suite.rows[0].runs;
     let (cluster, colt, anchor) =
         (runs[0].tlb_misses(), runs[1].tlb_misses(), runs[2].tlb_misses());

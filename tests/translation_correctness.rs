@@ -3,7 +3,8 @@
 //! contract of the whole stack (mem → pagetable → tlb → schemes → sim).
 
 use hytlb::prelude::*;
-use hytlb::sim::experiment::{mapping_for, trace_for};
+use hytlb::sim::experiment::{mapping_for, run_cell};
+use hytlb::sim::SchemeDispatch;
 use hytlb::trace::WorkloadKind;
 
 fn all_kinds() -> Vec<SchemeKind> {
@@ -24,7 +25,7 @@ fn every_scheme_translates_correctly_on_every_scenario() {
     for scenario in Scenario::all() {
         let map = mapping_for(WorkloadKind::Canneal, scenario, &config);
         for kind in all_kinds() {
-            let mut scheme = kind.build(&map, &config);
+            let mut scheme = SchemeDispatch::build(kind, &map, &config);
             for (vpn, pfn) in map.iter_pages().step_by(7) {
                 let got = scheme.access(vpn.base_addr()).pfn;
                 assert_eq!(got, Some(pfn), "{kind} mistranslated {vpn} under {scenario}");
@@ -41,12 +42,11 @@ fn every_scheme_translates_correctly_on_every_scenario() {
 #[test]
 fn machine_runs_agree_with_direct_scheme_access() {
     let config = tiny_config();
-    let map = mapping_for(WorkloadKind::Milc, Scenario::MediumContiguity, &config);
-    let trace = trace_for(WorkloadKind::Milc, &config);
-    let run_a =
-        Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(trace.iter().copied());
-    let run_b =
-        Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(trace.iter().copied());
+    let run = || {
+        run_cell(WorkloadKind::Milc, Scenario::MediumContiguity, SchemeKind::AnchorDynamic, &config)
+            .expect("mapped trace")
+    };
+    let (run_a, run_b) = (run(), run());
     assert_eq!(run_a, run_b, "simulation must be deterministic");
     assert_eq!(run_a.accesses, config.accesses);
 }
@@ -55,9 +55,8 @@ fn machine_runs_agree_with_direct_scheme_access() {
 fn miss_counts_are_internally_consistent() {
     let config = tiny_config();
     for kind in all_kinds() {
-        let map = mapping_for(WorkloadKind::Gups, Scenario::LowContiguity, &config);
-        let trace = trace_for(WorkloadKind::Gups, &config);
-        let run = Machine::for_scheme(kind, &map, &config).run(trace);
+        let run = run_cell(WorkloadKind::Gups, Scenario::LowContiguity, kind, &config)
+            .expect("mapped trace");
         let s = &run.stats;
         assert_eq!(
             s.accesses,
@@ -80,9 +79,13 @@ fn anchor_never_loses_to_itself_across_epochs() {
         footprint_shift: 6,
         ..PaperConfig::default()
     };
-    let map = mapping_for(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-    let trace = trace_for(WorkloadKind::Canneal, &config);
-    let run = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(trace);
+    let run = run_cell(
+        WorkloadKind::Canneal,
+        Scenario::MediumContiguity,
+        SchemeKind::AnchorDynamic,
+        &config,
+    )
+    .expect("mapped trace");
     let d = run.anchor_distance.expect("anchor distance");
     assert!(d.is_power_of_two());
 }
@@ -96,7 +99,8 @@ fn paper_set_ordering_on_extreme_scenarios() {
         &[WorkloadKind::Milc, WorkloadKind::Canneal],
         &SchemeKind::paper_set(),
         &config,
-    );
+    )
+    .expect("mapped traces");
     let means = suite.mean_relative_misses();
     // Columns: Base THP Cluster Cluster-2MB RMM Dynamic.
     assert!(means[4] < 10.0, "RMM nearly eliminates misses at max contiguity: {means:?}");
@@ -107,7 +111,8 @@ fn paper_set_ordering_on_extreme_scenarios() {
         &[WorkloadKind::Milc, WorkloadKind::Canneal],
         &SchemeKind::paper_set(),
         &config,
-    );
+    )
+    .expect("mapped traces");
     let means = suite.mean_relative_misses();
     assert!(means[1] > 95.0, "THP ineffective at low contiguity: {means:?}");
     assert!(means[4] > 95.0, "RMM ineffective at low contiguity: {means:?}");
