@@ -87,6 +87,9 @@ impl PageTableEntry {
     }
 
     /// Builds a present non-leaf (directory) entry pointing at a child node.
+    /// In [`PageTable`](crate::PageTable) the PFN field holds the child's
+    /// index in the table's node arena, where hardware would hold the
+    /// child's frame.
     #[must_use]
     pub fn new_table(pfn: PhysFrameNum) -> Self {
         PageTableEntry(PRESENT_BIT | WRITE_BIT | READ_BIT | ((pfn.as_u64() << 12) & PFN_MASK))

@@ -4,16 +4,25 @@
 //! leaves at the PD level (PS bit) and 4 KB leaves at the PT level, so the
 //! walker and the anchored-table maintenance operate on the same structure a
 //! hardware walker would see.
+//!
+//! The nodes live in one flat arena, root first. A directory entry's PFN
+//! field holds its child's arena index, the way a hardware directory entry
+//! holds its child's frame, so a walk is at most four indexed loads.
 
 use crate::pte::{read_distributed_contiguity, write_distributed_contiguity, PageTableEntry};
-use hytlb_mem::AddressSpaceMap;
+use hytlb_mem::{AddressSpaceMap, MapChunk};
 use hytlb_types::{
-    PageSize, Permissions, PhysFrameNum, VirtPageNum, GIANT_PAGE_PAGES, HUGE_PAGE_PAGES,
-    PTES_PER_CACHE_BLOCK,
+    usize_from, PageSize, Permissions, PhysFrameNum, VirtPageNum, GIANT_PAGE_PAGES,
+    HUGE_PAGE_PAGES, PTES_PER_CACHE_BLOCK,
 };
 
 const ENTRIES: usize = 512;
 const LEVELS: usize = 4;
+
+/// One 512-entry radix node.
+type Node = [PageTableEntry; ENTRIES];
+
+const EMPTY_NODE: Node = [PageTableEntry::NOT_PRESENT; ENTRIES];
 
 /// A translation found by walking the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,25 +46,6 @@ impl LeafEntry {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Interior { entries: Box<[PageTableEntry; ENTRIES]>, children: Vec<Option<Box<Node>>> },
-    Leaf { entries: Box<[PageTableEntry; ENTRIES]> },
-}
-
-impl Node {
-    fn interior() -> Node {
-        Node::Interior {
-            entries: Box::new([PageTableEntry::NOT_PRESENT; ENTRIES]),
-            children: (0..ENTRIES).map(|_| None).collect(),
-        }
-    }
-
-    fn leaf() -> Node {
-        Node::Leaf { entries: Box::new([PageTableEntry::NOT_PRESENT; ENTRIES]) }
-    }
-}
-
 /// A 4-level page table.
 ///
 /// # Examples
@@ -72,7 +62,8 @@ impl Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    root: Node,
+    /// The radix nodes, root at index 0.
+    nodes: Vec<Node>,
     mapped_base_pages: u64,
     mapped_huge_pages: u64,
     mapped_giant_pages: u64,
@@ -84,16 +75,21 @@ fn index_at(vpn: VirtPageNum, level: usize) -> usize {
     vpn.index_bits(shift, 0x1ff)
 }
 
+/// Arena index of the child a present, non-huge directory entry points at.
+fn child_of(e: PageTableEntry) -> usize {
+    usize_from(e.pfn().as_u64())
+}
+
 /// What one radix traversal found: the leaf translation, the nodes touched,
 /// and the PT node's entries when the traversal reached that level.
 struct Descent<'a> {
     leaf: Option<LeafEntry>,
     depth: u32,
-    pt: Option<&'a [PageTableEntry; ENTRIES]>,
+    pt: Option<&'a Node>,
 }
 
 /// The 8-PTE cache block of a PT node that covers `vpn`.
-fn block_of(entries: &[PageTableEntry; ENTRIES], vpn: VirtPageNum) -> &[PageTableEntry] {
+fn block_of(entries: &Node, vpn: VirtPageNum) -> &[PageTableEntry] {
     let idx = index_at(vpn, LEVELS - 1);
     let base = idx - idx % PTES_PER_CACHE_BLOCK;
     &entries[base..base + PTES_PER_CACHE_BLOCK]
@@ -102,11 +98,7 @@ fn block_of(entries: &[PageTableEntry; ENTRIES], vpn: VirtPageNum) -> &[PageTabl
 /// The contiguity field anchored at `anchor_vpn` in its PT node: spread
 /// over the anchor's cache block for distances ≥ 8, otherwise the anchor
 /// PTE's own ignored bits.
-fn anchor_contiguity(
-    entries: &[PageTableEntry; ENTRIES],
-    anchor_vpn: VirtPageNum,
-    distance: u64,
-) -> u64 {
+fn anchor_contiguity(entries: &Node, anchor_vpn: VirtPageNum, distance: u64) -> u64 {
     let idx = index_at(anchor_vpn, LEVELS - 1);
     if distance >= PTES_PER_CACHE_BLOCK as u64 {
         debug_assert_eq!(idx % PTES_PER_CACHE_BLOCK, 0, "anchor aligned to its cache block");
@@ -116,12 +108,45 @@ fn anchor_contiguity(
     }
 }
 
+/// Calls `f(vpn, pfn, pages, huge)` for each run of leaves
+/// [`PageTable::from_map`] installs for `chunk`, in ascending VPN order:
+/// once per 2 MB leaf (`huge`), and once per run of 4 KB leaves that share
+/// a PT node (a PT node spans one 2 MB region).
+fn for_each_run(
+    chunk: &MapChunk,
+    use_huge_pages: bool,
+    mut f: impl FnMut(VirtPageNum, PhysFrameNum, u64, bool),
+) {
+    // A 2 MB-aligned region wholly inside the chunk becomes a 2 MB leaf when
+    // its frame is aligned too; `pfn - vpn` is constant over the chunk, so
+    // that holds for every such region or for none.
+    let huge = use_huge_pages
+        && chunk.vpn.offset_within(HUGE_PAGE_PAGES) == chunk.pfn.offset_within(HUGE_PAGE_PAGES);
+    let end = chunk.end_vpn();
+    let mut vpn = chunk.vpn;
+    while vpn < end {
+        let pfn = chunk.pfn + (vpn - chunk.vpn);
+        let region_end = vpn.align_down(HUGE_PAGE_PAGES) + HUGE_PAGE_PAGES;
+        let is_huge = huge && vpn.is_aligned(HUGE_PAGE_PAGES) && region_end <= end;
+        let next = region_end.min(end);
+        f(vpn, pfn, next - vpn, is_huge);
+        vpn = next;
+    }
+}
+
 impl PageTable {
     /// Creates an empty page table.
     #[must_use]
     pub fn new() -> Self {
+        PageTable::with_capacity(1)
+    }
+
+    /// An empty table whose arena has room for `nodes` nodes.
+    fn with_capacity(nodes: usize) -> Self {
+        let mut arena = Vec::with_capacity(nodes);
+        arena.push(EMPTY_NODE);
         PageTable {
-            root: Node::interior(),
+            nodes: arena,
             mapped_base_pages: 0,
             mapped_huge_pages: 0,
             mapped_giant_pages: 0,
@@ -136,29 +161,32 @@ impl PageTable {
     /// mappings look like); all remaining pages get 4 KB leaves.
     #[must_use]
     pub fn from_map(map: &AddressSpaceMap, use_huge_pages: bool) -> Self {
-        let mut pt = PageTable::new();
+        // Count the nodes first so the arena is allocated once, exactly.
+        // Chunks ascend, so each node below the root shows up as one change
+        // of its level's key (the VPN bits above what the node spans).
+        let mut nodes = 1;
+        let mut last_key = [u64::MAX; LEVELS - 1];
         for chunk in map.chunks() {
-            let mut vpn = chunk.vpn;
-            let end = chunk.end_vpn();
-            while vpn < end {
-                let pfn = chunk.translate(vpn).expect("vpn inside chunk");
-                // Huge-page candidacy decided chunk-locally: an aligned
-                // `vpn` with `end - vpn` pages to spare inside this chunk
-                // satisfies everything `map.huge_page_at(vpn) == Some(vpn)`
-                // would check except PFN alignment, so only that remains —
-                // no `BTreeMap` probe per 2 MB region.
-                if use_huge_pages
-                    && vpn.is_aligned(HUGE_PAGE_PAGES)
-                    && end - vpn >= HUGE_PAGE_PAGES
-                    && pfn.is_aligned(HUGE_PAGE_PAGES)
-                {
-                    pt.map_huge(vpn, pfn, chunk.perms);
-                    vpn += HUGE_PAGE_PAGES;
-                } else {
-                    pt.map(vpn, pfn, chunk.perms);
-                    vpn += 1;
+            for_each_run(chunk, use_huge_pages, |vpn, _, _, huge| {
+                let deepest = if huge { LEVELS - 2 } else { LEVELS - 1 };
+                for level in 1..=deepest {
+                    let key = vpn.as_u64() >> (9 * (LEVELS - level));
+                    if last_key[level - 1] != key {
+                        last_key[level - 1] = key;
+                        nodes += 1;
+                    }
                 }
-            }
+            });
+        }
+        let mut pt = PageTable::with_capacity(nodes);
+        for chunk in map.chunks() {
+            for_each_run(chunk, use_huge_pages, |vpn, pfn, pages, huge| {
+                if huge {
+                    pt.map_huge(vpn, pfn, chunk.perms);
+                } else {
+                    pt.map_run(vpn, pfn, pages, chunk.perms);
+                }
+            });
         }
         pt
     }
@@ -175,38 +203,50 @@ impl PageTable {
         self.mapped_huge_pages
     }
 
+    /// Arena index of the node at `level` on `vpn`'s path, allocating the
+    /// missing directory nodes on the way down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a huge leaf above `level` already maps `vpn`.
+    fn node_at(&mut self, vpn: VirtPageNum, level: usize) -> usize {
+        let mut node = 0;
+        for l in 0..level {
+            let idx = index_at(vpn, l);
+            let e = self.nodes[node][idx];
+            assert!(!e.is_huge(), "page {vpn} already mapped by a huge leaf");
+            node = if e.is_present() {
+                child_of(e)
+            } else {
+                let child = self.nodes.len();
+                self.nodes.push(EMPTY_NODE);
+                self.nodes[node][idx] = PageTableEntry::new_table(PhysFrameNum::new(child as u64));
+                child
+            };
+        }
+        node
+    }
+
+    /// Maps `pages` 4 KB pages from `vpn` onto frames from `pfn`; the run
+    /// must lie inside one PT node.
+    fn map_run(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum, pages: u64, perms: Permissions) {
+        let node = self.node_at(vpn, LEVELS - 1);
+        let first = index_at(vpn, LEVELS - 1);
+        let run = &mut self.nodes[node][first..first + usize_from(pages)];
+        for (e, i) in run.iter_mut().zip(0..pages) {
+            assert!(!e.is_present(), "page {} already mapped", vpn + i);
+            *e = PageTableEntry::new_leaf(pfn + i, perms);
+        }
+        self.mapped_base_pages += pages;
+    }
+
     /// Maps one 4 KB page.
     ///
     /// # Panics
     ///
     /// Panics if the page is already mapped (including under a huge leaf).
     pub fn map(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum, perms: Permissions) {
-        let mut node = &mut self.root;
-        for level in 0..LEVELS - 1 {
-            let idx = index_at(vpn, level);
-            match node {
-                Node::Interior { entries, children } => {
-                    assert!(!entries[idx].is_huge(), "page {vpn} already mapped by a huge leaf");
-                    if children[idx].is_none() {
-                        let child =
-                            if level == LEVELS - 2 { Node::leaf() } else { Node::interior() };
-                        children[idx] = Some(Box::new(child));
-                        entries[idx] = PageTableEntry::new_table(PhysFrameNum::new(0));
-                    }
-                    node = children[idx].as_mut().expect("just ensured");
-                }
-                Node::Leaf { .. } => unreachable!("leaf node above PT level"),
-            }
-        }
-        let idx = index_at(vpn, LEVELS - 1);
-        match node {
-            Node::Leaf { entries } => {
-                assert!(!entries[idx].is_present(), "page {vpn} already mapped");
-                entries[idx] = PageTableEntry::new_leaf(pfn, perms);
-                self.mapped_base_pages += 1;
-            }
-            Node::Interior { .. } => unreachable!("interior node at PT level"),
-        }
+        self.map_run(vpn, pfn, 1, perms);
     }
 
     /// Maps one 2 MB page at the PD level.
@@ -217,32 +257,11 @@ impl PageTable {
     pub fn map_huge(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum, perms: Permissions) {
         assert!(vpn.is_aligned(HUGE_PAGE_PAGES), "huge VPN must be 2MB-aligned");
         assert!(pfn.is_aligned(HUGE_PAGE_PAGES), "huge PFN must be 2MB-aligned");
-        let mut node = &mut self.root;
-        for level in 0..LEVELS - 2 {
-            let idx = index_at(vpn, level);
-            match node {
-                Node::Interior { entries, children } => {
-                    if children[idx].is_none() {
-                        children[idx] = Some(Box::new(Node::interior()));
-                        entries[idx] = PageTableEntry::new_table(PhysFrameNum::new(0));
-                    }
-                    node = children[idx].as_mut().expect("just ensured");
-                }
-                Node::Leaf { .. } => unreachable!("leaf node above PD level"),
-            }
-        }
-        let idx = index_at(vpn, LEVELS - 2);
-        match node {
-            Node::Interior { entries, children } => {
-                assert!(
-                    !entries[idx].is_present() && children[idx].is_none(),
-                    "2MB region at {vpn} already mapped"
-                );
-                entries[idx] = PageTableEntry::new_huge_leaf(pfn, perms);
-                self.mapped_huge_pages += 1;
-            }
-            Node::Leaf { .. } => unreachable!(),
-        }
+        let node = self.node_at(vpn, LEVELS - 2);
+        let e = &mut self.nodes[node][index_at(vpn, LEVELS - 2)];
+        assert!(!e.is_present(), "2MB region at {vpn} already mapped");
+        *e = PageTableEntry::new_huge_leaf(pfn, perms);
+        self.mapped_huge_pages += 1;
     }
 
     /// Maps one 1 GB page at the PDPT level.
@@ -253,29 +272,11 @@ impl PageTable {
     pub fn map_giant(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum, perms: Permissions) {
         assert!(vpn.is_aligned(GIANT_PAGE_PAGES), "giant VPN must be 1GB-aligned");
         assert!(pfn.is_aligned(GIANT_PAGE_PAGES), "giant PFN must be 1GB-aligned");
-        let idx0 = index_at(vpn, 0);
-        let node = match &mut self.root {
-            Node::Interior { entries, children } => {
-                if children[idx0].is_none() {
-                    children[idx0] = Some(Box::new(Node::interior()));
-                    entries[idx0] = PageTableEntry::new_table(PhysFrameNum::new(0));
-                }
-                children[idx0].as_mut().expect("just ensured")
-            }
-            Node::Leaf { .. } => unreachable!("root is interior"),
-        };
-        let idx = index_at(vpn, 1);
-        match node.as_mut() {
-            Node::Interior { entries, children } => {
-                assert!(
-                    !entries[idx].is_present() && children[idx].is_none(),
-                    "1GB region at {vpn} already mapped"
-                );
-                entries[idx] = PageTableEntry::new_huge_leaf(pfn, perms);
-                self.mapped_giant_pages += 1;
-            }
-            Node::Leaf { .. } => unreachable!(),
-        }
+        let node = self.node_at(vpn, 1);
+        let e = &mut self.nodes[node][index_at(vpn, 1)];
+        assert!(!e.is_present(), "1GB region at {vpn} already mapped");
+        *e = PageTableEntry::new_huge_leaf(pfn, perms);
+        self.mapped_giant_pages += 1;
     }
 
     /// Number of 1 GB leaf entries installed.
@@ -324,67 +325,47 @@ impl PageTable {
     /// The one radix traversal behind every read: stops at the first
     /// non-present or huge entry, or at the PT node.
     fn descend(&self, vpn: VirtPageNum) -> Descent<'_> {
-        let mut node = &self.root;
-        let mut depth = 0;
-        for level in 0..LEVELS {
-            let idx = index_at(vpn, level);
-            depth += 1;
-            match node {
-                Node::Interior { entries, children } => {
-                    let e = entries[idx];
-                    if !e.is_present() {
-                        return Descent { leaf: None, depth, pt: None };
-                    }
-                    if e.is_huge() {
-                        // PS bit at the PDPT level (1) = 1 GB leaf; at the
-                        // PD level (2) = 2 MB leaf.
-                        let size = if level == 1 { PageSize::Giant1G } else { PageSize::Huge2M };
-                        let leaf = LeafEntry {
-                            head_vpn: vpn.align_down(size.base_pages()),
-                            head_pfn: e.pfn(),
-                            size,
-                            perms: e.permissions(),
-                        };
-                        return Descent { leaf: Some(leaf), depth, pt: None };
-                    }
-                    match children[idx].as_ref() {
-                        Some(c) => node = c,
-                        None => return Descent { leaf: None, depth, pt: None },
-                    }
-                }
-                Node::Leaf { entries } => {
-                    let e = entries[idx];
-                    let leaf = e.is_present().then(|| LeafEntry {
-                        head_vpn: vpn,
-                        head_pfn: e.pfn(),
-                        size: PageSize::Base4K,
-                        perms: e.permissions(),
-                    });
-                    return Descent { leaf, depth, pt: Some(entries) };
-                }
+        let mut node = &self.nodes[0];
+        for (level, depth) in (0..LEVELS - 1).zip(1..) {
+            let e = node[index_at(vpn, level)];
+            if !e.is_present() {
+                return Descent { leaf: None, depth, pt: None };
             }
+            if e.is_huge() {
+                // PS bit at the PDPT level (1) = 1 GB leaf; at the PD level
+                // (2) = 2 MB leaf.
+                let size = if level == 1 { PageSize::Giant1G } else { PageSize::Huge2M };
+                let leaf = LeafEntry {
+                    head_vpn: vpn.align_down(size.base_pages()),
+                    head_pfn: e.pfn(),
+                    size,
+                    perms: e.permissions(),
+                };
+                return Descent { leaf: Some(leaf), depth, pt: None };
+            }
+            node = &self.nodes[child_of(e)];
         }
-        Descent { leaf: None, depth, pt: None }
+        let e = node[index_at(vpn, LEVELS - 1)];
+        let leaf = e.is_present().then(|| LeafEntry {
+            head_vpn: vpn,
+            head_pfn: e.pfn(),
+            size: PageSize::Base4K,
+            perms: e.permissions(),
+        });
+        Descent { leaf, depth: LEVELS as u32, pt: Some(node) }
     }
 
-    fn pt_leaf_entries_mut(&mut self, vpn: VirtPageNum) -> Option<&mut [PageTableEntry; ENTRIES]> {
-        let mut node = &mut self.root;
+    /// The PT node covering `vpn`, if one exists.
+    fn pt_node_mut(&mut self, vpn: VirtPageNum) -> Option<&mut Node> {
+        let mut node = 0;
         for level in 0..LEVELS - 1 {
-            let idx = index_at(vpn, level);
-            match node {
-                Node::Interior { entries, children } => {
-                    if entries[idx].is_huge() {
-                        return None;
-                    }
-                    node = children[idx].as_mut()?;
-                }
-                Node::Leaf { .. } => return None,
+            let e = self.nodes[node][index_at(vpn, level)];
+            if !e.is_present() || e.is_huge() {
+                return None;
             }
+            node = child_of(e);
         }
-        match node {
-            Node::Leaf { entries } => Some(entries),
-            Node::Interior { .. } => None,
-        }
+        Some(&mut self.nodes[node])
     }
 
     /// Returns the 64-byte PTE cache block covering `vpn` at the PT (4 KB
@@ -433,7 +414,7 @@ impl PageTable {
         distance: u64,
         contiguity: u64,
     ) -> bool {
-        let Some(entries) = self.pt_leaf_entries_mut(anchor_vpn) else {
+        let Some(entries) = self.pt_node_mut(anchor_vpn) else {
             return false;
         };
         let idx = index_at(anchor_vpn, LEVELS - 1);
@@ -536,11 +517,36 @@ mod tests {
 
     #[test]
     fn from_map_translations_match_map() {
-        let map = Scenario::MediumContiguity.generate(2048, 3);
-        let pt = PageTable::from_map(&map, true);
-        for (vpn, pfn) in map.iter_pages() {
-            let leaf = pt.lookup(vpn).unwrap_or_else(|| panic!("{vpn} unmapped"));
-            assert_eq!(leaf.pfn_for(vpn), pfn, "at {vpn}");
+        let mut any_huge = false;
+        for scenario in Scenario::all() {
+            let map = scenario.generate(1 << 14, 3);
+            for thp in [false, true] {
+                let pt = PageTable::from_map(&map, thp);
+                let mut huge_pages = 0;
+                for (vpn, pfn) in map.iter_pages() {
+                    let leaf = pt.lookup(vpn).unwrap_or_else(|| panic!("{scenario}: {vpn}"));
+                    assert_eq!(leaf.pfn_for(vpn), pfn, "{scenario} (THP {thp}) at {vpn}");
+                    let huge = thp && map.huge_page_at(vpn).is_some();
+                    let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
+                    assert_eq!(leaf.size, size, "{scenario} (THP {thp}) at {vpn}");
+                    huge_pages += u64::from(huge);
+                }
+                assert_eq!(pt.mapped_huge_pages() * HUGE_PAGE_PAGES, huge_pages, "{scenario}");
+                assert_eq!(pt.mapped_base_pages() + huge_pages, map.mapped_pages(), "{scenario}");
+                any_huge |= huge_pages > 0;
+            }
+        }
+        assert!(any_huge, "no scenario exercised 2 MB leaves");
+    }
+
+    #[test]
+    fn from_map_sizes_the_arena_exactly() {
+        for scenario in Scenario::all() {
+            let map = scenario.generate(1 << 14, 5);
+            for thp in [false, true] {
+                let pt = PageTable::from_map(&map, thp);
+                assert_eq!(pt.nodes.len(), pt.nodes.capacity(), "{scenario} (THP {thp})");
+            }
         }
     }
 

@@ -35,9 +35,8 @@ pub struct L1Entry {
 /// The L1 remembers the last `(vpn, pfn)` it served and answers a repeated
 /// lookup of that VPN without probing the arrays. This never changes a
 /// result or a later hit, miss or eviction: after any L1 op on page `v`,
-/// the way holding `v` carries its set's newest LRU stamp, so the skipped
-/// re-probe could only have re-stamped an entry that is already the most
-/// recent of its set, and stamps are only ever compared within one set.
+/// the way holding `v` is at the front of its set, so the skipped re-probe
+/// changes nothing.
 /// The memo is set by a lookup hit and by a 4 KB or 2 MB insert (the
 /// latter only when the 4 KB array does not also hold the page), and
 /// cleared by a lookup miss, a 1 GB insert and [`L1Tlb::flush`].

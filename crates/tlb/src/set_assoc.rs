@@ -1,11 +1,10 @@
 //! Generic set-associative TLB array with true-LRU replacement.
 
-/// One way of a set: tag, payload and an LRU timestamp.
+/// One way of a set: tag and payload.
 #[derive(Debug, Clone)]
 struct Way<P> {
     tag: u64,
     payload: P,
-    stamp: u64,
 }
 
 /// A set-associative array of translation entries.
@@ -15,13 +14,13 @@ struct Way<P> {
 /// reuses the existing L2 TLB array unchanged and only alters which address
 /// bits form the index and tag for anchor entries (Figure 6).
 ///
-/// Replacement is true LRU per set, driven by a monotonically increasing
-/// access stamp; both hits and insertions refresh recency.
+/// Replacement is true LRU per set: each set keeps its ways in recency
+/// order, most recent first. Hits and insertions move their way to the
+/// front, and a fill into a full set replaces the last way.
 #[derive(Debug, Clone)]
 pub struct SetAssocTlb<P> {
     sets: Vec<Vec<Way<P>>>,
     ways: usize,
-    tick: u64,
 }
 
 impl<P> SetAssocTlb<P> {
@@ -34,7 +33,7 @@ impl<P> SetAssocTlb<P> {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0, "associativity must be at least 1");
-        SetAssocTlb { sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(), ways, tick: 0 }
+        SetAssocTlb { sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(), ways }
     }
 
     /// Number of sets.
@@ -84,17 +83,9 @@ impl<P> SetAssocTlb<P> {
     ///
     /// Panics if `set` is out of range.
     pub fn lookup(&mut self, set: usize, tag: u64) -> Option<&P> {
-        self.tick += 1;
-        let tick = self.tick;
         let ways = &mut self.sets[set];
         let idx = ways.iter().position(|w| w.tag == tag)?;
-        ways[idx].stamp = tick;
-        // Move-to-front so the MRU entry is found on the first probe next
-        // time. Purely a scan-order change: recency is carried by `stamp`
-        // (unique per op), so hit/miss/eviction behaviour is untouched.
-        if idx != 0 {
-            ways.swap(idx, 0);
-        }
+        ways[..=idx].rotate_right(1);
         Some(&ways[0].payload)
     }
 
@@ -113,33 +104,21 @@ impl<P> SetAssocTlb<P> {
     ///
     /// Panics if `set` is out of range.
     pub fn insert(&mut self, set: usize, tag: u64, payload: P) -> Option<(u64, P)> {
-        self.tick += 1;
-        let tick = self.tick;
         let ways = &mut self.sets[set];
-        if let Some(w) = ways.iter_mut().find(|w| w.tag == tag) {
-            w.stamp = tick;
-            let old = std::mem::replace(&mut w.payload, payload);
-            return Some((tag, old));
-        }
-        if ways.len() < self.ways {
-            ways.push(Way { tag, payload, stamp: tick });
-            return None;
-        }
-        // audit:allow(panic): invariant — the set was just checked to be
-        // full (`ways.len() >= self.ways >= 1`), so a victim always exists.
-        let victim = ways.iter_mut().min_by_key(|w| w.stamp).expect("set is full, hence nonempty");
-        let old_tag = victim.tag;
-        let old_payload = std::mem::replace(&mut victim.payload, payload);
-        victim.tag = tag;
-        victim.stamp = tick;
-        Some((old_tag, old_payload))
+        let old = match ways.iter().position(|w| w.tag == tag) {
+            Some(idx) => Some(ways.remove(idx)),
+            None if ways.len() == self.ways => ways.pop(),
+            None => None,
+        };
+        ways.insert(0, Way { tag, payload });
+        old.map(|w| (w.tag, w.payload))
     }
 
     /// Removes the entry with `(set, tag)`, returning its payload.
     pub fn invalidate(&mut self, set: usize, tag: u64) -> Option<P> {
         let ways = &mut self.sets[set];
         let idx = ways.iter().position(|w| w.tag == tag)?;
-        Some(ways.swap_remove(idx).payload)
+        Some(ways.remove(idx).payload)
     }
 
     /// Invalidates everything (TLB shootdown / full flush).
@@ -149,8 +128,8 @@ impl<P> SetAssocTlb<P> {
         }
     }
 
-    /// Iterates over `(set, tag, payload)` of all live entries, in no
-    /// particular recency order.
+    /// Iterates over `(set, tag, payload)` of all live entries, set by set,
+    /// most recent first within a set.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64, &P)> {
         self.sets
             .iter()

@@ -19,13 +19,17 @@ impl RefSet {
         Some(e.1)
     }
 
-    fn insert(&mut self, tag: u64, payload: u32, ways: usize) {
-        if let Some(pos) = self.ways.iter().position(|&(t, _)| t == tag) {
-            self.ways.remove(pos);
+    /// Returns the replaced or evicted `(tag, payload)`, if any.
+    fn insert(&mut self, tag: u64, payload: u32, ways: usize) -> Option<(u64, u32)> {
+        let old = if let Some(pos) = self.ways.iter().position(|&(t, _)| t == tag) {
+            self.ways.remove(pos)
         } else if self.ways.len() == ways {
-            self.ways.pop_front();
-        }
+            self.ways.pop_front()
+        } else {
+            None
+        };
         self.ways.push_back((tag, payload));
+        old
     }
 }
 
@@ -68,8 +72,9 @@ proptest! {
                 }
                 Op::Insert(tag, payload) => {
                     let set = (tag as usize) % sets;
-                    dut.insert(set, tag, payload);
-                    reference[set].insert(tag, payload, ways);
+                    let got = dut.insert(set, tag, payload);
+                    let want = reference[set].insert(tag, payload, ways);
+                    prop_assert_eq!(got, want);
                 }
                 Op::Invalidate(tag) => {
                     let set = (tag as usize) % sets;
