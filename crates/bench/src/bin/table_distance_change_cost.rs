@@ -2,9 +2,10 @@
 //! process at distances 8 / 64 / 512.
 //!
 //! The paper measured 452 ms / 71.7 ms / 1.7 ms on real hardware. This
-//! binary reports (a) the calibrated cost model's estimate and (b) the
-//! actual wall-clock time of our software sweep, for the same 30 GB
-//! footprint (scaled down under --quick).
+//! binary reports the calibrated cost model's estimate for the same 30 GB
+//! footprint (scaled down under --quick). The wall-clock time of the
+//! software sweep itself goes to stderr only, so the archived outputs stay
+//! byte-identical from run to run.
 
 use hytlb_bench::{banner, config_from_args, emit, exit_usage};
 use hytlb_mem::Scenario;
@@ -25,12 +26,7 @@ fn main() {
     let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), 8);
 
     let paper_ms = [("8", 452.0), ("64", 71.7), ("512", 1.7)];
-    let cols = vec![
-        "anchors".to_owned(),
-        "model est.".to_owned(),
-        "sim wall".to_owned(),
-        "paper".to_owned(),
-    ];
+    let cols = vec!["anchors".to_owned(), "model est.".to_owned(), "paper".to_owned()];
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for (label, paper) in paper_ms {
@@ -38,12 +34,12 @@ fn main() {
         let start = Instant::now();
         let cost = apt.reanchor(&map, d);
         let wall = start.elapsed();
+        eprintln!("d={label}: sweep wall time {:.1} ms", wall.as_secs_f64() * 1e3);
         let est = cost.estimated_time();
         json.push(serde_json::json!({
             "distance": d,
             "slots_visited": cost.slots_visited,
             "model_ms": est.as_secs_f64() * 1e3,
-            "sim_wall_ms": wall.as_secs_f64() * 1e3,
             "paper_ms": paper,
             "footprint_pages": footprint,
         }));
@@ -52,7 +48,6 @@ fn main() {
             vec![
                 cost.slots_visited.to_string(),
                 format!("{:.1} ms", est.as_secs_f64() * 1e3),
-                format!("{:.1} ms", wall.as_secs_f64() * 1e3),
                 format!("{paper:.1} ms"),
             ],
         ));
@@ -61,7 +56,7 @@ fn main() {
         "{}\nThe model is calibrated to the paper's d=8 point (460 ns/anchor); the\n\
          d=512 paper measurement is faster than linear scaling predicts (likely\n\
          cache effects on real hardware) — recorded as a divergence in\n\
-         EXPERIMENTS.md. 'sim wall' is this Rust sweep, not the modelled kernel.\n",
+         EXPERIMENTS.md.\n",
         render_table("sweep cost (30 GB)", &cols, &rows)
     );
     emit(
