@@ -8,8 +8,9 @@
 //!   accessors (`VirtAddr::as_u64`, `usize_from`, `index_bits`, …).
 //! * **`panic` (R2)** — no `.unwrap()` / `.expect()` / `panic!` /
 //!   `unreachable!` in simulator hot paths (`crates/sim/src/engine.rs`,
-//!   `crates/tlb`, `crates/schemes`) unless allowlisted with the invariant
-//!   stated.
+//!   `crates/sim/src/dispatch.rs`, `crates/tlb`, `crates/schemes` and the
+//!   anchor level in `crates/core/src/anchor_scheme.rs`) unless
+//!   allowlisted with the invariant stated.
 //! * **`crate-attrs` (R3)** — every crate root carries
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //! * **`determinism` (R4)** — no `SystemTime::now`, `thread_rng`,
@@ -17,8 +18,10 @@
 //!   `crates/bench` and `perfbench` (wall-clock reporting, never simulated
 //!   state).
 //! * **`wildcard-match` (R5)** — no `_ =>` match arms in
-//!   `crates/schemes`: adding a scheme or page size must be a compile
-//!   error at every dispatch site, not a silent fall-through.
+//!   `crates/schemes`, the anchor level or the scheme registry
+//!   (`crates/sim/src/dispatch.rs`): adding a scheme, level or page size
+//!   must be a compile error at every dispatch site, not a silent
+//!   fall-through.
 //!
 //! A finding is suppressed by `// audit:allow(<rule>): <why>` on the same
 //! line, or on its own comment line (possibly the first of several
@@ -39,7 +42,7 @@ pub enum Rule {
     CrateAttrs,
     /// R4: nondeterministic time or RNG source.
     Determinism,
-    /// R5: `_` wildcard match arm in the scheme crate.
+    /// R5: `_` wildcard match arm in the translation cascade.
     WildcardMatch,
 }
 
@@ -151,11 +154,18 @@ impl Scope {
             || rel_path.contains("/benches/")
             || rel_path.starts_with("examples/");
         let in_src = |cr: &str| rel_path.starts_with(&format!("crates/{cr}/src/"));
+        // The translation cascade's files outside the scheme crate: the
+        // anchor level and the registry that dispatches to the levels.
+        let cascade = rel_path == "crates/core/src/anchor_scheme.rs"
+            || rel_path == "crates/sim/src/dispatch.rs";
         Scope {
             check_casts: !is_test_file && !in_src("types") && !in_src("audit"),
             check_panics: !is_test_file
-                && (rel_path == "crates/sim/src/engine.rs" || in_src("tlb") || in_src("schemes")),
-            check_wildcards: !is_test_file && in_src("schemes"),
+                && (rel_path == "crates/sim/src/engine.rs"
+                    || cascade
+                    || in_src("tlb")
+                    || in_src("schemes")),
+            check_wildcards: !is_test_file && (cascade || in_src("schemes")),
             allow_instant: rel_path.starts_with("crates/bench/")
                 || rel_path.starts_with("perfbench/"),
         }

@@ -6,7 +6,7 @@ use hytlb_bench::Bench;
 use hytlb_core::{AnchorConfig, AnchorScheme, FillPolicy};
 use hytlb_mem::Scenario;
 use hytlb_schemes::AnchorIndexing;
-use hytlb_sim::{Machine, PaperConfig, SchemeDispatch};
+use hytlb_sim::{AnyLevel, Machine, PaperConfig, SchemeDispatch};
 use hytlb_trace::WorkloadKind;
 use hytlb_types::VirtAddr;
 use std::sync::Arc;
@@ -25,7 +25,8 @@ fn bench_anchor(
 ) {
     let config = config();
     bench.run(label, config.accesses, || {
-        let scheme = SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(map), cfg.clone()));
+        let scheme =
+            SchemeDispatch::new(AnchorScheme::new(Arc::clone(map), cfg.clone()), AnyLevel::Anchor);
         Machine::new(scheme, &config).try_run_resolved(resolved).expect("mapped trace").tlb_misses()
     });
 }

@@ -12,7 +12,7 @@ use hytlb_mem::{AddressSpaceMap, ContiguityHistogram, Scenario};
 use hytlb_schemes::AnchorIndexing;
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, PaperConfig, RunStats, SchemeDispatch, SimError};
+use hytlb_sim::{AnyLevel, Machine, PaperConfig, RunStats, SchemeDispatch, SimError};
 use hytlb_trace::WorkloadKind;
 use hytlb_types::{Permissions, PhysFrameNum, VirtPageNum};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ fn run_anchor(
     trace: &[u64],
     config: &PaperConfig,
 ) -> Result<RunStats, SimError> {
-    let scheme = SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(map), cfg));
+    let scheme = SchemeDispatch::new(AnchorScheme::new(Arc::clone(map), cfg), AnyLevel::Anchor);
     Machine::new(scheme, config).try_run_resolved(&map.page_index().resolve(trace))
 }
 

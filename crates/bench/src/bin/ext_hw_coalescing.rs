@@ -7,14 +7,12 @@
 //! the scenario spectrum.
 
 use hytlb_bench::{banner, config_from_args, emit, exit_usage};
-use hytlb_core::{AnchorConfig, AnchorScheme};
 use hytlb_mem::Scenario;
-use hytlb_schemes::{ColtScheme, LatencyModel};
+use hytlb_schemes::{LatencyModel, Mmu};
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeDispatch, SchemeKind, SimError};
+use hytlb_sim::{AnyLevel, Machine, SchemeDispatch, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
-use std::sync::Arc;
 
 fn main() -> Result<(), SimError> {
     let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
@@ -38,9 +36,9 @@ fn main() -> Result<(), SimError> {
         let latency = LatencyModel::default();
         let schemes = [
             SchemeDispatch::build(SchemeKind::Cluster, &map, &config),
-            SchemeDispatch::Colt(ColtScheme::new(Arc::clone(&map), latency)),
-            SchemeDispatch::Colt(ColtScheme::with_fully_associative(Arc::clone(&map), latency, 32)),
-            SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic())),
+            SchemeDispatch::new(Mmu::colt(&map, latency), AnyLevel::Colt),
+            SchemeDispatch::new(Mmu::colt_fa(&map, latency), AnyLevel::Colt),
+            SchemeDispatch::build(SchemeKind::AnchorDynamic, &map, &config),
         ];
         let cells = schemes
             .into_iter()

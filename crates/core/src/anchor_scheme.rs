@@ -20,13 +20,12 @@
 use crate::distance::{CostModel, DistanceSelector};
 use crate::os::OsKernel;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
-use hytlb_pagetable::PageWalker;
+use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
 use hytlb_schemes::{
-    AccessResult, AnchorIndexing, LatencyModel, SchemeStats, SharedL2, TranslationPath,
-    TranslationScheme,
+    AnchorIndexing, BuildMmu, Cascade, CoalescedLevel, LatencyModel, Mmu, Probe, SharedL2,
+    TranslationPath,
 };
-use hytlb_tlb::L1Tlb;
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum, HUGE_PAGE_PAGES};
+use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
 use std::sync::Arc;
 
 /// How the per-process anchor distance is managed.
@@ -101,16 +100,18 @@ impl Default for AnchorConfig {
     }
 }
 
-/// The hybrid-coalescing MMU.
+/// The hybrid-coalescing MMU: the shared cascade with an [`AnchorLevel`].
+/// `AnchorScheme::new(map, config)` builds it.
+pub type AnchorScheme = Mmu<AnchorLevel>;
+
+/// The anchor level: anchor entries in the shared L2, the OS that owns the
+/// anchored page table and the distance, and the Table 2 fill rule.
 #[derive(Debug)]
-pub struct AnchorScheme {
-    l1: L1Tlb,
-    l2: SharedL2,
+pub struct AnchorLevel {
     os: OsKernel,
-    walker: PageWalker,
-    config: AnchorConfig,
-    stats: SchemeStats,
-    name: String,
+    mode: DistanceMode,
+    indexing: AnchorIndexing,
+    fill: FillPolicy,
     shootdowns: u64,
     /// The mapping's chunks long enough to hold a 2 MB page, for the
     /// walker's huge-page-shape check; the OS never remaps pages after
@@ -118,14 +119,25 @@ pub struct AnchorScheme {
     huge_chunks: ChunkTable,
 }
 
-impl AnchorScheme {
+/// What an anchor probe that did not translate tells the fill.
+#[derive(Debug, Clone, Copy)]
+pub struct AnchorMiss {
+    /// The anchor tag hit but its contiguity did not cover the page
+    /// (Table 2 row 3); otherwise the anchor missed outright (rows 4–5).
+    tag_hit: bool,
+    /// Log2 of the anchor distance the probe used.
+    distance_log2: u32,
+}
+
+impl BuildMmu for AnchorLevel {
+    type Config = AnchorConfig;
+
     /// Builds the scheme over a mapping.
     ///
     /// # Panics
     ///
     /// Panics if a static distance in the config is invalid.
-    #[must_use]
-    pub fn new(map: Arc<AddressSpaceMap>, config: AnchorConfig) -> Self {
+    fn build(map: Arc<AddressSpaceMap>, config: AnchorConfig) -> Mmu<AnchorLevel> {
         let huge_chunks = ChunkTable::with_min_len(&map, HUGE_PAGE_PAGES);
         let selector =
             DistanceSelector::new((1..=16).map(|s| 1u64 << s).collect(), config.cost_model, 0.10);
@@ -138,19 +150,21 @@ impl AnchorScheme {
                 (OsKernel::with_regions(map, selector, n), format!("Anchor-region{n}"))
             }
         };
-        AnchorScheme {
-            l1: L1Tlb::paper_default(),
-            l2: SharedL2::paper_default(),
-            os,
-            walker: PageWalker::default(),
-            config,
-            stats: SchemeStats::default(),
-            name,
-            shootdowns: 0,
-            huge_chunks,
+        Mmu {
+            cascade: Cascade::new(name, SharedL2::paper_default(), config.latency),
+            level: AnchorLevel {
+                os,
+                mode: config.mode,
+                indexing: config.indexing,
+                fill: config.fill,
+                shootdowns: 0,
+                huge_chunks,
+            },
         }
     }
+}
 
+impl AnchorLevel {
     /// The anchor distance currently in effect process-wide (or the default
     /// distance for multi-region kernels).
     #[must_use]
@@ -170,138 +184,78 @@ impl AnchorScheme {
         self.shootdowns
     }
 
-    fn fill_regular(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum) -> PageSize {
+    fn fill_regular(&self, l2: &mut SharedL2, vpn: VirtPageNum, pfn: PhysFrameNum) {
         // The walker knows from the PD entry whether the region is
         // huge-page shaped; the anchor scheme's L2 stores 4 KB, 2 MB and
         // anchor entries side by side (Table 3).
         if let Some(head) = self.huge_chunks.huge_page_at(vpn) {
             let head_pfn = PhysFrameNum::new(pfn.as_u64() - (vpn - head));
             if head_pfn.is_aligned(HUGE_PAGE_PAGES) {
-                self.l2.insert_2m(head, head_pfn);
-                return PageSize::Huge2M;
+                l2.insert_2m(head, head_pfn);
+                return;
             }
         }
-        self.l2.insert_4k(vpn, pfn);
-        PageSize::Base4K
+        l2.insert_4k(vpn, pfn);
     }
 }
 
-impl TranslationScheme for AnchorScheme {
-    fn name(&self) -> &str {
-        &self.name
-    }
+impl CoalescedLevel for AnchorLevel {
+    type Miss = AnchorMiss;
 
+    /// Table 2 row 2: an anchor hit whose contiguity covers the page
+    /// translates it as `APPN + (VPN − AVPN)`.
     #[inline]
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let latency = self.config.latency;
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.l2.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.l2.lookup_2m(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let d = self.os.distance_for(vpn);
-            let d_log = d.trailing_zeros();
-            let anchor_hit = self.l2.lookup_anchor(vpn, d_log, self.config.indexing);
-            if let Some(hit) = anchor_hit.filter(|h| h.covers(vpn)) {
-                // Table 2 row 2: anchor hit, contiguity match.
-                let pfn = hit.translate(vpn);
-                self.l1.insert(vpn, pfn, PageSize::Base4K);
-                AccessResult {
-                    path: TranslationPath::CoalescedHit,
-                    cycles: latency.coalesced_hit,
-                    pfn: Some(pfn),
-                }
-            } else {
-                // Rows 3–5: page walk. The regular translation goes to the
-                // core first; the anchor PTE fetch is off the critical path.
-                let walk = self.walker.walk(self.os.table(), vpn);
-                match walk.leaf {
-                    Some(leaf) => {
-                        let pfn = leaf.pfn_for(vpn);
-                        if anchor_hit.is_some() {
-                            // Row 3: the anchor was present but did not
-                            // cover the page — only the page's own entry
-                            // can translate it.
-                            self.fill_regular(vpn, pfn);
-                        } else {
-                            let probe = self.os.anchor_probe(vpn);
-                            match probe.filter(|p| p.covers(vpn)) {
-                                Some(p) if self.config.fill == FillPolicy::PreferAnchor => {
-                                    // Row 4: fill only the anchor entry.
-                                    self.l2.insert_anchor(
-                                        p.avpn,
-                                        p.pfn,
-                                        p.contiguity,
-                                        d_log,
-                                        self.config.indexing,
-                                    );
-                                }
-                                _ => {
-                                    // Row 5 (or the ablation policy).
-                                    self.fill_regular(vpn, pfn);
-                                }
-                            }
-                        }
-                        self.l1.insert(vpn, pfn, PageSize::Base4K);
-                        AccessResult {
-                            path: TranslationPath::Walk,
-                            cycles: walk.cycles,
-                            pfn: Some(pfn),
-                        }
-                    }
-                    None => AccessResult {
-                        path: TranslationPath::Fault,
-                        cycles: walk.cycles,
-                        pfn: None,
-                    },
-                }
-            }
-        };
-        self.stats.record(result);
-        result
-    }
-
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
-    }
-
-    fn on_epoch(&mut self) {
-        if self.config.mode != DistanceMode::Dynamic {
-            return;
-        }
-        let outcome = self.os.check_epoch();
-        if outcome.requires_shootdown() {
-            self.flush();
-            self.shootdowns += 1;
+    fn probe(&mut self, l2: &mut SharedL2, vpn: VirtPageNum) -> Probe<AnchorMiss> {
+        let distance_log2 = self.os.distance_for(vpn).trailing_zeros();
+        match l2.lookup_anchor(vpn, distance_log2, self.indexing) {
+            Some(hit) if hit.covers(vpn) => Probe::Hit {
+                pfn: hit.translate(vpn),
+                size: PageSize::Base4K,
+                path: TranslationPath::CoalescedHit,
+            },
+            hit => Probe::Miss(AnchorMiss { tag_hit: hit.is_some(), distance_log2 }),
         }
     }
 
-    fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
+    fn table(&self) -> &PageTable {
+        self.os.table()
+    }
+
+    /// Rows 3–5: the regular translation went to the core first; the
+    /// walker's off-critical-path anchor fetch decides what to fill.
+    #[inline]
+    fn fill(
+        &mut self,
+        l2: &mut SharedL2,
+        vpn: VirtPageNum,
+        leaf: LeafEntry,
+        _: Option<&[PageTableEntry]>,
+        miss: AnchorMiss,
+    ) {
+        // Row 3 (`tag_hit`): the anchor was present but did not cover the
+        // page — only the page's own entry can translate it.
+        let probe = if miss.tag_hit { None } else { self.os.anchor_probe(vpn) };
+        match probe.filter(|p| p.covers(vpn)) {
+            // Row 4: fill only the anchor entry.
+            Some(p) if self.fill == FillPolicy::PreferAnchor => {
+                l2.insert_anchor(p.avpn, p.pfn, p.contiguity, miss.distance_log2, self.indexing);
+            }
+            // Rows 3 and 5, or row 4 under the ablation policy.
+            Some(_) | None => self.fill_regular(l2, vpn, leaf.pfn_for(vpn)),
+        }
+    }
+
+    fn on_epoch(&mut self) -> bool {
+        if self.mode != DistanceMode::Dynamic {
+            return false;
+        }
+        let shootdown = self.os.check_epoch().requires_shootdown();
+        self.shootdowns += u64::from(shootdown);
+        shootdown
     }
 
     fn anchor_distance(&self) -> Option<u64> {
         Some(self.os.distance())
-    }
-
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.l2.geometry());
-        g
     }
 }
 
@@ -309,7 +263,8 @@ impl TranslationScheme for AnchorScheme {
 mod tests {
     use super::*;
     use hytlb_mem::Scenario;
-    use hytlb_schemes::BaselineScheme;
+    use hytlb_schemes::TranslationScheme;
+    use hytlb_types::{Cycles, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -370,7 +325,7 @@ mod tests {
         assert_eq!(r.path, TranslationPath::Walk);
         assert_eq!(r.pfn, Some(PhysFrameNum::new(201)));
         // Re-access: regular L2 hit at 7 cycles (not coalesced).
-        s.l1.flush(); // bypass L1 so the L2 path is visible
+        s.cascade.l1_mut().flush(); // bypass L1 so the L2 path is visible
         let r2 = s.access(va(VirtPageNum::new(5)));
         assert_eq!(r2.path, TranslationPath::L2RegularHit);
         assert_eq!(r2.cycles, Cycles::new(7));
@@ -390,7 +345,7 @@ mod tests {
         s.access(va(VirtPageNum::new(3)));
         // The regular 4K entry must NOT be in the L2: flush L1, re-access,
         // and observe an anchor (coalesced) hit rather than a regular hit.
-        s.l1.flush();
+        s.cascade.l1_mut().flush();
         let r = s.access(va(VirtPageNum::new(3)));
         assert_eq!(r.path, TranslationPath::CoalescedHit);
     }
@@ -411,7 +366,7 @@ mod tests {
         let mut s = AnchorScheme::new(Arc::clone(&map), AnchorConfig::static_distance(8));
         let r = s.access(va(VirtPageNum::new(5)));
         assert_eq!(r.path, TranslationPath::Walk);
-        s.l1.flush();
+        s.cascade.l1_mut().flush();
         let r2 = s.access(va(VirtPageNum::new(5)));
         assert_eq!(r2.path, TranslationPath::L2RegularHit);
     }
@@ -429,7 +384,7 @@ mod tests {
     fn dynamic_beats_baseline_on_medium_contiguity() {
         let map = Arc::new(Scenario::MediumContiguity.generate(8192, 8));
         let mut anchor = AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic());
-        let mut base = BaselineScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut base = Mmu::baseline(&map, LatencyModel::default());
         touch_all(&mut anchor, &map, 2);
         touch_all(&mut base, &map, 2);
         assert!(
@@ -490,7 +445,12 @@ mod tests {
         let huge = Arc::new(Scenario::MaxContiguity.generate(16_384, 3));
         let a = AnchorScheme::new(Arc::clone(&fine), AnchorConfig::dynamic());
         let b = AnchorScheme::new(Arc::clone(&huge), AnchorConfig::dynamic());
-        assert!(a.distance() < b.distance(), "{} vs {}", a.distance(), b.distance());
+        assert!(
+            a.level.distance() < b.level.distance(),
+            "{} vs {}",
+            a.level.distance(),
+            b.level.distance()
+        );
     }
 
     #[test]
@@ -501,8 +461,8 @@ mod tests {
         for _ in 0..5 {
             s.on_epoch();
         }
-        assert_eq!(s.shootdowns(), 0);
-        assert_eq!(s.os().distance_changes(), 0);
+        assert_eq!(s.level.shootdowns(), 0);
+        assert_eq!(s.level.os().distance_changes(), 0);
     }
 
     #[test]
@@ -510,7 +470,7 @@ mod tests {
         let map = Arc::new(Scenario::LowContiguity.generate(512, 11));
         let mut s = AnchorScheme::new(Arc::clone(&map), AnchorConfig::static_distance(4096));
         s.on_epoch();
-        assert_eq!(s.distance(), 4096);
+        assert_eq!(s.level.distance(), 4096);
     }
 
     #[test]
@@ -539,7 +499,7 @@ mod tests {
         let mut s = AnchorScheme::new(Arc::clone(&map), cfg);
         let head = map.chunks().next().unwrap().vpn;
         assert_eq!(s.access(va(head)).path, TranslationPath::Walk);
-        s.l1.flush(); // bypass L1 so the L2 2MB entry is observable
+        s.cascade.l1_mut().flush(); // bypass L1 so the L2 2MB entry is observable
         let r = s.access(va(head + 300));
         assert_eq!(r.path, TranslationPath::L2RegularHit);
         assert_eq!(r.cycles, Cycles::new(7));

@@ -180,13 +180,6 @@ impl OsKernel {
         self.apt.table()
     }
 
-    /// `Some(head_vpn)` when `vpn` lies in a huge-page-shaped region — the
-    /// OS-side knowledge the walker uses to fill a 2 MB TLB entry.
-    #[must_use]
-    pub fn huge_page_at(&self, vpn: VirtPageNum) -> Option<VirtPageNum> {
-        self.map.huge_page_at(vpn)
-    }
-
     /// The periodic epoch check (§4.1): rebuild the histogram, re-select,
     /// and re-anchor when the change clears the hysteresis. Multi-region
     /// kernels keep their boot-time partition (the paper leaves online

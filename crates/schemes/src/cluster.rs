@@ -12,13 +12,13 @@
 //! `cactusADM` the cluster entries are underutilised while the regular
 //! array thrashes, and misses *increase* versus baseline (Figure 8).
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{PageTable, PageTableEntry, PageWalker};
-use hytlb_tlb::{L1Tlb, SetAssocTlb};
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
-use std::sync::Arc;
+use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_tlb::{SetAssocTlb, TlbGeometry};
+use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum};
 
 /// Pages per cluster entry (the paper's cluster-8 configuration).
 pub const CLUSTER_SPAN: u64 = 8;
@@ -46,44 +46,16 @@ impl ClusterEntry {
     }
 }
 
-/// The cluster-TLB scheme; `use_2mb` selects the paper's `Cluster-2MB`
-/// variant, which additionally holds 2 MB entries in the regular partition.
+/// The cluster TLB's 320-entry 5-way cluster array. The shared L2 of its
+/// MMU is the 768-entry 6-way regular partition.
 #[derive(Debug)]
-pub struct ClusterScheme {
-    l1: L1Tlb,
-    regular: SharedL2,
+pub struct ClusterTlb {
     cluster: SetAssocTlb<ClusterEntry>,
     table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
-    use_2mb: bool,
     cluster_fills: u64,
-    _map: Arc<AddressSpaceMap>,
 }
 
-impl ClusterScheme {
-    /// Builds the cluster MMU. With `use_2mb`, THP-shaped regions get 2 MB
-    /// leaves (and 2 MB regular entries); without, everything is 4 KB PTEs
-    /// as in the original cluster TLB paper.
-    #[must_use]
-    pub fn new(map: Arc<AddressSpaceMap>, latency: LatencyModel, use_2mb: bool) -> Self {
-        ClusterScheme {
-            l1: L1Tlb::paper_default(),
-            // 768 entries, 6-way = 128 sets.
-            regular: SharedL2::new(128, 6),
-            // 320 entries, 5-way = 64 sets.
-            cluster: SetAssocTlb::new(64, 5),
-            table: PageTable::from_map(&map, use_2mb),
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
-            use_2mb,
-            cluster_fills: 0,
-            _map: map,
-        }
-    }
-
+impl ClusterTlb {
     /// Number of cluster entries inserted so far (≥ 2 pages coalesced).
     #[must_use]
     pub fn cluster_fills(&self) -> u64 {
@@ -92,13 +64,6 @@ impl ClusterScheme {
 
     fn cluster_set(&self, vcn: u64) -> usize {
         hytlb_types::usize_from(vcn & (self.cluster.sets() as u64 - 1))
-    }
-
-    fn lookup_cluster(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
-        let vcn = vpn.as_u64() / CLUSTER_SPAN;
-        let sub = hytlb_types::usize_from(vpn.offset_within(CLUSTER_SPAN));
-        let set = self.cluster_set(vcn);
-        self.cluster.lookup(set, vcn).and_then(|e| e.pfn_for(sub))
     }
 
     /// Builds a cluster entry from the PTE cache block the walk fetched,
@@ -117,116 +82,106 @@ impl ClusterScheme {
     }
 }
 
-impl TranslationScheme for ClusterScheme {
-    fn name(&self) -> &str {
-        if self.use_2mb {
-            "Cluster-2MB"
-        } else {
-            "Cluster"
+impl Mmu<ClusterTlb> {
+    /// The paper's `Cluster`: everything is 4 KB PTEs, as in the original
+    /// cluster TLB paper.
+    #[must_use]
+    pub fn cluster(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
+        Self::clustered("Cluster", map, false, latency)
+    }
+
+    /// The paper's `Cluster-2MB`: THP-shaped regions get 2 MB leaves, held
+    /// as 2 MB entries in the regular partition.
+    #[must_use]
+    pub fn cluster_2mb(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
+        Self::clustered("Cluster-2MB", map, true, latency)
+    }
+
+    fn clustered(name: &str, map: &AddressSpaceMap, thp: bool, latency: LatencyModel) -> Self {
+        Mmu {
+            // 768 entries, 6-way = 128 sets.
+            cascade: Cascade::new(name, SharedL2::new(128, 6), latency),
+            level: ClusterTlb {
+                // 320 entries, 5-way = 64 sets.
+                cluster: SetAssocTlb::new(64, 5),
+                table: PageTable::from_map(map, thp),
+                cluster_fills: 0,
+            },
+        }
+    }
+}
+
+impl CoalescedLevel for ClusterTlb {
+    type Miss = ();
+
+    #[inline]
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        let vcn = vpn.as_u64() / CLUSTER_SPAN;
+        let sub = hytlb_types::usize_from(vpn.offset_within(CLUSTER_SPAN));
+        let set = self.cluster_set(vcn);
+        match self.cluster.lookup(set, vcn).and_then(|e| e.pfn_for(sub)) {
+            Some(pfn) => {
+                Probe::Hit { pfn, size: PageSize::Base4K, path: TranslationPath::CoalescedHit }
+            }
+            None => Probe::Miss(()),
         }
     }
 
-    #[inline]
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.regular.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.use_2mb.then(|| self.regular.lookup_2m(vpn)).flatten() {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.lookup_cluster(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let (walk, block) = self.walker.walk_with_block(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    match leaf.size {
-                        PageSize::Huge2M => {
-                            debug_assert!(self.use_2mb);
-                            self.regular.insert_2m(leaf.head_vpn, leaf.head_pfn);
-                        }
-                        // audit:allow(panic): invariant — from_map never
-                        // builds 1 GB leaves here.
-                        PageSize::Giant1G => unreachable!("no 1GB leaves here"),
-                        PageSize::Base4K => {
-                            let vcn = vpn.as_u64() / CLUSTER_SPAN;
-                            let set = self.cluster_set(vcn);
-                            // A VA group can straddle two physical
-                            // clusters, but only one cluster entry per
-                            // virtual group can live in the array (one
-                            // tag). Keep whichever entry covers more
-                            // pages; the unclusterable side is stored as
-                            // regular 4 KB entries instead of thrashing
-                            // the group's entry back and forth.
-                            let candidate =
-                                block.and_then(|block| Self::coalesce_block(block, pfn));
-                            let existing_cov =
-                                self.cluster.peek(set, vcn).map_or(0, ClusterEntry::coverage);
-                            match candidate {
-                                Some(entry) if entry.coverage() > existing_cov => {
-                                    self.cluster.insert(set, vcn, entry);
-                                    self.cluster_fills += 1;
-                                }
-                                Some(_) | None => self.regular.insert_4k(vpn, pfn),
-                            }
-                        }
-                    }
-                    self.l1.insert(vpn, pfn, leaf.size);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    #[inline]
+    fn fill(
+        &mut self,
+        regular: &mut SharedL2,
+        vpn: VirtPageNum,
+        leaf: LeafEntry,
+        block: Option<&[PageTableEntry]>,
+        (): (),
+    ) {
+        match leaf.size {
+            PageSize::Huge2M => regular.insert_2m(leaf.head_vpn, leaf.head_pfn),
+            // audit:allow(panic): invariant — from_map never builds 1 GB
+            // leaves.
+            PageSize::Giant1G => unreachable!("no 1GB leaves here"),
+            PageSize::Base4K => {
+                let pfn = leaf.pfn_for(vpn);
+                let vcn = vpn.as_u64() / CLUSTER_SPAN;
+                let set = self.cluster_set(vcn);
+                // A VA group can straddle two physical clusters, but only
+                // one cluster entry per virtual group can live in the
+                // array (one tag). Keep whichever entry covers more pages;
+                // the unclusterable side is stored as regular 4 KB entries
+                // instead of thrashing the group's entry back and forth.
+                let candidate = block.and_then(|block| Self::coalesce_block(block, pfn));
+                let existing_cov = self.cluster.peek(set, vcn).map_or(0, ClusterEntry::coverage);
+                match candidate {
+                    Some(entry) if entry.coverage() > existing_cov => {
+                        self.cluster.insert(set, vcn, entry);
+                        self.cluster_fills += 1;
+                    }
+                    Some(_) | None => regular.insert_4k(vpn, pfn),
+                }
+            }
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.regular.flush();
         self.cluster.flush();
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.regular.geometry());
-        g.push(self.cluster.geometry("L2 cluster"));
-        g
+    fn geometries(&self) -> Vec<TlbGeometry> {
+        vec![self.cluster.geometry("L2 cluster")]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BaselineScheme;
+    use crate::TranslationScheme;
     use hytlb_mem::Scenario;
+    use hytlb_types::VirtAddr;
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -245,18 +200,18 @@ mod tests {
     fn cluster_coalesces_contiguous_groups() {
         // Medium contiguity has many multi-page chunks: cluster entries
         // must form and serve hits.
-        let map = Arc::new(Scenario::MediumContiguity.generate(2048, 1));
-        let mut s = ClusterScheme::new(Arc::clone(&map), LatencyModel::default(), false);
+        let map = Scenario::MediumContiguity.generate(2048, 1);
+        let mut s = Mmu::cluster(&map, LatencyModel::default());
         touch_all(&mut s, &map, 2);
-        assert!(s.cluster_fills() > 0);
+        assert!(s.level.cluster_fills() > 0);
         assert!(s.stats().coalesced_hits > 0);
     }
 
     #[test]
     fn cluster_beats_baseline_on_low_contiguity() {
-        let map = Arc::new(Scenario::LowContiguity.generate(4096, 2));
-        let mut cl = ClusterScheme::new(Arc::clone(&map), LatencyModel::default(), false);
-        let mut base = BaselineScheme::new(Arc::clone(&map), LatencyModel::default());
+        let map = Scenario::LowContiguity.generate(4096, 2);
+        let mut cl = Mmu::cluster(&map, LatencyModel::default());
+        let mut base = Mmu::baseline(&map, LatencyModel::default());
         touch_all(&mut cl, &map, 2);
         touch_all(&mut base, &map, 2);
         assert!(
@@ -269,8 +224,8 @@ mod tests {
 
     #[test]
     fn cluster_2mb_uses_huge_entries_on_demand_mapping() {
-        let map = Arc::new(Scenario::DemandPaging.generate(4096, 3));
-        let mut s = ClusterScheme::new(Arc::clone(&map), LatencyModel::default(), true);
+        let map = Scenario::DemandPaging.generate(4096, 3);
+        let mut s = Mmu::cluster_2mb(&map, LatencyModel::default());
         touch_all(&mut s, &map, 1);
         assert!(s.stats().l2_regular_hits + s.stats().walks > 0);
         // Far fewer walks than there are pages: 2 MB entries cover regions.
@@ -280,19 +235,18 @@ mod tests {
     #[test]
     fn singleton_pages_fall_back_to_regular_entries() {
         // A mapping of isolated single pages can never coalesce.
-        let mut m = AddressSpaceMap::new();
+        let mut map = AddressSpaceMap::new();
         for i in 0..64u64 {
-            m.map_range(
+            map.map_range(
                 VirtPageNum::new(i * CLUSTER_SPAN),
                 PhysFrameNum::new(1000 + i * 100),
                 1,
                 hytlb_types::Permissions::READ_WRITE,
             );
         }
-        let map = Arc::new(m);
-        let mut s = ClusterScheme::new(Arc::clone(&map), LatencyModel::default(), false);
+        let mut s = Mmu::cluster(&map, LatencyModel::default());
         touch_all(&mut s, &map, 2);
-        assert_eq!(s.cluster_fills(), 0);
+        assert_eq!(s.level.cluster_fills(), 0);
         assert_eq!(s.stats().coalesced_hits, 0);
         assert!(s.stats().l2_regular_hits > 0);
     }
@@ -301,16 +255,15 @@ mod tests {
     fn coalescing_respects_physical_cluster_boundaries() {
         // 8 virtually-contiguous pages split across two physical clusters:
         // the entry anchored at the first page covers only its own cluster.
-        let mut m = AddressSpaceMap::new();
+        let mut map = AddressSpaceMap::new();
         // VPNs 0..8 -> PFNs 4..12: PFNs 4..8 are cluster 0, 8..12 cluster 1.
-        m.map_range(
+        map.map_range(
             VirtPageNum::new(0),
             PhysFrameNum::new(4),
             8,
             hytlb_types::Permissions::READ_WRITE,
         );
-        let map = Arc::new(m);
-        let mut s = ClusterScheme::new(Arc::clone(&map), LatencyModel::default(), false);
+        let mut s = Mmu::cluster(&map, LatencyModel::default());
         let r = s.access(va(VirtPageNum::new(0)));
         assert_eq!(r.path, TranslationPath::Walk);
         // Pages 0..4 share the entry; page 4 (PFN 8, other cluster) misses.
@@ -319,14 +272,14 @@ mod tests {
         // The group's entry (coverage 4) is kept; page 4 became a regular
         // 4 KB entry, observable once the L1 is bypassed.
         assert_eq!(s.access(va(VirtPageNum::new(2))).path, TranslationPath::CoalescedHit);
-        s.l1.flush();
+        s.cascade.l1_mut().flush();
         assert_eq!(s.access(va(VirtPageNum::new(4))).path, TranslationPath::L2RegularHit);
     }
 
     #[test]
     fn translations_always_match_map() {
-        let map = Arc::new(Scenario::DemandPaging.generate(2048, 5));
-        let mut s = ClusterScheme::new(Arc::clone(&map), LatencyModel::default(), true);
+        let map = Scenario::DemandPaging.generate(2048, 5);
+        let mut s = Mmu::cluster_2mb(&map, LatencyModel::default());
         touch_all(&mut s, &map, 2);
     }
 }

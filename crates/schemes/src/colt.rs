@@ -12,13 +12,16 @@
 //! evaluates the newer cluster TLB), but it is the natural ablation
 //! partner for it: contiguity-based vs clustering-based HW coalescing.
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
-use hytlb_pagetable::{PageTable, PageTableEntry, PageWalker};
-use hytlb_tlb::{L1Tlb, SetAssocTlb};
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
-use std::sync::Arc;
+use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_tlb::{RangeEntry, RangeTlb, SetAssocTlb, TlbGeometry};
+use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum};
+
+/// Entries of the CoLT-FA side structure.
+pub const COLT_FA_ENTRIES: usize = 32;
 
 /// Pages per coalescing window.
 const WINDOW: u64 = 8;
@@ -42,71 +45,28 @@ impl ColtEntry {
     }
 }
 
-/// The CoLT-SA scheme: a 768-entry 6-way regular partition plus a
-/// 320-entry 5-way coalesced partition (mirroring the paper's cluster
-/// configuration so the two HW-coalescing designs are directly
-/// comparable). An optional CoLT-FA side structure (§2.1: "CoLT
+/// CoLT-SA's 320-entry 5-way coalesced partition (mirroring the paper's
+/// cluster configuration so the two HW-coalescing designs are directly
+/// comparable; the MMU's shared L2 is the 768-entry 6-way regular
+/// partition). An optional CoLT-FA side structure (§2.1: "CoLT
 /// additionally provides a fully associative mode that supports a much
 /// larger number of coalesced contiguous pages ... which in turn restricts
 /// the number of entries available") holds a handful of unbounded
 /// contiguous runs, probed after the set-associative arrays.
 #[derive(Debug)]
-pub struct ColtScheme {
-    l1: L1Tlb,
-    regular: SharedL2,
+pub struct ColtTlb {
     coalesced: SetAssocTlb<ColtEntry>,
     /// CoLT-FA: unbounded-length runs, fully associative (reuses the
     /// range-TLB structure — the lookup hardware is identical).
-    fa: Option<hytlb_tlb::RangeTlb>,
+    fa: Option<RangeTlb>,
     table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
     coalesced_fills: u64,
     /// The mapping's runs longer than one window, which CoLT-FA refills
     /// from; empty without CoLT-FA.
     fa_runs: ChunkTable,
 }
 
-impl ColtScheme {
-    /// Builds the CoLT-SA MMU (4 KB pages only, like the original
-    /// proposal).
-    #[must_use]
-    pub fn new(map: Arc<AddressSpaceMap>, latency: LatencyModel) -> Self {
-        Self::build(map, latency, None)
-    }
-
-    /// Builds CoLT-SA + a CoLT-FA side structure of `fa_entries`
-    /// unbounded-length coalesced runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fa_entries` is zero.
-    #[must_use]
-    pub fn with_fully_associative(
-        map: Arc<AddressSpaceMap>,
-        latency: LatencyModel,
-        fa_entries: usize,
-    ) -> Self {
-        Self::build(map, latency, Some(fa_entries))
-    }
-
-    fn build(map: Arc<AddressSpaceMap>, latency: LatencyModel, fa: Option<usize>) -> Self {
-        ColtScheme {
-            l1: L1Tlb::paper_default(),
-            regular: SharedL2::new(128, 6),
-            coalesced: SetAssocTlb::new(64, 5),
-            fa: fa.map(hytlb_tlb::RangeTlb::new),
-            table: PageTable::from_map(&map, false),
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
-            coalesced_fills: 0,
-            fa_runs: fa
-                .map_or_else(ChunkTable::default, |_| ChunkTable::with_min_len(&map, WINDOW + 1)),
-        }
-    }
-
+impl ColtTlb {
     /// Coalesced entries inserted so far.
     #[must_use]
     pub fn coalesced_fills(&self) -> u64 {
@@ -117,11 +77,14 @@ impl ColtScheme {
         hytlb_types::usize_from(wdw & (self.coalesced.sets() as u64 - 1))
     }
 
-    fn lookup_coalesced(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
+    fn lookup(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
         let wdw = vpn.as_u64() / WINDOW;
         let off = vpn.as_u64() % WINDOW;
         let set = self.window_set(wdw);
-        self.coalesced.lookup(set, wdw).and_then(|e| e.pfn_for(off))
+        if let Some(pfn) = self.coalesced.lookup(set, wdw).and_then(|e| e.pfn_for(off)) {
+            return Some(pfn);
+        }
+        self.fa.as_mut().and_then(|fa| fa.lookup(vpn))
     }
 
     /// Scans the PTE cache block the walk fetched for the maximal
@@ -164,98 +127,97 @@ impl ColtScheme {
     }
 }
 
-impl TranslationScheme for ColtScheme {
-    fn name(&self) -> &str {
-        "CoLT"
+impl Mmu<ColtTlb> {
+    /// The CoLT-SA MMU (4 KB pages only, like the original proposal).
+    #[must_use]
+    pub fn colt(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
+        Self::build_colt(map, latency, None)
+    }
+
+    /// CoLT-SA plus a CoLT-FA side structure of [`COLT_FA_ENTRIES`]
+    /// unbounded-length coalesced runs.
+    #[must_use]
+    pub fn colt_fa(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
+        Self::build_colt(map, latency, Some(COLT_FA_ENTRIES))
+    }
+
+    fn build_colt(map: &AddressSpaceMap, latency: LatencyModel, fa: Option<usize>) -> Self {
+        Mmu {
+            cascade: Cascade::new("CoLT", SharedL2::new(128, 6), latency),
+            level: ColtTlb {
+                coalesced: SetAssocTlb::new(64, 5),
+                fa: fa.map(RangeTlb::new),
+                table: PageTable::from_map(map, false),
+                coalesced_fills: 0,
+                fa_runs: fa.map_or_else(ChunkTable::default, |_| {
+                    ChunkTable::with_min_len(map, WINDOW + 1)
+                }),
+            },
+        }
+    }
+}
+
+impl CoalescedLevel for ColtTlb {
+    type Miss = ();
+
+    #[inline]
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        match self.lookup(vpn) {
+            Some(pfn) => {
+                Probe::Hit { pfn, size: PageSize::Base4K, path: TranslationPath::CoalescedHit }
+            }
+            None => Probe::Miss(()),
+        }
+    }
+
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
     #[inline]
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.regular.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
+    fn fill(
+        &mut self,
+        regular: &mut SharedL2,
+        vpn: VirtPageNum,
+        leaf: LeafEntry,
+        block: Option<&[PageTableEntry]>,
+        (): (),
+    ) {
+        let pfn = leaf.pfn_for(vpn);
+        let wdw = vpn.as_u64() / WINDOW;
+        let set = self.window_set(wdw);
+        let candidate = block.and_then(|block| Self::coalesce_run(block, vpn, pfn));
+        let existing_len = self.coalesced.peek(set, wdw).map_or(0, |e| e.len);
+        match candidate {
+            Some(entry) if entry.len > existing_len => {
+                self.coalesced.insert(set, wdw, entry);
+                self.coalesced_fills += 1;
             }
-        } else if let Some(pfn) = self.lookup_coalesced(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
+            Some(_) | None => regular.insert_4k(vpn, pfn),
+        }
+        // CoLT-FA additionally coalesces the full contiguous run (no window
+        // bound) when it is long enough to be worth one of the few FA
+        // slots.
+        if let Some(fa) = self.fa.as_mut() {
+            if let Some(chunk) = self.fa_runs.chunk_containing(vpn) {
+                fa.insert(RangeEntry {
+                    start_vpn: chunk.vpn,
+                    start_pfn: chunk.pfn,
+                    len: chunk.len,
+                });
             }
-        } else if let Some(pfn) = self.fa.as_mut().and_then(|fa| fa.lookup(vpn)) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let (walk, block) = self.walker.walk_with_block(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    let wdw = vpn.as_u64() / WINDOW;
-                    let set = self.window_set(wdw);
-                    let candidate = block.and_then(|block| Self::coalesce_run(block, vpn, pfn));
-                    let existing_len = self.coalesced.peek(set, wdw).map_or(0, |e| e.len);
-                    match candidate {
-                        Some(entry) if entry.len > existing_len => {
-                            self.coalesced.insert(set, wdw, entry);
-                            self.coalesced_fills += 1;
-                        }
-                        Some(_) | None => self.regular.insert_4k(vpn, pfn),
-                    }
-                    // CoLT-FA additionally coalesces the full contiguous
-                    // run (no window bound) when it is long enough to be
-                    // worth one of the few FA slots.
-                    if let Some(fa) = self.fa.as_mut() {
-                        if let Some(chunk) = self.fa_runs.chunk_containing(vpn) {
-                            fa.insert(hytlb_tlb::RangeEntry {
-                                start_vpn: chunk.vpn,
-                                start_pfn: chunk.pfn,
-                                len: chunk.len,
-                            });
-                        }
-                    }
-                    self.l1.insert(vpn, pfn, PageSize::Base4K);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
-    }
-
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.regular.flush();
         self.coalesced.flush();
         if let Some(fa) = self.fa.as_mut() {
             fa.flush();
         }
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.regular.geometry());
-        g.push(self.coalesced.geometry("L2 CoLT"));
+    fn geometries(&self) -> Vec<TlbGeometry> {
+        let mut g = vec![self.coalesced.geometry("L2 CoLT")];
         if let Some(fa) = self.fa.as_ref() {
             g.push(fa.geometry("CoLT FA"));
         }
@@ -266,8 +228,9 @@ impl TranslationScheme for ColtScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TranslationScheme;
     use hytlb_mem::Scenario;
-    use hytlb_types::Permissions;
+    use hytlb_types::{Permissions, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -278,59 +241,56 @@ mod tests {
         // VPNs 0..8 -> PFNs 4..12: contiguous but spanning two aligned
         // 8-frame clusters. CoLT coalesces the whole window; the cluster
         // TLB could not.
-        let mut m = AddressSpaceMap::new();
-        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(4), 8, Permissions::READ_WRITE);
-        let map = Arc::new(m);
-        let mut s = ColtScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut map = AddressSpaceMap::new();
+        map.map_range(VirtPageNum::new(0), PhysFrameNum::new(4), 8, Permissions::READ_WRITE);
+        let mut s = Mmu::colt(&map, LatencyModel::default());
         assert_eq!(s.access(va(VirtPageNum::new(0))).path, TranslationPath::Walk);
         for i in 1..8u64 {
             let r = s.access(va(VirtPageNum::new(i)));
             assert_eq!(r.path, TranslationPath::CoalescedHit, "page {i}");
             assert_eq!(r.pfn, Some(PhysFrameNum::new(4 + i)));
         }
-        assert_eq!(s.coalesced_fills(), 1);
+        assert_eq!(s.level.coalesced_fills(), 1);
     }
 
     #[test]
     fn runs_do_not_cross_window_boundaries() {
         // A 16-page chunk needs two CoLT entries (one per window).
-        let mut m = AddressSpaceMap::new();
-        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(100), 16, Permissions::READ_WRITE);
-        let map = Arc::new(m);
-        let mut s = ColtScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut map = AddressSpaceMap::new();
+        map.map_range(VirtPageNum::new(0), PhysFrameNum::new(100), 16, Permissions::READ_WRITE);
+        let mut s = Mmu::colt(&map, LatencyModel::default());
         s.access(va(VirtPageNum::new(0)));
         assert_eq!(s.access(va(VirtPageNum::new(7))).path, TranslationPath::CoalescedHit);
         // Page 8 is in the next window: walk, then coalesced.
         assert_eq!(s.access(va(VirtPageNum::new(8))).path, TranslationPath::Walk);
         assert_eq!(s.access(va(VirtPageNum::new(15))).path, TranslationPath::CoalescedHit);
-        assert_eq!(s.coalesced_fills(), 2);
+        assert_eq!(s.level.coalesced_fills(), 2);
     }
 
     #[test]
     fn discontiguous_pages_stay_regular() {
-        let mut m = AddressSpaceMap::new();
+        let mut map = AddressSpaceMap::new();
         for i in 0..8u64 {
-            m.map_range(
+            map.map_range(
                 VirtPageNum::new(i),
                 PhysFrameNum::new(100 + i * 10),
                 1,
                 Permissions::READ_WRITE,
             );
         }
-        let map = Arc::new(m);
-        let mut s = ColtScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut s = Mmu::colt(&map, LatencyModel::default());
         for i in 0..8u64 {
             s.access(va(VirtPageNum::new(i)));
         }
-        assert_eq!(s.coalesced_fills(), 0);
+        assert_eq!(s.level.coalesced_fills(), 0);
         assert_eq!(s.stats().coalesced_hits, 0);
     }
 
     #[test]
     fn translations_match_map_on_scenarios() {
         for scenario in [Scenario::LowContiguity, Scenario::MediumContiguity] {
-            let map = Arc::new(scenario.generate(2048, 5));
-            let mut s = ColtScheme::new(Arc::clone(&map), LatencyModel::default());
+            let map = scenario.generate(2048, 5);
+            let mut s = Mmu::colt(&map, LatencyModel::default());
             for _ in 0..2 {
                 for (vpn, pfn) in map.iter_pages() {
                     assert_eq!(s.access(va(vpn)).pfn, Some(pfn), "{scenario} at {vpn}");
@@ -343,29 +303,25 @@ mod tests {
     fn colt_fa_coalesces_runs_beyond_the_window() {
         // One 600-page run: CoLT-SA needs 75 window entries; CoLT-FA
         // covers everything with a single FA run after one walk.
-        let mut m = AddressSpaceMap::new();
-        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(1000), 600, Permissions::READ_WRITE);
-        let map = Arc::new(m);
-        let mut fa =
-            ColtScheme::with_fully_associative(Arc::clone(&map), LatencyModel::default(), 4);
+        let mut map = AddressSpaceMap::new();
+        map.map_range(VirtPageNum::new(0), PhysFrameNum::new(1000), 600, Permissions::READ_WRITE);
+        let mut fa = Mmu::colt_fa(&map, LatencyModel::default());
         assert_eq!(fa.access(va(VirtPageNum::new(0))).path, TranslationPath::Walk);
         // A page far outside the first window is an FA coalesced hit.
         let r = fa.access(va(VirtPageNum::new(500)));
         assert_eq!(r.path, TranslationPath::CoalescedHit);
         assert_eq!(r.pfn, Some(PhysFrameNum::new(1500)));
         // Plain CoLT-SA walks there instead.
-        let mut sa = ColtScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut sa = Mmu::colt(&map, LatencyModel::default());
         sa.access(va(VirtPageNum::new(0)));
         assert_eq!(sa.access(va(VirtPageNum::new(500))).path, TranslationPath::Walk);
     }
 
     #[test]
     fn colt_fa_keeps_short_runs_out_of_fa_slots() {
-        let mut m = AddressSpaceMap::new();
-        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(10), 4, Permissions::READ_WRITE);
-        let map = Arc::new(m);
-        let mut s =
-            ColtScheme::with_fully_associative(Arc::clone(&map), LatencyModel::default(), 4);
+        let mut map = AddressSpaceMap::new();
+        map.map_range(VirtPageNum::new(0), PhysFrameNum::new(10), 4, Permissions::READ_WRITE);
+        let mut s = Mmu::colt_fa(&map, LatencyModel::default());
         s.access(va(VirtPageNum::new(0)));
         // Short runs (< window) stay in the SA structures only; the FA
         // array is reserved for long runs, so it remains empty.
@@ -375,10 +331,9 @@ mod tests {
 
     #[test]
     fn colt_beats_baseline_on_low_contiguity() {
-        use crate::BaselineScheme;
-        let map = Arc::new(Scenario::LowContiguity.generate(4096, 6));
-        let mut colt = ColtScheme::new(Arc::clone(&map), LatencyModel::default());
-        let mut base = BaselineScheme::new(Arc::clone(&map), LatencyModel::default());
+        let map = Scenario::LowContiguity.generate(4096, 6);
+        let mut colt = Mmu::colt(&map, LatencyModel::default());
+        let mut base = Mmu::baseline(&map, LatencyModel::default());
         for _ in 0..2 {
             for (vpn, _) in map.iter_pages() {
                 colt.access(va(vpn));
@@ -393,15 +348,14 @@ mod tests {
         // Window with runs [0..6) and [6..8) (discontiguous between):
         // after caching the 6-run, walking page 6 must not evict it for
         // the 2-run.
-        let mut m = AddressSpaceMap::new();
-        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(100), 6, Permissions::READ_WRITE);
-        m.map_range(VirtPageNum::new(6), PhysFrameNum::new(500), 2, Permissions::READ_WRITE);
-        let map = Arc::new(m);
-        let mut s = ColtScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut map = AddressSpaceMap::new();
+        map.map_range(VirtPageNum::new(0), PhysFrameNum::new(100), 6, Permissions::READ_WRITE);
+        map.map_range(VirtPageNum::new(6), PhysFrameNum::new(500), 2, Permissions::READ_WRITE);
+        let mut s = Mmu::colt(&map, LatencyModel::default());
         s.access(va(VirtPageNum::new(0)));
         assert_eq!(s.access(va(VirtPageNum::new(6))).path, TranslationPath::Walk);
         // The 6-run survives; page 3 still coalesced-hits after L1 flush.
-        s.l1.flush();
+        s.cascade.l1_mut().flush();
         assert_eq!(s.access(va(VirtPageNum::new(3))).path, TranslationPath::CoalescedHit);
         // Page 6 went regular.
         assert_eq!(s.access(va(VirtPageNum::new(6))).path, TranslationPath::L2RegularHit);

@@ -12,13 +12,16 @@
 //! mapping is shattered into more small chunks than 32 entries can span
 //! (low/medium contiguity).
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
-use hytlb_pagetable::{PageTable, PageWalker};
-use hytlb_tlb::{L1Tlb, RangeEntry, RangeTlb};
-use hytlb_types::{Cycles, PageSize, VirtAddr};
-use std::sync::Arc;
+use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_tlb::{RangeEntry, RangeTlb, TlbGeometry};
+use hytlb_types::{PageSize, VirtPageNum};
+
+/// Entries of the fully-associative range TLB (Table 3).
+const RANGE_ENTRIES: usize = 32;
 
 /// Minimum chunk length (pages) the OS promotes to a range: only regions
 /// *beyond huge-page reach* (> 2 MB) become ranges — smaller contiguity is
@@ -30,51 +33,17 @@ use std::sync::Arc;
 /// eliminates misses.
 const MIN_RANGE_PAGES: u64 = hytlb_types::HUGE_PAGE_PAGES + 1;
 
-/// The RMM scheme.
+/// RMM's range TLB, probed after the shared 4 KB/2 MB L2, and the range
+/// table it refills from.
 #[derive(Debug)]
-pub struct RmmScheme {
-    l1: L1Tlb,
-    l2: SharedL2,
+pub struct RangeLevel {
     ranges: RangeTlb,
     table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
     /// The range table: the mapping's chunks long enough to become ranges.
     range_table: ChunkTable,
 }
 
-impl RmmScheme {
-    /// Builds the RMM MMU with the paper's 32-entry range TLB.
-    #[must_use]
-    pub fn new(map: Arc<AddressSpaceMap>, latency: LatencyModel) -> Self {
-        Self::with_range_entries(map, latency, 32)
-    }
-
-    /// Builds RMM with an explicit range-TLB capacity (for sensitivity
-    /// studies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range_entries` is zero.
-    #[must_use]
-    pub fn with_range_entries(
-        map: Arc<AddressSpaceMap>,
-        latency: LatencyModel,
-        range_entries: usize,
-    ) -> Self {
-        RmmScheme {
-            l1: L1Tlb::paper_default(),
-            l2: SharedL2::paper_default(),
-            ranges: RangeTlb::new(range_entries),
-            table: PageTable::from_map(&map, true),
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
-            range_table: ChunkTable::with_min_len(&map, MIN_RANGE_PAGES),
-        }
-    }
-
+impl RangeLevel {
     /// Live range-TLB entries.
     #[must_use]
     pub fn cached_ranges(&self) -> usize {
@@ -82,103 +51,87 @@ impl RmmScheme {
     }
 }
 
-impl TranslationScheme for RmmScheme {
-    fn name(&self) -> &str {
-        "RMM"
+impl Mmu<RangeLevel> {
+    /// The paper's `RMM`: the THP page table and L2 plus a 32-entry range
+    /// TLB.
+    #[must_use]
+    pub fn rmm(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
+        Mmu {
+            cascade: Cascade::new("RMM", SharedL2::paper_default(), latency),
+            level: RangeLevel {
+                ranges: RangeTlb::new(RANGE_ENTRIES),
+                table: PageTable::from_map(map, true),
+                range_table: ChunkTable::with_min_len(map, MIN_RANGE_PAGES),
+            },
+        }
+    }
+}
+
+impl CoalescedLevel for RangeLevel {
+    type Miss = ();
+
+    #[inline]
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        match self.ranges.lookup(vpn) {
+            Some(pfn) => {
+                Probe::Hit { pfn, size: PageSize::Base4K, path: TranslationPath::CoalescedHit }
+            }
+            None => Probe::Miss(()),
+        }
+    }
+
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
     #[inline]
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.l2.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.l2.lookup_2m(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.ranges.lookup(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let walk = self.walker.walk(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    match leaf.size {
-                        PageSize::Base4K => self.l2.insert_4k(vpn, pfn),
-                        PageSize::Huge2M => self.l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
-                        // audit:allow(panic): invariant — from_map never
-                        // builds 1 GB leaves for this scheme.
-                        PageSize::Giant1G => unreachable!("no 1GB leaves here"),
-                    }
-                    // Refill the range TLB from the range table: the chunk
-                    // containing this page, if large enough to be a range.
-                    if let Some(chunk) = self.range_table.chunk_containing(vpn) {
-                        self.ranges.insert(RangeEntry {
-                            start_vpn: chunk.vpn,
-                            start_pfn: chunk.pfn,
-                            len: chunk.len,
-                        });
-                    }
-                    self.l1.insert(vpn, pfn, leaf.size);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
-    }
-
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn fill(
+        &mut self,
+        l2: &mut SharedL2,
+        vpn: VirtPageNum,
+        leaf: LeafEntry,
+        _: Option<&[PageTableEntry]>,
+        (): (),
+    ) {
+        match leaf.size {
+            PageSize::Base4K => l2.insert_4k(vpn, leaf.pfn_for(vpn)),
+            PageSize::Huge2M => l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
+            // audit:allow(panic): invariant — from_map never builds 1 GB
+            // leaves.
+            PageSize::Giant1G => unreachable!("no 1GB leaves here"),
+        }
+        // Refill the range TLB from the range table: the chunk containing
+        // this page, if large enough to be a range.
+        if let Some(chunk) = self.range_table.chunk_containing(vpn) {
+            self.ranges.insert(RangeEntry {
+                start_vpn: chunk.vpn,
+                start_pfn: chunk.pfn,
+                len: chunk.len,
+            });
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
         self.ranges.flush();
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.l2.geometry());
-        g.push(self.ranges.geometry("Range TLB"));
-        g
+    fn geometries(&self) -> Vec<TlbGeometry> {
+        vec![self.ranges.geometry("Range TLB")]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TranslationScheme;
     use hytlb_mem::Scenario;
-    use hytlb_types::VirtPageNum;
+    use hytlb_types::{Cycles, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
     }
 
-    fn touch_all(s: &mut RmmScheme, map: &AddressSpaceMap, rounds: usize) {
+    fn touch_all(s: &mut Mmu<RangeLevel>, map: &AddressSpaceMap, rounds: usize) {
         for _ in 0..rounds {
             for (vpn, pfn) in map.iter_pages() {
                 assert_eq!(s.access(va(vpn)).pfn, Some(pfn), "at {vpn}");
@@ -188,19 +141,19 @@ mod tests {
 
     #[test]
     fn max_contiguity_nearly_eliminates_misses() {
-        let map = Arc::new(Scenario::MaxContiguity.generate(8192, 1));
-        let mut s = RmmScheme::new(Arc::clone(&map), LatencyModel::default());
+        let map = Scenario::MaxContiguity.generate(8192, 1);
+        let mut s = Mmu::rmm(&map, LatencyModel::default());
         touch_all(&mut s, &map, 2);
         let st = s.stats();
         // After the handful of cold walks, everything hits.
         assert!(st.walks <= 64, "walks = {}", st.walks);
-        assert!(s.cached_ranges() <= 4);
+        assert!(s.level.cached_ranges() <= 4);
     }
 
     #[test]
     fn low_contiguity_defeats_the_range_tlb() {
-        let map = Arc::new(Scenario::LowContiguity.generate(8192, 2));
-        let mut s = RmmScheme::new(Arc::clone(&map), LatencyModel::default());
+        let map = Scenario::LowContiguity.generate(8192, 2);
+        let mut s = Mmu::rmm(&map, LatencyModel::default());
         // Random access order (a golden-ratio stride walks all pages): with
         // ~1000 small chunks, 32 range entries cover almost nothing.
         let pages: Vec<_> = map.iter_pages().collect();
@@ -218,15 +171,14 @@ mod tests {
     fn range_hits_cost_eight_cycles() {
         // A large chunk deliberately misaligned for 2 MB pages, so the L2
         // can only cache 4 KB entries and the far page must hit the range.
-        let mut m = AddressSpaceMap::new();
-        m.map_range(
+        let mut map = AddressSpaceMap::new();
+        map.map_range(
             VirtPageNum::new(3),
             PhysFrameNum::new(1001),
             600,
             hytlb_types::Permissions::READ_WRITE,
         );
-        let map = Arc::new(m);
-        let mut s = RmmScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut s = Mmu::rmm(&map, LatencyModel::default());
         let first = map.chunks().next().unwrap().vpn;
         s.access(va(first));
         // A far page of the same chunk: L1 and L2 miss, range hit.
@@ -238,17 +190,16 @@ mod tests {
 
     #[test]
     fn singleton_chunks_do_not_enter_range_tlb() {
-        let mut m = AddressSpaceMap::new();
-        m.map_range(
+        let mut map = AddressSpaceMap::new();
+        map.map_range(
             VirtPageNum::new(0),
             PhysFrameNum::new(100),
             1,
             hytlb_types::Permissions::READ_WRITE,
         );
-        let map = Arc::new(m);
-        let mut s = RmmScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut s = Mmu::rmm(&map, LatencyModel::default());
         s.access(va(VirtPageNum::new(0)));
-        assert_eq!(s.cached_ranges(), 0);
+        assert_eq!(s.level.cached_ranges(), 0);
     }
 
     use hytlb_types::PhysFrameNum;
@@ -257,11 +208,11 @@ mod tests {
     fn flush_clears_ranges_too() {
         // Footprint large enough that chunks exceed the >2MB range
         // threshold.
-        let map = Arc::new(Scenario::MaxContiguity.generate(4096, 4));
-        let mut s = RmmScheme::new(Arc::clone(&map), LatencyModel::default());
+        let map = Scenario::MaxContiguity.generate(4096, 4);
+        let mut s = Mmu::rmm(&map, LatencyModel::default());
         touch_all(&mut s, &map, 1);
-        assert!(s.cached_ranges() > 0);
+        assert!(s.level.cached_ranges() > 0);
         s.flush();
-        assert_eq!(s.cached_ranges(), 0);
+        assert_eq!(s.level.cached_ranges(), 0);
     }
 }

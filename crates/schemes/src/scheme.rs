@@ -142,9 +142,10 @@ pub struct BatchFault {
 
 /// A complete address-translation scheme: L1 TLB + L2 structures + walker.
 ///
-/// Implementations own their TLB state and their view of the page table;
-/// the simulation engine drives them with raw virtual addresses. Schemes
-/// are `Send` so experiment matrices can run cells on worker threads.
+/// Implemented by every design's [`Mmu`](crate::Mmu) and by the
+/// simulator's scheme registry; the simulation engine drives them with raw
+/// virtual addresses. Schemes are `Send` so experiment matrices can run
+/// cells on worker threads.
 pub trait TranslationScheme: Send {
     /// Short scheme label as used in the paper's figures ("Base", "THP",
     /// "Cluster", "Cluster-2MB", "RMM", "Dynamic", "Static Ideal").
@@ -155,22 +156,15 @@ pub trait TranslationScheme: Send {
 
     /// Translates a batch of virtual addresses, stopping at the first
     /// unmapped one. Statistics accumulate exactly as if each address had
-    /// been passed to [`TranslationScheme::access`] in order. The default
-    /// body is compiled once per implementing type, so its per-access
-    /// `access` call is statically dispatched — the batch form exists so
-    /// the engine pays one dispatch per chunk, not per access. That
-    /// instance is compiled in the engine's crate, so implementations mark
-    /// `access` `#[inline]`: without it the call crosses crates through the
-    /// GOT, an indirect call per access.
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
-        for (index, &vaddr) in vaddrs.iter().enumerate() {
-            let result = self.access(vaddr);
-            if result.pfn.is_none() {
-                return Err(BatchFault { index, vaddr });
-            }
-        }
-        Ok(())
-    }
+    /// been passed to [`TranslationScheme::access`] in order. The batch
+    /// form exists so the engine pays one dispatch per chunk, not per
+    /// access: implementations run the whole chunk through one
+    /// monomorphized loop ([`Cascade::access_batch`](crate::Cascade::access_batch)).
+    ///
+    /// # Errors
+    ///
+    /// [`BatchFault`] naming the first address that did not translate.
+    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault>;
 
     /// Accumulated statistics.
     fn stats(&self) -> &SchemeStats;

@@ -13,7 +13,6 @@
 //!   bits) piles every anchor into the sets whose index bits are zero and is
 //!   provided only as an ablation.
 
-use crate::scheme::LatencyModel;
 use hytlb_tlb::SetAssocTlb;
 use hytlb_types::{PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
 
@@ -88,6 +87,9 @@ impl AnchorHit {
 pub struct SharedL2 {
     tlb: SetAssocTlb<Payload>,
     set_mask: u64,
+    /// A 2 MB entry was inserted since the last flush. Designs without
+    /// 2 MB pages never set it, so their 2 MB probe costs one branch.
+    holds_2m: bool,
 }
 
 impl SharedL2 {
@@ -99,7 +101,7 @@ impl SharedL2 {
     #[must_use]
     pub fn new(sets: usize, ways: usize) -> Self {
         let tlb = SetAssocTlb::new(sets, ways);
-        SharedL2 { set_mask: (sets - 1) as u64, tlb }
+        SharedL2 { set_mask: (sets - 1) as u64, tlb, holds_2m: false }
     }
 
     /// The paper's L2: 1024 entries, 8-way (128 sets).
@@ -161,7 +163,11 @@ impl SharedL2 {
 
     /// Looks up the 2 MB entry covering `vpn`, returning the frame for
     /// `vpn` itself.
+    #[inline]
     pub fn lookup_2m(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
+        if !self.holds_2m {
+            return None;
+        }
         let head = vpn.align_down(HUGE_PAGE_PAGES);
         let set = self.set_2m(head);
         self.tlb
@@ -177,6 +183,7 @@ impl SharedL2 {
     pub fn insert_2m(&mut self, head: VirtPageNum, head_pfn: PhysFrameNum) {
         debug_assert!(head.is_aligned(HUGE_PAGE_PAGES));
         debug_assert!(head_pfn.is_aligned(HUGE_PAGE_PAGES));
+        self.holds_2m = true;
         let set = self.set_2m(head);
         self.tlb.insert(
             set,
@@ -230,17 +237,7 @@ impl SharedL2 {
     /// changes, §3.3 "we will invalidate the entire TLB").
     pub fn flush(&mut self) {
         self.tlb.flush();
-    }
-
-    /// The latency a hit in this array costs under `model`, by entry kind:
-    /// regular entries 7 cycles, anchors 8 (extra comparator stage).
-    #[must_use]
-    pub fn hit_latency(model: &LatencyModel, is_anchor: bool) -> hytlb_types::Cycles {
-        if is_anchor {
-            model.coalesced_hit
-        } else {
-            model.l2_hit
-        }
+        self.holds_2m = false;
     }
 }
 

@@ -11,36 +11,40 @@
 //! argument: 16 giant entries cover 16 GB — but only in 1 GB-aligned,
 //! fully-contiguous units, which fragmented mappings never provide.
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{PageTable, PageWalker};
-use hytlb_tlb::{L1Tlb, SetAssocTlb};
-use hytlb_types::{
-    Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum, GIANT_PAGE_PAGES, HUGE_PAGE_PAGES,
-};
-use std::sync::Arc;
+use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_tlb::{SetAssocTlb, TlbGeometry};
+use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, GIANT_PAGE_PAGES, HUGE_PAGE_PAGES};
 
-/// THP extended with 1 GB pages and their separate small L2 TLB.
+/// The separate 1 GB-page L2 TLB (16 entries, 4-way, Skylake-class),
+/// probed after the shared L2, over a table with 1 GB leaves.
 #[derive(Debug)]
-pub struct Thp1GScheme {
-    l1: L1Tlb,
-    l2: SharedL2,
-    /// The separate 1 GB-page L2 TLB: 16 entries, 4-way (Skylake-class).
+pub struct GiantTlb {
     giant: SetAssocTlb<u64>,
     table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
-    _map: Arc<AddressSpaceMap>,
 }
 
-impl Thp1GScheme {
-    /// Builds the MMU: giant-page-shaped 1 GB regions become 1 GB leaves,
-    /// remaining huge-page-shaped regions become 2 MB leaves, the rest
-    /// 4 KB.
+impl GiantTlb {
+    /// Number of 1 GB leaves the OS installed.
     #[must_use]
-    pub fn new(map: Arc<AddressSpaceMap>, latency: LatencyModel) -> Self {
+    pub fn giant_leaves(&self) -> u64 {
+        self.table.mapped_giant_pages()
+    }
+
+    fn giant_set(&self, head: VirtPageNum) -> usize {
+        head.index_bits(18, (self.giant.sets() as u64) - 1)
+    }
+}
+
+impl Mmu<GiantTlb> {
+    /// THP extended with 1 GB pages and their separate small L2 TLB:
+    /// giant-page-shaped 1 GB regions become 1 GB leaves, remaining
+    /// huge-page-shaped regions become 2 MB leaves, the rest 4 KB.
+    #[must_use]
+    pub fn thp_1g(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
         let mut table = PageTable::new();
         for chunk in map.chunks() {
             let mut vpn = chunk.vpn;
@@ -72,124 +76,75 @@ impl Thp1GScheme {
                 }
             }
         }
-        Thp1GScheme {
-            l1: L1Tlb::paper_default(),
-            l2: SharedL2::paper_default(),
-            giant: SetAssocTlb::new(4, 4),
-            table,
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
-            _map: map,
+        Mmu {
+            cascade: Cascade::new("THP-1G", SharedL2::paper_default(), latency),
+            level: GiantTlb { giant: SetAssocTlb::new(4, 4), table },
         }
-    }
-
-    /// Number of 1 GB leaves the OS installed.
-    #[must_use]
-    pub fn giant_leaves(&self) -> u64 {
-        self.table.mapped_giant_pages()
-    }
-
-    fn giant_set(&self, head: VirtPageNum) -> usize {
-        head.index_bits(18, (self.giant.sets() as u64) - 1)
-    }
-
-    fn lookup_giant(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
-        let head = vpn.align_down(GIANT_PAGE_PAGES);
-        let set = self.giant_set(head);
-        self.giant.lookup(set, head.as_u64()).map(|&pfn| PhysFrameNum::new(pfn) + (vpn - head))
     }
 }
 
-impl TranslationScheme for Thp1GScheme {
-    fn name(&self) -> &str {
-        "THP-1G"
+impl CoalescedLevel for GiantTlb {
+    type Miss = ();
+
+    /// The separate 1 GB TLB is probed in parallel with the shared L2; a
+    /// hit costs the same 7 cycles as a regular L2 hit.
+    #[inline]
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        let head = vpn.align_down(GIANT_PAGE_PAGES);
+        let set = self.giant_set(head);
+        match self.giant.lookup(set, head.as_u64()) {
+            Some(&pfn) => Probe::Hit {
+                pfn: PhysFrameNum::new(pfn) + (vpn - head),
+                size: PageSize::Giant1G,
+                path: TranslationPath::L2RegularHit,
+            },
+            None => Probe::Miss(()),
+        }
+    }
+
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
     #[inline]
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.l2.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
+    fn fill(
+        &mut self,
+        l2: &mut SharedL2,
+        vpn: VirtPageNum,
+        leaf: LeafEntry,
+        _: Option<&[PageTableEntry]>,
+        (): (),
+    ) {
+        match leaf.size {
+            PageSize::Base4K => l2.insert_4k(vpn, leaf.pfn_for(vpn)),
+            PageSize::Huge2M => l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
+            PageSize::Giant1G => {
+                let set = self.giant_set(leaf.head_vpn);
+                self.giant.insert(set, leaf.head_vpn.as_u64(), leaf.head_pfn.as_u64());
             }
-        } else if let Some(pfn) = self.l2.lookup_2m(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.lookup_giant(vpn) {
-            // The separate 1 GB TLB is probed in parallel with the shared
-            // L2; a hit costs the same 7 cycles.
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let walk = self.walker.walk(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    match leaf.size {
-                        PageSize::Base4K => self.l2.insert_4k(vpn, pfn),
-                        PageSize::Huge2M => self.l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
-                        PageSize::Giant1G => {
-                            let set = self.giant_set(leaf.head_vpn);
-                            self.giant.insert(set, leaf.head_vpn.as_u64(), leaf.head_pfn.as_u64());
-                        }
-                    }
-                    self.l1.insert(vpn, pfn, leaf.size);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
-    }
-
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
         self.giant.flush();
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.l2.geometry());
-        g.push(self.giant.geometry("L2 1GB"));
-        g
+    fn geometries(&self) -> Vec<TlbGeometry> {
+        vec![self.giant.geometry("L2 1GB")]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hytlb_types::Permissions;
+    use crate::TranslationScheme;
+    use hytlb_types::{Permissions, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
     }
 
-    fn giant_map(giants: u64) -> Arc<AddressSpaceMap> {
+    fn giant_map(giants: u64) -> AddressSpaceMap {
         let mut m = AddressSpaceMap::new();
         // 1 GB-aligned VA and PA.
         m.map_range(
@@ -198,20 +153,20 @@ mod tests {
             GIANT_PAGE_PAGES * giants,
             Permissions::READ_WRITE,
         );
-        Arc::new(m)
+        m
     }
 
     #[test]
     fn giant_shaped_mapping_installs_giant_leaves() {
         let map = giant_map(2);
-        let s = Thp1GScheme::new(Arc::clone(&map), LatencyModel::default());
-        assert_eq!(s.giant_leaves(), 2);
+        let s = Mmu::thp_1g(&map, LatencyModel::default());
+        assert_eq!(s.level.giant_leaves(), 2);
     }
 
     #[test]
     fn one_walk_serves_a_whole_gigabyte() {
         let map = giant_map(1);
-        let mut s = Thp1GScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut s = Mmu::thp_1g(&map, LatencyModel::default());
         let head = map.chunks().next().unwrap().vpn;
         assert_eq!(s.access(va(head)).path, TranslationPath::Walk);
         // A page 900 MB away: giant-TLB hit (1 GB pages have no L1 array).
@@ -231,16 +186,15 @@ mod tests {
             GIANT_PAGE_PAGES,
             Permissions::READ_WRITE,
         );
-        let map = Arc::new(m);
-        let s = Thp1GScheme::new(Arc::clone(&map), LatencyModel::default());
-        assert_eq!(s.giant_leaves(), 0);
-        assert_eq!(s.table.mapped_huge_pages(), 512);
+        let s = Mmu::thp_1g(&m, LatencyModel::default());
+        assert_eq!(s.level.giant_leaves(), 0);
+        assert_eq!(s.level.table.mapped_huge_pages(), 512);
     }
 
     #[test]
     fn translations_match_map() {
         let map = giant_map(1);
-        let mut s = Thp1GScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut s = Mmu::thp_1g(&map, LatencyModel::default());
         for (vpn, pfn) in map.iter_pages().step_by(40_961) {
             assert_eq!(s.access(va(vpn)).pfn, Some(pfn), "at {vpn}");
         }
@@ -248,14 +202,14 @@ mod tests {
 
     #[test]
     fn giant_tlb_capacity_is_sixteen() {
-        let s = Thp1GScheme::new(giant_map(1), LatencyModel::default());
-        assert_eq!(s.giant.capacity(), 16);
+        let s = Mmu::thp_1g(&giant_map(1), LatencyModel::default());
+        assert_eq!(s.level.giant.capacity(), 16);
     }
 
     #[test]
     fn flush_clears_giant_tlb() {
         let map = giant_map(1);
-        let mut s = Thp1GScheme::new(Arc::clone(&map), LatencyModel::default());
+        let mut s = Mmu::thp_1g(&map, LatencyModel::default());
         let head = map.chunks().next().unwrap().vpn;
         s.access(va(head));
         s.flush();

@@ -1,178 +1,134 @@
-//! The scheme registry: enum dispatch over the concrete translation schemes.
+//! The scheme registry: one cascade over an enum of coalesced levels.
 //!
-//! [`SchemeDispatch`] holds one concrete scheme by value. The engine's
-//! batched inner loop matches *once per chunk*, and within the selected arm
-//! every `access` call is statically dispatched (and inlinable) through the
-//! scheme's monomorphized `access_batch` — there is no per-access vtable
-//! call. [`SchemeDispatch::build`] is the one place a [`SchemeKind`] turns
-//! into a scheme; callers that need a custom-config scheme (ablations) build
-//! it themselves and wrap it in its variant.
+//! [`SchemeDispatch`] holds the shared [`Cascade`] and one [`AnyLevel`] by
+//! value. The engine's batched inner loop matches on the level *once per
+//! chunk*, and within the selected arm the whole chunk runs through the
+//! cascade monomorphized for that level — there is no per-access vtable
+//! call or enum match. [`SchemeDispatch::build`] is the one place a
+//! [`SchemeKind`] turns into a scheme; callers that need a custom-config
+//! design (ablations) build its [`Mmu`] themselves and wrap it with
+//! [`SchemeDispatch::new`].
 
 use crate::config::{PaperConfig, SchemeKind};
-use hytlb_core::{AnchorConfig, AnchorScheme};
+use hytlb_core::{AnchorConfig, AnchorLevel, AnchorScheme};
 use hytlb_mem::AddressSpaceMap;
 use hytlb_schemes::{
-    AccessResult, BaselineScheme, BatchFault, ClusterScheme, ColtScheme, RmmScheme, SchemeStats,
-    Thp1GScheme, ThpScheme, TranslationScheme,
+    AccessResult, BatchFault, Cascade, ClusterTlb, CoalescedLevel, ColtTlb, GiantTlb, Mmu,
+    PagedLevel, RangeLevel, SchemeStats, TranslationScheme,
 };
 use hytlb_tlb::TlbGeometry;
 use hytlb_types::VirtAddr;
 use std::sync::Arc;
 
-/// A translation scheme held by value, dispatched with one `match` instead
-/// of a per-access vtable call. See the module docs.
+/// The coalesced level of a [`SchemeDispatch`]: one variant per level
+/// type.
 #[derive(Debug)]
-pub enum SchemeDispatch {
-    /// [`BaselineScheme`] (4 KB only).
-    Baseline(BaselineScheme),
-    /// [`ThpScheme`] (4 KB + 2 MB).
-    Thp(ThpScheme),
-    /// [`Thp1GScheme`] (4 KB + 2 MB + 1 GB).
-    Thp1G(Thp1GScheme),
-    /// [`ClusterScheme`], with or without 2 MB pages.
-    Cluster(ClusterScheme),
-    /// [`ColtScheme`].
-    Colt(ColtScheme),
-    /// [`RmmScheme`].
-    Rmm(RmmScheme),
-    /// [`AnchorScheme`] in any distance mode.
-    Anchor(AnchorScheme),
+pub enum AnyLevel {
+    /// No coalesced structure (Base, THP).
+    Paged(PagedLevel),
+    /// The separate 1 GB TLB (THP-1G).
+    Giant(GiantTlb),
+    /// The cluster TLB (Cluster, Cluster-2MB).
+    Cluster(ClusterTlb),
+    /// CoLT-SA, optionally with CoLT-FA.
+    Colt(ColtTlb),
+    /// RMM's range TLB.
+    Range(RangeLevel),
+    /// Anchor entries, in any distance mode.
+    Anchor(AnchorLevel),
+}
+
+/// Evaluates `$body` with `$l` bound to the level inside `$level`,
+/// whatever its variant.
+macro_rules! with_level {
+    ($level:expr, $l:ident => $body:expr) => {
+        match $level {
+            AnyLevel::Paged($l) => $body,
+            AnyLevel::Giant($l) => $body,
+            AnyLevel::Cluster($l) => $body,
+            AnyLevel::Colt($l) => $body,
+            AnyLevel::Range($l) => $body,
+            AnyLevel::Anchor($l) => $body,
+        }
+    };
+}
+
+/// A translation scheme held by value, dispatched with one `match` per
+/// batch instead of a per-access vtable call. See the module docs.
+#[derive(Debug)]
+pub struct SchemeDispatch {
+    cascade: Cascade,
+    level: AnyLevel,
 }
 
 impl SchemeDispatch {
+    /// Wraps a design's MMU, given the variant that holds its level.
+    pub fn new<L>(mmu: Mmu<L>, variant: fn(L) -> AnyLevel) -> Self {
+        SchemeDispatch { cascade: mmu.cascade, level: variant(mmu.level) }
+    }
+
     /// Builds the scheme for `kind` over a mapping. The map is shared by
     /// reference count, never copied.
     #[must_use]
     pub fn build(kind: SchemeKind, map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Self {
         let latency = config.latency;
+        let anchor = |cfg| Self::new(AnchorScheme::new(Arc::clone(map), cfg), AnyLevel::Anchor);
         match kind {
-            SchemeKind::Baseline => {
-                SchemeDispatch::Baseline(BaselineScheme::new(Arc::clone(map), latency))
-            }
-            SchemeKind::Thp => SchemeDispatch::Thp(ThpScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Thp1G => SchemeDispatch::Thp1G(Thp1GScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Cluster => {
-                SchemeDispatch::Cluster(ClusterScheme::new(Arc::clone(map), latency, false))
-            }
-            SchemeKind::Cluster2Mb => {
-                SchemeDispatch::Cluster(ClusterScheme::new(Arc::clone(map), latency, true))
-            }
-            SchemeKind::Colt => SchemeDispatch::Colt(ColtScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Rmm => SchemeDispatch::Rmm(RmmScheme::new(Arc::clone(map), latency)),
+            SchemeKind::Baseline => Self::new(Mmu::baseline(map, latency), AnyLevel::Paged),
+            SchemeKind::Thp => Self::new(Mmu::thp(map, latency), AnyLevel::Paged),
+            SchemeKind::Thp1G => Self::new(Mmu::thp_1g(map, latency), AnyLevel::Giant),
+            SchemeKind::Cluster => Self::new(Mmu::cluster(map, latency), AnyLevel::Cluster),
+            SchemeKind::Cluster2Mb => Self::new(Mmu::cluster_2mb(map, latency), AnyLevel::Cluster),
+            SchemeKind::Colt => Self::new(Mmu::colt(map, latency), AnyLevel::Colt),
+            SchemeKind::Rmm => Self::new(Mmu::rmm(map, latency), AnyLevel::Range),
             SchemeKind::AnchorDynamic => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::dynamic() };
-                SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(map), cfg))
+                anchor(AnchorConfig { latency, ..AnchorConfig::dynamic() })
             }
             SchemeKind::AnchorStatic(d) => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::static_distance(d) };
-                SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(map), cfg))
+                anchor(AnchorConfig { latency, ..AnchorConfig::static_distance(d) })
             }
             SchemeKind::AnchorMultiRegion(n) => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::multi_region(n) };
-                SchemeDispatch::Anchor(AnchorScheme::new(Arc::clone(map), cfg))
+                anchor(AnchorConfig { latency, ..AnchorConfig::multi_region(n) })
             }
         }
     }
 }
 
-/// Forwards every trait method to the concrete scheme. `access_batch` is the
-/// hot one: a single `match` selects the arm, then the whole chunk runs
-/// through the scheme's own monomorphized batch loop.
+/// `stats` and `name` belong to the cascade; the other methods pass the
+/// level the cascade runs through. `access_batch` is the hot one: a single
+/// `match` selects the level, then the whole chunk runs through the
+/// cascade's loop monomorphized for it.
 impl TranslationScheme for SchemeDispatch {
     fn name(&self) -> &str {
-        match self {
-            SchemeDispatch::Baseline(s) => s.name(),
-            SchemeDispatch::Thp(s) => s.name(),
-            SchemeDispatch::Thp1G(s) => s.name(),
-            SchemeDispatch::Cluster(s) => s.name(),
-            SchemeDispatch::Colt(s) => s.name(),
-            SchemeDispatch::Rmm(s) => s.name(),
-            SchemeDispatch::Anchor(s) => s.name(),
-        }
+        self.cascade.name()
     }
 
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        match self {
-            SchemeDispatch::Baseline(s) => s.access(vaddr),
-            SchemeDispatch::Thp(s) => s.access(vaddr),
-            SchemeDispatch::Thp1G(s) => s.access(vaddr),
-            SchemeDispatch::Cluster(s) => s.access(vaddr),
-            SchemeDispatch::Colt(s) => s.access(vaddr),
-            SchemeDispatch::Rmm(s) => s.access(vaddr),
-            SchemeDispatch::Anchor(s) => s.access(vaddr),
-        }
+        with_level!(&mut self.level, l => self.cascade.access(l, vaddr))
     }
 
     fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
-        match self {
-            SchemeDispatch::Baseline(s) => s.access_batch(vaddrs),
-            SchemeDispatch::Thp(s) => s.access_batch(vaddrs),
-            SchemeDispatch::Thp1G(s) => s.access_batch(vaddrs),
-            SchemeDispatch::Cluster(s) => s.access_batch(vaddrs),
-            SchemeDispatch::Colt(s) => s.access_batch(vaddrs),
-            SchemeDispatch::Rmm(s) => s.access_batch(vaddrs),
-            SchemeDispatch::Anchor(s) => s.access_batch(vaddrs),
-        }
+        with_level!(&mut self.level, l => self.cascade.access_batch(l, vaddrs))
     }
 
     fn stats(&self) -> &SchemeStats {
-        match self {
-            SchemeDispatch::Baseline(s) => s.stats(),
-            SchemeDispatch::Thp(s) => s.stats(),
-            SchemeDispatch::Thp1G(s) => s.stats(),
-            SchemeDispatch::Cluster(s) => s.stats(),
-            SchemeDispatch::Colt(s) => s.stats(),
-            SchemeDispatch::Rmm(s) => s.stats(),
-            SchemeDispatch::Anchor(s) => s.stats(),
-        }
+        self.cascade.stats()
     }
 
     fn on_epoch(&mut self) {
-        match self {
-            SchemeDispatch::Baseline(s) => s.on_epoch(),
-            SchemeDispatch::Thp(s) => s.on_epoch(),
-            SchemeDispatch::Thp1G(s) => s.on_epoch(),
-            SchemeDispatch::Cluster(s) => s.on_epoch(),
-            SchemeDispatch::Colt(s) => s.on_epoch(),
-            SchemeDispatch::Rmm(s) => s.on_epoch(),
-            SchemeDispatch::Anchor(s) => s.on_epoch(),
-        }
+        with_level!(&mut self.level, l => self.cascade.on_epoch(l));
     }
 
     fn flush(&mut self) {
-        match self {
-            SchemeDispatch::Baseline(s) => s.flush(),
-            SchemeDispatch::Thp(s) => s.flush(),
-            SchemeDispatch::Thp1G(s) => s.flush(),
-            SchemeDispatch::Cluster(s) => s.flush(),
-            SchemeDispatch::Colt(s) => s.flush(),
-            SchemeDispatch::Rmm(s) => s.flush(),
-            SchemeDispatch::Anchor(s) => s.flush(),
-        }
+        with_level!(&mut self.level, l => self.cascade.flush(l));
     }
 
     fn anchor_distance(&self) -> Option<u64> {
-        match self {
-            SchemeDispatch::Baseline(s) => s.anchor_distance(),
-            SchemeDispatch::Thp(s) => s.anchor_distance(),
-            SchemeDispatch::Thp1G(s) => s.anchor_distance(),
-            SchemeDispatch::Cluster(s) => s.anchor_distance(),
-            SchemeDispatch::Colt(s) => s.anchor_distance(),
-            SchemeDispatch::Rmm(s) => s.anchor_distance(),
-            SchemeDispatch::Anchor(s) => s.anchor_distance(),
-        }
+        with_level!(&self.level, l => l.anchor_distance())
     }
 
     fn geometries(&self) -> Vec<TlbGeometry> {
-        match self {
-            SchemeDispatch::Baseline(s) => s.geometries(),
-            SchemeDispatch::Thp(s) => s.geometries(),
-            SchemeDispatch::Thp1G(s) => s.geometries(),
-            SchemeDispatch::Cluster(s) => s.geometries(),
-            SchemeDispatch::Colt(s) => s.geometries(),
-            SchemeDispatch::Rmm(s) => s.geometries(),
-            SchemeDispatch::Anchor(s) => s.geometries(),
-        }
+        with_level!(&self.level, l => self.cascade.geometries(l))
     }
 }
 

@@ -50,7 +50,7 @@ pub mod matrix;
 pub mod report;
 
 pub use config::{PaperConfig, SchemeKind};
-pub use dispatch::SchemeDispatch;
+pub use dispatch::{AnyLevel, SchemeDispatch};
 pub use engine::{CpiBreakdown, Machine, RunStats};
 pub use error::SimError;
 pub use matrix::{try_run_matrix_with, MatrixCache};

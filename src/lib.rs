@@ -14,10 +14,12 @@
 //! * [`pagetable`] — x86-64 4-level page table with anchor PTEs and a page
 //!   walker.
 //! * [`tlb`] — set-associative and fully-associative TLB hardware models.
-//! * [`core`] — the paper's contribution: the anchor TLB scheme and the
+//! * [`core`] — the paper's contribution: the anchor TLB level and the
 //!   dynamic anchor-distance selection algorithm.
-//! * [`schemes`] — the competing schemes (baseline, THP, cluster,
-//!   cluster-2MB, RMM) behind one [`schemes::TranslationScheme`] trait.
+//! * [`schemes`] — the one translation cascade every design runs
+//!   ([`schemes::Mmu`], implementing [`schemes::TranslationScheme`]) and
+//!   the competing designs (baseline, THP, cluster, cluster-2MB, CoLT,
+//!   RMM) as its coalesced levels.
 //! * [`trace`] — synthetic workload trace generators for the 14 benchmarks.
 //! * [`tracefile`] — the compressed, seekable `HYTLBTR2` trace-file format,
 //!   the on-disk trace corpus ([`tracefile::TraceStore`]) and the

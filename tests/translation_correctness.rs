@@ -2,17 +2,39 @@
 //! translate exactly like the OS's authoritative mapping — the end-to-end
 //! contract of the whole stack (mem → pagetable → tlb → schemes → sim).
 
+use hytlb::core::FillPolicy;
 use hytlb::prelude::*;
+use hytlb::schemes::{AnchorIndexing, Mmu};
 use hytlb::sim::experiment::{mapping_for, run_cell};
-use hytlb::sim::SchemeDispatch;
+use hytlb::sim::{AnyLevel, SchemeDispatch};
 use hytlb::trace::WorkloadKind;
+use std::sync::Arc;
 
 fn all_kinds() -> Vec<SchemeKind> {
     let mut kinds = SchemeKind::paper_set().to_vec();
+    kinds.push(SchemeKind::Thp1G);
+    kinds.push(SchemeKind::Colt);
     kinds.push(SchemeKind::AnchorStatic(16));
     kinds.push(SchemeKind::AnchorStatic(4096));
     kinds.push(SchemeKind::AnchorMultiRegion(4));
     kinds
+}
+
+/// Every registry scheme plus the custom configurations the regenerators
+/// build: CoLT-FA(32), and the anchor fill-policy and indexing ablations.
+fn all_schemes(map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Vec<SchemeDispatch> {
+    let anchor =
+        |cfg| SchemeDispatch::new(AnchorScheme::new(Arc::clone(map), cfg), AnyLevel::Anchor);
+    let mut schemes: Vec<_> =
+        all_kinds().into_iter().map(|kind| SchemeDispatch::build(kind, map, config)).collect();
+    schemes.push(SchemeDispatch::new(Mmu::colt_fa(map, config.latency), AnyLevel::Colt));
+    schemes
+        .push(anchor(AnchorConfig { fill: FillPolicy::AlwaysRegular, ..AnchorConfig::dynamic() }));
+    schemes.push(anchor(AnchorConfig {
+        indexing: AnchorIndexing::NaiveLowBits,
+        ..AnchorConfig::static_distance(32)
+    }));
+    schemes
 }
 
 fn tiny_config() -> PaperConfig {
@@ -24,8 +46,8 @@ fn every_scheme_translates_correctly_on_every_scenario() {
     let config = tiny_config();
     for scenario in Scenario::all() {
         let map = mapping_for(WorkloadKind::Canneal, scenario, &config);
-        for kind in all_kinds() {
-            let mut scheme = SchemeDispatch::build(kind, &map, &config);
+        for (i, mut scheme) in all_schemes(&map, &config).into_iter().enumerate() {
+            let kind = format!("scheme #{i} ({})", scheme.name());
             for (vpn, pfn) in map.iter_pages().step_by(7) {
                 let got = scheme.access(vpn.base_addr()).pfn;
                 assert_eq!(got, Some(pfn), "{kind} mistranslated {vpn} under {scenario}");
