@@ -20,10 +20,10 @@
 use crate::distance::{CostModel, DistanceSelector};
 use crate::os::OsKernel;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
-use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_schemes::{
-    AnchorIndexing, BuildMmu, Cascade, CoalescedLevel, LatencyModel, Mmu, Probe, SharedL2,
-    TranslationPath,
+    AnchorIndexing, BuildMmu, Cascade, CoalescedLevel, LatencyModel, Mmu, Probe, PteBlock,
+    SharedL2, TranslationPath,
 };
 use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
 use std::sync::Arc;
@@ -229,7 +229,7 @@ impl CoalescedLevel for AnchorLevel {
         l2: &mut SharedL2,
         vpn: VirtPageNum,
         leaf: LeafEntry,
-        _: Option<&[PageTableEntry]>,
+        _: Option<PteBlock>,
         miss: AnchorMiss,
     ) {
         // Row 3 (`tag_hit`): the anchor was present but did not cover the

@@ -12,11 +12,11 @@
 //! `cactusADM` the cluster entries are underutilised while the regular
 //! array thrashes, and misses *increase* versus baseline (Figure 8).
 
-use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_tlb::{SetAssocTlb, TlbGeometry};
 use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum};
 
@@ -69,7 +69,7 @@ impl ClusterTlb {
     /// Builds a cluster entry from the PTE cache block the walk fetched,
     /// anchored on the walked page's own frame. Returns the entry if at
     /// least two pages coalesce.
-    fn coalesce_block(block: &[PageTableEntry], pfn: PhysFrameNum) -> Option<ClusterEntry> {
+    fn coalesce_block(block: &PteBlock, pfn: PhysFrameNum) -> Option<ClusterEntry> {
         let pcn = pfn.as_u64() / CLUSTER_SPAN;
         let mut entry = ClusterEntry { pcn, valid: 0, offsets: [0; CLUSTER_SPAN as usize] };
         for (i, pte) in block.iter().enumerate() {
@@ -137,7 +137,7 @@ impl CoalescedLevel for ClusterTlb {
         regular: &mut SharedL2,
         vpn: VirtPageNum,
         leaf: LeafEntry,
-        block: Option<&[PageTableEntry]>,
+        block: Option<PteBlock>,
         (): (),
     ) {
         match leaf.size {
@@ -154,7 +154,7 @@ impl CoalescedLevel for ClusterTlb {
                 // array (one tag). Keep whichever entry covers more pages;
                 // the unclusterable side is stored as regular 4 KB entries
                 // instead of thrashing the group's entry back and forth.
-                let candidate = block.and_then(|block| Self::coalesce_block(block, pfn));
+                let candidate = block.and_then(|block| Self::coalesce_block(&block, pfn));
                 let existing_cov = self.cluster.peek(set, vcn).map_or(0, ClusterEntry::coverage);
                 match candidate {
                     Some(entry) if entry.coverage() > existing_cov => {

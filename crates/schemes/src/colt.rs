@@ -12,11 +12,11 @@
 //! evaluates the newer cluster TLB), but it is the natural ablation
 //! partner for it: contiguity-based vs clustering-based HW coalescing.
 
-use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
-use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_tlb::{RangeEntry, RangeTlb, SetAssocTlb, TlbGeometry};
 use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum};
 
@@ -90,11 +90,7 @@ impl ColtTlb {
     /// Scans the PTE cache block the walk fetched for the maximal
     /// contiguous run containing `vpn` (this is CoLT's free post-walk scan
     /// of the arriving line).
-    fn coalesce_run(
-        block: &[PageTableEntry],
-        vpn: VirtPageNum,
-        pfn: PhysFrameNum,
-    ) -> Option<ColtEntry> {
+    fn coalesce_run(block: &PteBlock, vpn: VirtPageNum, pfn: PhysFrameNum) -> Option<ColtEntry> {
         let off = hytlb_types::usize_from(vpn.offset_within(WINDOW));
         // Expand left.
         let mut first = off;
@@ -180,13 +176,13 @@ impl CoalescedLevel for ColtTlb {
         regular: &mut SharedL2,
         vpn: VirtPageNum,
         leaf: LeafEntry,
-        block: Option<&[PageTableEntry]>,
+        block: Option<PteBlock>,
         (): (),
     ) {
         let pfn = leaf.pfn_for(vpn);
         let wdw = vpn.as_u64() / WINDOW;
         let set = self.window_set(wdw);
-        let candidate = block.and_then(|block| Self::coalesce_run(block, vpn, pfn));
+        let candidate = block.and_then(|block| Self::coalesce_run(&block, vpn, pfn));
         let existing_len = self.coalesced.peek(set, wdw).map_or(0, |e| e.len);
         match candidate {
             Some(entry) if entry.len > existing_len => {

@@ -44,7 +44,7 @@ mod thp1g;
 
 pub use cluster::{ClusterTlb, CLUSTER_SPAN};
 pub use colt::{ColtTlb, COLT_FA_ENTRIES};
-pub use mmu::{BuildMmu, Cascade, CoalescedLevel, Mmu, Probe};
+pub use mmu::{BuildMmu, Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 pub use paged::PagedLevel;
 pub use rmm::RangeLevel;
 pub use scheme::{

@@ -17,6 +17,9 @@ use hytlb_tlb::{L1Tlb, TlbGeometry};
 use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
 use std::sync::Arc;
 
+/// The 64-byte cache block of 8 PTEs a walk fetches last.
+pub type PteBlock = [PageTableEntry; 8];
+
 /// What a [`CoalescedLevel::probe`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe<M> {
@@ -61,7 +64,7 @@ pub trait CoalescedLevel: Send {
         l2: &mut SharedL2,
         vpn: VirtPageNum,
         leaf: LeafEntry,
-        block: Option<&[PageTableEntry]>,
+        block: Option<PteBlock>,
         miss: Self::Miss,
     );
 
@@ -160,16 +163,9 @@ impl Cascade {
                         // The block borrows the level's table, which the
                         // fill may not hold while it mutates the level:
                         // copy the 64 bytes.
-                        let block: Option<[PageTableEntry; 8]> =
-                            block.and_then(|b| b.try_into().ok());
+                        let block = block.and_then(|b| b.try_into().ok());
                         let found = walk.leaf.map(|leaf| {
-                            level.fill(
-                                &mut self.l2,
-                                vpn,
-                                leaf,
-                                block.as_ref().map(|b| &b[..]),
-                                miss,
-                            );
+                            level.fill(&mut self.l2, vpn, leaf, block, miss);
                             (leaf.pfn_for(vpn), leaf.size)
                         });
                         let path = if found.is_some() {

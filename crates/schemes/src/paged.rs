@@ -1,11 +1,11 @@
 //! Paged-only translation: the baseline (4 KB pages) and THP (4 KB + 2 MB
 //! entries sharing the L2 array).
 
-use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::scheme::LatencyModel;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_types::{PageSize, VirtPageNum};
 
 /// The level of the designs without a coalesced structure: every walk
@@ -80,7 +80,7 @@ impl CoalescedLevel for PagedLevel {
         l2: &mut SharedL2,
         vpn: VirtPageNum,
         leaf: LeafEntry,
-        _: Option<&[PageTableEntry]>,
+        _: Option<PteBlock>,
         (): (),
     ) {
         match leaf.size {

@@ -12,11 +12,11 @@
 //! mapping is shattered into more small chunks than 32 entries can span
 //! (low/medium contiguity).
 
-use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
-use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_tlb::{RangeEntry, RangeTlb, TlbGeometry};
 use hytlb_types::{PageSize, VirtPageNum};
 
@@ -90,7 +90,7 @@ impl CoalescedLevel for RangeLevel {
         l2: &mut SharedL2,
         vpn: VirtPageNum,
         leaf: LeafEntry,
-        _: Option<&[PageTableEntry]>,
+        _: Option<PteBlock>,
         (): (),
     ) {
         match leaf.size {

@@ -171,25 +171,21 @@ pub trait TranslationScheme: Send {
 
     /// Notifies the scheme that an epoch boundary passed (the paper checks
     /// memory mappings every billion instructions). Only the dynamic anchor
-    /// scheme reacts; the default is a no-op.
-    fn on_epoch(&mut self) {}
+    /// scheme reacts.
+    fn on_epoch(&mut self);
 
     /// Flushes all TLB state (context switch / shootdown).
     fn flush(&mut self);
 
     /// The anchor distance currently in effect, for schemes that have one
     /// (Table 6 reports it). Non-anchor schemes return `None`.
-    fn anchor_distance(&self) -> Option<u64> {
-        None
-    }
+    fn anchor_distance(&self) -> Option<u64>;
 
     /// Geometries of every TLB structure this scheme instantiates, so
     /// `hytlb-audit -- invariants` can verify the architectural constraints
     /// (power-of-two set counts, index masks covering the index bits)
-    /// without reaching into scheme internals. Default: no structures.
-    fn geometries(&self) -> Vec<TlbGeometry> {
-        Vec::new()
-    }
+    /// without reaching into scheme internals.
+    fn geometries(&self) -> Vec<TlbGeometry>;
 }
 
 #[cfg(test)]

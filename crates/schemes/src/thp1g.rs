@@ -11,11 +11,11 @@
 //! argument: 16 giant entries cover 16 GB — but only in 1 GB-aligned,
 //! fully-contiguous units, which fragmented mappings never provide.
 
-use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe};
+use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
+use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_tlb::{SetAssocTlb, TlbGeometry};
 use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, GIANT_PAGE_PAGES, HUGE_PAGE_PAGES};
 
@@ -112,7 +112,7 @@ impl CoalescedLevel for GiantTlb {
         l2: &mut SharedL2,
         vpn: VirtPageNum,
         leaf: LeafEntry,
-        _: Option<&[PageTableEntry]>,
+        _: Option<PteBlock>,
         (): (),
     ) {
         match leaf.size {
