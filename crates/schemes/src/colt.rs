@@ -21,7 +21,7 @@ use hytlb_tlb::{RangeEntry, RangeTlb, SetAssocTlb, TlbGeometry};
 use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum};
 
 /// Entries of the CoLT-FA side structure.
-pub const COLT_FA_ENTRIES: usize = 32;
+const COLT_FA_ENTRIES: usize = 32;
 
 /// Pages per coalescing window.
 const WINDOW: u64 = 8;
@@ -127,27 +127,29 @@ impl Mmu<ColtTlb> {
     /// The CoLT-SA MMU (4 KB pages only, like the original proposal).
     #[must_use]
     pub fn colt(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::build_colt(map, latency, None)
+        Self::build_colt(map, latency, false)
     }
 
-    /// CoLT-SA plus a CoLT-FA side structure of [`COLT_FA_ENTRIES`]
-    /// unbounded-length coalesced runs.
+    /// CoLT-SA plus a CoLT-FA side structure of 32 unbounded-length
+    /// coalesced runs.
     #[must_use]
     pub fn colt_fa(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::build_colt(map, latency, Some(COLT_FA_ENTRIES))
+        Self::build_colt(map, latency, true)
     }
 
-    fn build_colt(map: &AddressSpaceMap, latency: LatencyModel, fa: Option<usize>) -> Self {
+    fn build_colt(map: &AddressSpaceMap, latency: LatencyModel, fa: bool) -> Self {
         Mmu {
             cascade: Cascade::new("CoLT", SharedL2::new(128, 6), latency),
             level: ColtTlb {
                 coalesced: SetAssocTlb::new(64, 5),
-                fa: fa.map(RangeTlb::new),
+                fa: fa.then(|| RangeTlb::new(COLT_FA_ENTRIES)),
                 table: PageTable::from_map(map, false),
                 coalesced_fills: 0,
-                fa_runs: fa.map_or_else(ChunkTable::default, |_| {
+                fa_runs: if fa {
                     ChunkTable::with_min_len(map, WINDOW + 1)
-                }),
+                } else {
+                    ChunkTable::default()
+                },
             },
         }
     }

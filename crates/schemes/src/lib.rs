@@ -43,7 +43,7 @@ mod shared_l2;
 mod thp1g;
 
 pub use cluster::{ClusterTlb, CLUSTER_SPAN};
-pub use colt::{ColtTlb, COLT_FA_ENTRIES};
+pub use colt::ColtTlb;
 pub use mmu::{BuildMmu, Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 pub use paged::PagedLevel;
 pub use rmm::RangeLevel;
