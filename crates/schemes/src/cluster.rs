@@ -13,6 +13,7 @@
 //! array thrashes, and misses *increase* versus baseline (Figure 8).
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
+use crate::paged::fill_paged;
 use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
@@ -141,10 +142,7 @@ impl CoalescedLevel for ClusterTlb {
         (): (),
     ) {
         match leaf.size {
-            PageSize::Huge2M => regular.insert_2m(leaf.head_vpn, leaf.head_pfn),
-            // audit:allow(panic): invariant — from_map never builds 1 GB
-            // leaves.
-            PageSize::Giant1G => unreachable!("no 1GB leaves here"),
+            PageSize::Huge2M | PageSize::Giant1G => fill_paged(regular, vpn, leaf),
             PageSize::Base4K => {
                 let pfn = leaf.pfn_for(vpn);
                 let vcn = vpn.as_u64() / CLUSTER_SPAN;

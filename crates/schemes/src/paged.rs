@@ -83,13 +83,20 @@ impl CoalescedLevel for PagedLevel {
         _: Option<PteBlock>,
         (): (),
     ) {
-        match leaf.size {
-            PageSize::Base4K => l2.insert_4k(vpn, leaf.pfn_for(vpn)),
-            PageSize::Huge2M => l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
-            // audit:allow(panic): invariant — from_map never builds 1 GB
-            // leaves.
-            PageSize::Giant1G => unreachable!("no 1GB leaves here"),
-        }
+        fill_paged(l2, vpn, leaf);
+    }
+}
+
+/// Fills the shared L2 with the 4 KB or 2 MB leaf a walk found — the
+/// regular fill every level without its own entry for the leaf uses.
+#[inline]
+pub(crate) fn fill_paged(l2: &mut SharedL2, vpn: VirtPageNum, leaf: LeafEntry) {
+    match leaf.size {
+        PageSize::Base4K => l2.insert_4k(vpn, leaf.pfn_for(vpn)),
+        PageSize::Huge2M => l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
+        // audit:allow(panic): invariant — only `Mmu::thp_1g` builds 1 GB
+        // leaves, and its level fills them into its own TLB.
+        PageSize::Giant1G => unreachable!("no 1GB leaves here"),
     }
 }
 

@@ -13,6 +13,7 @@
 //! (low/medium contiguity).
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
+use crate::paged::fill_paged;
 use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
@@ -93,13 +94,7 @@ impl CoalescedLevel for RangeLevel {
         _: Option<PteBlock>,
         (): (),
     ) {
-        match leaf.size {
-            PageSize::Base4K => l2.insert_4k(vpn, leaf.pfn_for(vpn)),
-            PageSize::Huge2M => l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
-            // audit:allow(panic): invariant — from_map never builds 1 GB
-            // leaves.
-            PageSize::Giant1G => unreachable!("no 1GB leaves here"),
-        }
+        fill_paged(l2, vpn, leaf);
         // Refill the range TLB from the range table: the chunk containing
         // this page, if large enough to be a range.
         if let Some(chunk) = self.range_table.chunk_containing(vpn) {

@@ -87,9 +87,6 @@ impl AnchorHit {
 pub struct SharedL2 {
     tlb: SetAssocTlb<Payload>,
     set_mask: u64,
-    /// A 2 MB entry was inserted since the last flush. Designs without
-    /// 2 MB pages never set it, so their 2 MB probe costs one branch.
-    holds_2m: bool,
 }
 
 impl SharedL2 {
@@ -101,7 +98,7 @@ impl SharedL2 {
     #[must_use]
     pub fn new(sets: usize, ways: usize) -> Self {
         let tlb = SetAssocTlb::new(sets, ways);
-        SharedL2 { set_mask: (sets - 1) as u64, tlb, holds_2m: false }
+        SharedL2 { set_mask: (sets - 1) as u64, tlb }
     }
 
     /// The paper's L2: 1024 entries, 8-way (128 sets).
@@ -165,9 +162,6 @@ impl SharedL2 {
     /// `vpn` itself.
     #[inline]
     pub fn lookup_2m(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
-        if !self.holds_2m {
-            return None;
-        }
         let head = vpn.align_down(HUGE_PAGE_PAGES);
         let set = self.set_2m(head);
         self.tlb
@@ -183,7 +177,6 @@ impl SharedL2 {
     pub fn insert_2m(&mut self, head: VirtPageNum, head_pfn: PhysFrameNum) {
         debug_assert!(head.is_aligned(HUGE_PAGE_PAGES));
         debug_assert!(head_pfn.is_aligned(HUGE_PAGE_PAGES));
-        self.holds_2m = true;
         let set = self.set_2m(head);
         self.tlb.insert(
             set,
@@ -237,7 +230,6 @@ impl SharedL2 {
     /// changes, §3.3 "we will invalidate the entire TLB").
     pub fn flush(&mut self) {
         self.tlb.flush();
-        self.holds_2m = false;
     }
 }
 

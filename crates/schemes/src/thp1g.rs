@@ -12,6 +12,7 @@
 //! fully-contiguous units, which fragmented mappings never provide.
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
+use crate::paged::fill_paged;
 use crate::scheme::{LatencyModel, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
@@ -116,8 +117,7 @@ impl CoalescedLevel for GiantTlb {
         (): (),
     ) {
         match leaf.size {
-            PageSize::Base4K => l2.insert_4k(vpn, leaf.pfn_for(vpn)),
-            PageSize::Huge2M => l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
+            PageSize::Base4K | PageSize::Huge2M => fill_paged(l2, vpn, leaf),
             PageSize::Giant1G => {
                 let set = self.giant_set(leaf.head_vpn);
                 self.giant.insert(set, leaf.head_vpn.as_u64(), leaf.head_pfn.as_u64());
