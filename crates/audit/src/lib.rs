@@ -7,9 +7,10 @@
 //! * [`lexer`] — a minimal hand-rolled Rust tokenizer (comments kept,
 //!   lines tracked) in the spirit of the vendored crates: zero external
 //!   dependencies.
-//! * [`rules`] — the five repo-specific lint rules R1–R5 (address-domain
+//! * [`rules`] — the six repo-specific lint rules R1–R6 (address-domain
 //!   casts, hot-path panics, crate attributes, determinism, wildcard
-//!   match arms) plus the `// audit:allow(rule)` suppression syntax.
+//!   match arms, cross-crate inlining of the per-access path) plus the
+//!   `// audit:allow(rule)` suppression syntax.
 //! * [`invariants`] — checks that link against the live simulator types
 //!   and verify architectural constants (PTE field disjointness, anchor
 //!   distance powers of two, TLB geometry well-formedness).

@@ -1,4 +1,4 @@
-//! The repo-specific lint rules (R1–R5) and the allowlist machinery.
+//! The repo-specific lint rules (R1–R6) and the allowlist machinery.
 //!
 //! Every rule works on the token stream of one file plus the file's
 //! workspace-relative path, which decides which rules apply:
@@ -22,6 +22,12 @@
 //!   (`crates/sim/src/dispatch.rs`): adding a scheme, level or page size
 //!   must be a compile error at every dispatch site, not a silent
 //!   fall-through.
+//! * **`inline` (R6)** — the per-access methods of `L1Tlb` and `SharedL2`
+//!   listed in [`INLINE_REQUIRED`] carry `#[inline]`. `Cascade` is generic,
+//!   so its access loop is compiled in the calling crate; without LTO a
+//!   non-generic callee in another crate is a real call unless it is
+//!   `#[inline]`. Without these attributes perfbench's `tlb-hot` runs
+//!   about 1.16× slower (DESIGN.md §7, "Cross-crate inlining").
 //!
 //! A finding is suppressed by `// audit:allow(<rule>): <why>` on the same
 //! line, or on its own comment line (possibly the first of several
@@ -31,7 +37,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 use std::collections::HashSet;
 use std::fmt;
 
-/// The five audit rules.
+/// The six audit rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// R1: raw integer `as` cast on an address-domain value.
@@ -44,6 +50,9 @@ pub enum Rule {
     Determinism,
     /// R5: `_` wildcard match arm in the translation cascade.
     WildcardMatch,
+    /// R6: a per-access method the cascade calls across crates lacks
+    /// `#[inline]`.
+    Inline,
 }
 
 impl Rule {
@@ -56,6 +65,7 @@ impl Rule {
             Rule::CrateAttrs => "crate-attrs",
             Rule::Determinism => "determinism",
             Rule::WildcardMatch => "wildcard-match",
+            Rule::Inline => "inline",
         }
     }
 }
@@ -92,6 +102,25 @@ const ADDRESS_FRAGMENTS: [&str; 14] = [
 const INT_TYPES: [&str; 12] =
     ["u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize"];
 
+/// R6's table: per file, the methods `Cascade::access` reaches on every
+/// access, which must carry `#[inline]`.
+pub const INLINE_REQUIRED: [(&str, &[&str]); 2] = [
+    ("crates/tlb/src/l1.rs", &["lookup", "probe", "insert", "base_set", "huge_set"]),
+    (
+        "crates/schemes/src/shared_l2.rs",
+        &[
+            "lookup_4k",
+            "insert_4k",
+            "lookup_2m",
+            "insert_2m",
+            "lookup_anchor",
+            "set_4k",
+            "set_2m",
+            "set_anchor",
+        ],
+    ),
+];
+
 /// Runs every path-applicable rule on one file and returns the surviving
 /// findings (allowlist already applied). `rel_path` must use `/`
 /// separators and be relative to the workspace root.
@@ -112,6 +141,9 @@ pub fn check_file(rel_path: &str, source: &str) -> Vec<Finding> {
     rule_determinism(rel_path, &tokens, scope.allow_instant, &mut findings);
     if scope.check_wildcards {
         rule_wildcard(rel_path, &tokens, &in_test, &mut findings);
+    }
+    if let Some(required) = scope.inline_required {
+        rule_inline(rel_path, &tokens, required, &in_test, &mut findings);
     }
 
     let allows = allowed_lines(&tokens);
@@ -145,6 +177,7 @@ struct Scope {
     check_panics: bool,
     check_wildcards: bool,
     allow_instant: bool,
+    inline_required: Option<&'static [&'static str]>,
 }
 
 impl Scope {
@@ -168,6 +201,10 @@ impl Scope {
             check_wildcards: !is_test_file && (cascade || in_src("schemes")),
             allow_instant: rel_path.starts_with("crates/bench/")
                 || rel_path.starts_with("perfbench/"),
+            inline_required: INLINE_REQUIRED
+                .iter()
+                .find(|&&(path, _)| path == rel_path)
+                .map(|&(_, names)| names),
         }
     }
 }
@@ -250,9 +287,16 @@ fn parse_allow(comment: &str) -> Option<Rule> {
     let body = comment.trim_start_matches('/').trim_start();
     let rest = body.strip_prefix("audit:allow(")?;
     let name = rest.split(')').next()?;
-    [Rule::Cast, Rule::Panic, Rule::CrateAttrs, Rule::Determinism, Rule::WildcardMatch]
-        .into_iter()
-        .find(|r| r.name() == name)
+    [
+        Rule::Cast,
+        Rule::Panic,
+        Rule::CrateAttrs,
+        Rule::Determinism,
+        Rule::WildcardMatch,
+        Rule::Inline,
+    ]
+    .into_iter()
+    .find(|r| r.name() == name)
 }
 
 /// Inner attribute bodies (`forbid(unsafe_code)`, …) at the top of a
@@ -507,4 +551,60 @@ fn rule_wildcard(
             });
         }
     }
+}
+
+/// R6: every non-test definition of a function named in `required`
+/// carries `#[inline]` (or `#[inline(always)]`).
+fn rule_inline(
+    rel_path: &str,
+    tokens: &[Token<'_>],
+    required: &[&str],
+    in_test: &dyn Fn(usize) -> bool,
+    findings: &mut Vec<Finding>,
+) {
+    let open_of = matching_opens(tokens);
+    for i in 1..tokens.len() {
+        let name = tokens[i].text;
+        if !tokens[i - 1].is_ident("fn") || !required.contains(&name) || in_test(i) {
+            continue;
+        }
+        if !has_inline_attr(tokens, i - 1, &open_of) {
+            findings.push(Finding {
+                rule: Rule::Inline,
+                file: rel_path.to_owned(),
+                line: tokens[i].line,
+                message: format!(
+                    "`{name}` is on the per-access path across a crate boundary; \
+                     mark it `#[inline]`"
+                ),
+            });
+        }
+    }
+}
+
+/// True when the item whose `fn` keyword is at `fn_idx` carries an
+/// `#[inline…]` outer attribute. Walks left over qualifiers (`pub`,
+/// `pub(crate)`, `const`, …), comments and the item's other attributes.
+fn has_inline_attr(tokens: &[Token<'_>], fn_idx: usize, open_of: &[Option<usize>]) -> bool {
+    let mut i = fn_idx;
+    while i > 0 {
+        i -= 1;
+        let t = &tokens[i];
+        match t.kind {
+            TokenKind::Comment => {}
+            TokenKind::Ident
+                if matches!(t.text, "pub" | "const" | "unsafe" | "async" | "extern") => {}
+            TokenKind::Punct if t.is_punct(']') || t.is_punct(')') => {
+                let Some(open) = open_of[i] else { return false };
+                let is_attr = t.is_punct(']') && open > 0 && tokens[open - 1].is_punct('#');
+                if is_attr && tokens.get(open + 1).is_some_and(|a| a.is_ident("inline")) {
+                    return true;
+                }
+                // Step over the attribute's `#`, or a `pub(…)` group.
+                i = if is_attr { open - 1 } else { open };
+            }
+            _ => return false,
+        }
+    }
+    false
 }

@@ -3,7 +3,7 @@
 //! suppresses it. These are the tripwires the acceptance criteria ask
 //! for — a rule that silently stops firing fails here, not in review.
 
-use hytlb_audit::rules::{check_crate_root, check_file, Finding, Rule};
+use hytlb_audit::rules::{check_crate_root, check_file, Finding, Rule, INLINE_REQUIRED};
 
 /// A path inside the scheme crate: in scope for R1, R2, and R5.
 const SCHEME_PATH: &str = "crates/schemes/src/fixture.rs";
@@ -201,6 +201,59 @@ fn wildcard_rule_honors_allow_comment() {
                }\n\
                }\n";
     assert!(check_file(SCHEME_PATH, src).is_empty());
+}
+
+// --------------------------------------------------------------- R6 inline
+
+const L1_PATH: &str = "crates/tlb/src/l1.rs";
+const L1_SOURCE: &str = include_str!("../../tlb/src/l1.rs");
+const L2_SOURCE: &str = include_str!("../../schemes/src/shared_l2.rs");
+
+#[test]
+fn inline_rule_trips_when_one_attribute_is_dropped() {
+    for (path, source) in [(L1_PATH, L1_SOURCE), ("crates/schemes/src/shared_l2.rs", L2_SOURCE)] {
+        let (_, required) = INLINE_REQUIRED.iter().find(|&&(p, _)| p == path).unwrap();
+        // Every listed function is still defined here: a rename must update
+        // the list, not silently retire the guard.
+        for name in *required {
+            let def = format!("fn {name}(");
+            assert_eq!(source.matches(&def).count(), 1, "{path}: {def}");
+            let at = source.find(&def).unwrap();
+            let attr = source[..at].rfind("#[inline]").unwrap();
+            let dropped = format!("{}{}", &source[..attr], &source[attr + "#[inline]".len()..]);
+            let findings = check_file(path, &dropped);
+            assert_eq!(rules_hit(&findings), vec![Rule::Inline], "{path}: {name}");
+            assert!(findings[0].message.contains(name), "{}", findings[0].message);
+        }
+    }
+}
+
+#[test]
+fn inline_rule_looks_past_docs_qualifiers_and_other_attributes() {
+    let src = "/// Docs.\n#[inline(always)]\npub(crate) fn probe() {}\n\
+               #[must_use]\n/// Docs.\n#[inline]\nconst fn base_set() {}\n\
+               #[inline]\n#[must_use]\npub fn huge_set() {}\n\
+               #[inline] fn lookup() {} #[inline] fn insert() {}\n";
+    assert_eq!(check_file(L1_PATH, src), Vec::new());
+    let missing = "#[must_use]\n/// Docs.\npub fn probe() {}\n";
+    let findings = check_file(L1_PATH, missing);
+    assert_eq!(rules_hit(&findings), vec![Rule::Inline], "{findings:?}");
+    assert_eq!(findings[0].line, 3);
+}
+
+#[test]
+fn inline_rule_is_scoped_to_the_listed_files_and_skips_tests() {
+    let src = "pub fn lookup() {}\n";
+    assert!(check_file("crates/tlb/src/set_assoc.rs", src).is_empty());
+    let tested = format!("{L1_SOURCE}\n#[cfg(test)]\nmod more {{\n    fn lookup() {{}}\n}}\n");
+    assert!(check_file(L1_PATH, &tested).is_empty());
+}
+
+#[test]
+fn inline_rule_honors_allow_comment() {
+    let needle = "#[inline]\n    pub fn insert(";
+    let src = L1_SOURCE.replace(needle, "// audit:allow(inline): fixture.\n    pub fn insert(");
+    assert!(check_file(L1_PATH, &src).is_empty());
 }
 
 // ------------------------------------------------------------ allowlist

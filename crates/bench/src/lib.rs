@@ -5,7 +5,8 @@
 //! * `--quick`   — tiny footprints and traces (seconds; shapes still hold)
 //! * `--paper`   — full scale (the default is a middle ground)
 //! * `--seed N`  — override the master seed
-//! * `--accesses N` — override the trace length
+//! * `--accesses N` — override the trace length (at most
+//!   [`MAX_ACCESSES`])
 //!
 //! Output goes to stdout and, as both text and JSON, into `results/`.
 //!
@@ -16,13 +17,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hytlb_sim::PaperConfig;
+use hytlb_sim::{PaperConfig, MAX_ACCESSES};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// The flags every regenerator accepts.
-pub const USAGE: &str = "flags: --quick --paper --seed N --accesses N";
+pub const USAGE: &str = "flags: --quick --paper --seed N --accesses N (N <= 134217728)";
 
 /// Parses the common CLI flags into a [`PaperConfig`]. A malformed or
 /// unknown flag is an `Err` naming it; see [`exit_usage`].
@@ -52,7 +53,8 @@ fn parse_config(args: impl IntoIterator<Item = String>) -> Result<PaperConfig, S
                 config.accesses = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--accesses needs an integer")?;
+                    .filter(|&n| n <= MAX_ACCESSES)
+                    .ok_or_else(|| format!("--accesses needs an integer <= {MAX_ACCESSES}"))?;
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -232,6 +234,17 @@ mod tests {
         assert!(args(&["--seed", "x"]).unwrap_err().contains("--seed"));
         assert!(args(&["--accesses"]).unwrap_err().contains("--accesses"));
         assert!(args(&["--frobnicate"]).unwrap_err().contains("--frobnicate"));
+    }
+
+    #[test]
+    fn accesses_are_capped_at_the_shared_ceiling() {
+        assert_eq!(
+            args(&["--accesses", &MAX_ACCESSES.to_string()]).unwrap().accesses,
+            MAX_ACCESSES
+        );
+        let over = (MAX_ACCESSES + 1).to_string();
+        assert!(args(&["--accesses", &over]).unwrap_err().contains(&MAX_ACCESSES.to_string()));
+        assert!(USAGE.contains(&MAX_ACCESSES.to_string()));
     }
 
     #[test]

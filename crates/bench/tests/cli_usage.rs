@@ -21,4 +21,6 @@ fn malformed_flags_are_usage_errors() {
     assert_usage_error(&["--seed"]);
     assert_usage_error(&["--accesses", "-5"]);
     assert_usage_error(&["--quick", "--frobnicate"]);
+    assert_usage_error(&["--accesses", &(hytlb_sim::MAX_ACCESSES + 1).to_string()]);
+    assert_usage_error(&["--accesses", "100000000000"]);
 }

@@ -131,14 +131,17 @@ impl SharedL2 {
         self.tlb.geometry("L2 shared")
     }
 
+    #[inline]
     fn set_4k(&self, vpn: VirtPageNum) -> usize {
         vpn.index_bits(0, self.set_mask)
     }
 
+    #[inline]
     fn set_2m(&self, head: VirtPageNum) -> usize {
         head.index_bits(9, self.set_mask)
     }
 
+    #[inline]
     fn set_anchor(&self, avpn: VirtPageNum, distance_log2: u32, indexing: AnchorIndexing) -> usize {
         match indexing {
             AnchorIndexing::Fig6 => avpn.index_bits(distance_log2, self.set_mask),
@@ -147,12 +150,14 @@ impl SharedL2 {
     }
 
     /// Looks up a 4 KB entry.
+    #[inline]
     pub fn lookup_4k(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
         let set = self.set_4k(vpn);
         self.tlb.lookup(set, KIND_4K | vpn.as_u64()).map(|p| PhysFrameNum::new(p.pfn))
     }
 
     /// Inserts a 4 KB entry.
+    #[inline]
     pub fn insert_4k(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum) {
         let set = self.set_4k(vpn);
         self.tlb.insert(set, KIND_4K | vpn.as_u64(), Payload { pfn: pfn.as_u64(), contiguity: 0 });
@@ -174,6 +179,7 @@ impl SharedL2 {
     /// # Panics
     ///
     /// Panics (debug) if `head`/`head_pfn` are not 2 MB-aligned.
+    #[inline]
     pub fn insert_2m(&mut self, head: VirtPageNum, head_pfn: PhysFrameNum) {
         debug_assert!(head.is_aligned(HUGE_PAGE_PAGES));
         debug_assert!(head_pfn.is_aligned(HUGE_PAGE_PAGES));
@@ -189,6 +195,7 @@ impl SharedL2 {
     /// `1 << distance_log2`. A hit returns the anchor's data whether or not
     /// the contiguity covers `vpn` — the caller implements the Table 2
     /// decision (a hit with a failed contiguity match still walks).
+    #[inline]
     pub fn lookup_anchor(
         &mut self,
         vpn: VirtPageNum,

@@ -2,6 +2,12 @@
 
 use hytlb_schemes::LatencyModel;
 
+/// The largest `accesses` the command-line parsers accept: 2^27 accesses,
+/// whose `u64` trace alone takes 1 GiB. Above `--paper`'s 2 M with room to
+/// spare, and small enough that a typo fails as a usage error instead of
+/// an aborted multi-GiB allocation.
+pub const MAX_ACCESSES: u64 = 1 << 27;
+
 /// The paper's evaluation configuration (Table 3 plus trace parameters).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PaperConfig {

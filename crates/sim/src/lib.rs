@@ -49,7 +49,7 @@ pub mod experiment;
 pub mod matrix;
 pub mod report;
 
-pub use config::{PaperConfig, SchemeKind};
+pub use config::{PaperConfig, SchemeKind, MAX_ACCESSES};
 pub use dispatch::{AnyLevel, SchemeDispatch};
 pub use engine::{CpiBreakdown, Machine, RunStats};
 pub use error::SimError;

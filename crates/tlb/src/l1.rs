@@ -68,10 +68,12 @@ impl L1Tlb {
         L1Tlb::new(16, 4, 8, 4)
     }
 
+    #[inline]
     fn base_set(&self, vpn: VirtPageNum) -> usize {
         vpn.index_bits(0, (self.base.sets() as u64) - 1)
     }
 
+    #[inline]
     fn huge_set(&self, head: VirtPageNum) -> usize {
         head.index_bits(9, (self.huge.sets() as u64) - 1)
     }
@@ -83,6 +85,7 @@ impl L1Tlb {
     }
 
     /// Looks up `vpn` in both size classes, returning its backing frame.
+    #[inline]
     pub fn lookup(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
         if let Some((last_vpn, pfn)) = self.last {
             if last_vpn == vpn {
@@ -96,6 +99,7 @@ impl L1Tlb {
 
     /// The array probe behind [`L1Tlb::lookup`]: 4 KB array first, then the
     /// 2 MB array under the huge page's head.
+    #[inline]
     fn probe(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
         let set = self.base_set(vpn);
         if let Some(e) = self.base.lookup(set, vpn.as_u64()) {
@@ -122,6 +126,7 @@ impl L1Tlb {
     /// 1 GB pages have no array in this L1 (real parts keep a tiny separate
     /// structure); their translations simply are not cached here, so giant-
     /// mapped accesses always probe the L2.
+    #[inline]
     pub fn insert(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum, size: PageSize) {
         match size {
             PageSize::Base4K => {

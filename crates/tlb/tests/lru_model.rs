@@ -57,7 +57,7 @@ proptest! {
     fn set_assoc_matches_reference_lru(
         ops in proptest::collection::vec(arb_op(), 1..300),
         sets_log in 0u32..3,
-        ways in 1usize..5,
+        ways in 1usize..=8,
     ) {
         let sets = 1usize << sets_log;
         let mut dut: SetAssocTlb<u32> = SetAssocTlb::new(sets, ways);

@@ -8,7 +8,7 @@
 use hytlb::pagetable::is_valid_anchor_distance;
 use hytlb::prelude::*;
 use hytlb::sim::experiment::{mapping_for, trace_for};
-use hytlb::sim::SimError;
+use hytlb::sim::{SimError, MAX_ACCESSES};
 use hytlb::trace::WorkloadKind;
 use std::sync::Arc;
 
@@ -16,7 +16,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: hytlb [--list] [--workload NAME] [--scenario NAME] [--scheme NAME]\n\
          \x20             [--accesses N] [--seed N] [--shift N] [--json]\n\
-         defaults: --workload canneal --scenario medium --scheme dynamic"
+         defaults: --workload canneal --scenario medium --scheme dynamic\n\
+         --accesses is at most {MAX_ACCESSES}"
     );
     std::process::exit(2)
 }
@@ -74,7 +75,13 @@ fn main() -> Result<(), SimError> {
                 let v = value(&mut args);
                 scheme = parse_scheme(&v).unwrap_or_else(|| usage());
             }
-            "--accesses" => config.accesses = value(&mut args).parse().unwrap_or_else(|_| usage()),
+            "--accesses" => {
+                config.accesses = value(&mut args)
+                    .parse()
+                    .ok()
+                    .filter(|&n| n <= MAX_ACCESSES)
+                    .unwrap_or_else(|| usage())
+            }
             "--seed" => config.seed = value(&mut args).parse().unwrap_or_else(|_| usage()),
             "--shift" => {
                 // Footprints are u64 page counts: a shift of 64 or more

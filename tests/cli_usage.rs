@@ -3,13 +3,15 @@
 
 use std::process::Command;
 
-/// Runs `hytlb` with `args` and asserts a clean usage-error exit.
-fn assert_usage_error(args: &[&str]) {
+/// Runs `hytlb` with `args`, asserts a clean usage-error exit and returns
+/// its stderr.
+fn assert_usage_error(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_hytlb")).args(args).output().expect("spawn hytlb");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     assert!(stderr.contains("usage:"), "{args:?} printed no usage: {stderr}");
+    stderr.into_owned()
 }
 
 #[test]
@@ -32,4 +34,13 @@ fn malformed_flags_are_usage_errors() {
     assert_usage_error(&["--accesses"]);
     assert_usage_error(&["--workload", "nope"]);
     assert_usage_error(&["--frobnicate"]);
+}
+
+#[test]
+fn accesses_above_the_ceiling_are_usage_errors() {
+    let over = (hytlb::sim::MAX_ACCESSES + 1).to_string();
+    for n in [over.as_str(), "100000000000"] {
+        let stderr = assert_usage_error(&["--accesses", n]);
+        assert!(stderr.contains(&hytlb::sim::MAX_ACCESSES.to_string()), "{stderr}");
+    }
 }
