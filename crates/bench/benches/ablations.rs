@@ -1,5 +1,5 @@
 //! Ablation microbenchmarks (DESIGN.md §4) — the performance side of the
-//! miss-count ablations in `--bin ablations`: wall-clock of a full run per
+//! miss-count ablations in `regenerate ablations`: wall-clock of a full run per
 //! variant (miss differences are reported by the binary).
 
 use hytlb_bench::Bench;

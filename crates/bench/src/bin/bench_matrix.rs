@@ -32,7 +32,7 @@ use hytlb_trace::WorkloadKind;
 const ROUNDS: usize = 3;
 
 fn main() -> Result<(), SimError> {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
+    let (config, _) = config_from_args(&[]).unwrap_or_else(|e| exit_usage(&e));
     banner("BENCH: parallel matrix driver vs serial reference", &config);
 
     let scenarios = Scenario::all();

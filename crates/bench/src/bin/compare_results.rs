@@ -1,6 +1,8 @@
-//! Compares two archived suite-result JSON files (as written by the
-//! figure binaries into `results/`), printing per-cell TLB-miss deltas —
-//! the regression-checking tool for simulator changes.
+//! Compares two archived suite-result JSON files (as written by
+//! `regenerate` into `results/`), printing per-cell TLB-miss deltas — the
+//! regression-checking tool for simulator changes. It exits 1 if the files
+//! differ in scenarios, schemes or workload rows, or if any cell's walks
+//! rise by more than 5% (any rise from zero counts).
 //!
 //! ```sh
 //! cargo run --release -p hytlb-bench --bin compare_results -- \
@@ -38,9 +40,13 @@ fn main() {
         eprintln!("suite counts differ: {} vs {}", new.len(), old.len());
         exit(1);
     }
+    // Cells are compared only between suites of one shape: scenario,
+    // columns, and workload rows with their run counts.
+    let rows =
+        |s: &SuiteResult| s.rows.iter().map(|r| (r.workload, r.runs.len())).collect::<Vec<_>>();
     let mut regressions = 0u32;
     for (n, o) in new.iter().zip(&old) {
-        if n.scenario != o.scenario || n.schemes != o.schemes {
+        if n.scenario != o.scenario || n.schemes != o.schemes || rows(n) != rows(o) {
             eprintln!("suite shapes differ for {}", n.scenario);
             exit(1);
         }
@@ -52,7 +58,7 @@ fn main() {
                 .zip(&or.runs)
                 .map(|(a, b)| {
                     let delta = a.tlb_misses() as i64 - b.tlb_misses() as i64;
-                    if b.tlb_misses() > 0 && delta as f64 > 0.05 * b.tlb_misses() as f64 {
+                    if delta as f64 > 0.05 * b.tlb_misses() as f64 {
                         regressions += 1;
                     }
                     format!("{delta:+}")

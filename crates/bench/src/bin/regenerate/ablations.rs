@@ -6,7 +6,7 @@
 //! 4. Multi-region anchors (§4.2) vs. a single process-wide distance, on a
 //!    deliberately bimodal mapping.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_core::{AnchorConfig, AnchorScheme, CostModel, DistanceMode, FillPolicy};
 use hytlb_mem::{AddressSpaceMap, ContiguityHistogram, Scenario};
 use hytlb_schemes::AnchorIndexing;
@@ -27,9 +27,8 @@ fn run_anchor(
     Machine::new(scheme, config).try_run_resolved(&map.page_index().resolve(trace))
 }
 
-fn main() -> Result<(), SimError> {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Ablations: indexing / fill policy / cost model / regions", &config);
+pub(crate) const BANNER: &str = "Ablations: indexing / fill policy / cost model / regions";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     let mut text = String::new();
     let mut json = Vec::new();
 
@@ -38,15 +37,15 @@ fn main() -> Result<(), SimError> {
     // spreads over all 128 sets while naive low-bit indexing crams into
     // the sets whose low index bits are zero.
     {
-        let map = mapping_for(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-        let trace = trace_for(WorkloadKind::Canneal, &config);
+        let map = mapping_for(WorkloadKind::Canneal, Scenario::MediumContiguity, config);
+        let trace = trace_for(WorkloadKind::Canneal, config);
         let mut rows = Vec::new();
         for (label, indexing) in [
             ("Fig6 [d, d+N)", AnchorIndexing::Fig6),
             ("naive low bits", AnchorIndexing::NaiveLowBits),
         ] {
             let cfg = AnchorConfig { indexing, ..AnchorConfig::static_distance(32) };
-            let run = run_anchor(&map, cfg, &trace, &config)?;
+            let run = run_anchor(&map, cfg, &trace, config)?;
             json.push(serde_json::json!({"ablation": "indexing", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -63,15 +62,15 @@ fn main() -> Result<(), SimError> {
 
     // 2. Fill policy, on medium contiguity.
     {
-        let map = mapping_for(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-        let trace = trace_for(WorkloadKind::Canneal, &config);
+        let map = mapping_for(WorkloadKind::Canneal, Scenario::MediumContiguity, config);
+        let trace = trace_for(WorkloadKind::Canneal, config);
         let mut rows = Vec::new();
         for (label, fill) in [
             ("prefer anchor (paper)", FillPolicy::PreferAnchor),
             ("always regular", FillPolicy::AlwaysRegular),
         ] {
             let cfg = AnchorConfig { fill, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config)?;
+            let run = run_anchor(&map, cfg, &trace, config)?;
             json.push(serde_json::json!({"ablation": "fill", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -90,8 +89,8 @@ fn main() -> Result<(), SimError> {
     // canneal's demand mapping is the discriminating case — bimodal, with
     // 80% of memory in huge chunks but thousands of tiny chunks.
     {
-        let map = mapping_for(WorkloadKind::Canneal, Scenario::DemandPaging, &config);
-        let trace = trace_for(WorkloadKind::Canneal, &config);
+        let map = mapping_for(WorkloadKind::Canneal, Scenario::DemandPaging, config);
+        let trace = trace_for(WorkloadKind::Canneal, config);
         let hist = ContiguityHistogram::from_map(&map);
         let mut rows = Vec::new();
         for (label, cost_model) in [
@@ -106,7 +105,7 @@ fn main() -> Result<(), SimError> {
             );
             let d = selector.select(&hist);
             let cfg = AnchorConfig { cost_model, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config)?;
+            let run = run_anchor(&map, cfg, &trace, config)?;
             json.push(serde_json::json!({"ablation": "cost_model", "variant": label, "distance": d, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -161,7 +160,7 @@ fn main() -> Result<(), SimError> {
             ("regions (<=8)", DistanceMode::MultiRegion(8)),
         ] {
             let cfg = AnchorConfig { mode, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config)?;
+            let run = run_anchor(&map, cfg, &trace, config)?;
             json.push(serde_json::json!({"ablation": "regions", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -176,6 +175,5 @@ fn main() -> Result<(), SimError> {
         text.push_str("Per-region distances serve both the fine-grained arena and the huge\nheap; a single compromise distance wastes one of them (paper §4.2).\n");
     }
 
-    emit("ablations", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
-    Ok(())
+    Ok((text, serde_json::to_string_pretty(&json).expect("serializable")))
 }

@@ -8,19 +8,19 @@
 //! (16 entries cover the footprint); a single 2 MB notch of fragmentation
 //! (high contiguity) already locks them out, while anchors keep scaling.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
 use hytlb_sim::report::render_table;
-use hytlb_sim::{try_run_matrix_with, MatrixCache, SchemeKind, SimError};
+use hytlb_sim::{try_run_matrix_with, MatrixCache, PaperConfig, SchemeKind};
 use hytlb_trace::WorkloadKind;
 
-fn main() -> Result<(), SimError> {
-    let mut config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
+pub(crate) const BANNER: &str = "Extension: 1 GB pages and the limits of fixed sizes (§2.1)";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
+    let mut config = *config;
     // Fixed-size coverage limits only bind beyond the L2's 2 MB reach
     // (1024 entries x 2 MB = 2 GB), so this experiment runs gups at its
     // full 8 GB footprint by default; --quick still shrinks it.
     config.footprint_shift = config.footprint_shift.saturating_sub(2);
-    banner("Extension: 1 GB pages and the limits of fixed sizes (§2.1)", &config);
 
     let workload = WorkloadKind::Gups; // the giant-footprint stress case
                                        // Column 0 (Base) is the reference the others are reported against.
@@ -61,6 +61,5 @@ fn main() -> Result<(), SimError> {
          eventually limited\".\n",
         render_table("scenario", &cols, &rows)
     );
-    emit("ext_1gb_pages", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
-    Ok(())
+    Ok((text, serde_json::to_string_pretty(&json).expect("serializable")))
 }

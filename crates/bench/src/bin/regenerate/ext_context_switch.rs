@@ -8,23 +8,21 @@
 //! entries re-cover their working set in far fewer walks, so coalescing's
 //! advantage *grows* as switches become more frequent.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind, SimError};
+use hytlb_sim::{Machine, PaperConfig, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 use std::sync::Arc;
 
-fn main() -> Result<(), SimError> {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Extension: context-switch flush sensitivity", &config);
-
+pub(crate) const BANNER: &str = "Extension: context-switch flush sensitivity";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     let workload = WorkloadKind::Canneal;
     let scenario = Scenario::MediumContiguity;
-    let map = mapping_for(workload, scenario, &config);
+    let map = mapping_for(workload, scenario, config);
     let index = Arc::new(map.page_index());
-    let resolved = index.resolve(&trace_for(workload, &config));
+    let resolved = index.resolve(&trace_for(workload, config));
     let periods = [u64::MAX, 1_000_000, 100_000, 10_000];
     let kinds = [SchemeKind::Baseline, SchemeKind::Cluster2Mb, SchemeKind::AnchorDynamic];
 
@@ -37,7 +35,7 @@ fn main() -> Result<(), SimError> {
         let cells = kinds
             .iter()
             .map(|&k| {
-                let run = Machine::for_scheme_indexed(k, &map, &index, &config)
+                let run = Machine::for_scheme_indexed(k, &map, &index, config)
                     .try_run_resolved_with_flush_period(&resolved, period)?;
                 json.push(serde_json::json!({
                     "scheme": run.scheme,
@@ -58,6 +56,5 @@ fn main() -> Result<(), SimError> {
          tolerable.\n",
         render_table("flush period", &cols, &rows)
     );
-    emit("ext_context_switch", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
-    Ok(())
+    Ok((text, serde_json::to_string_pretty(&json).expect("serializable")))
 }

@@ -6,18 +6,16 @@
 //! entries. This experiment lines all three up against the anchor TLB on
 //! the scenario spectrum.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
 use hytlb_schemes::{LatencyModel, Mmu};
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{AnyLevel, Machine, SchemeDispatch, SchemeKind, SimError};
+use hytlb_sim::{AnyLevel, Machine, PaperConfig, SchemeDispatch, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() -> Result<(), SimError> {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Extension: HW-only coalescing design space (§2.1)", &config);
-
+pub(crate) const BANNER: &str = "Extension: HW-only coalescing design space (§2.1)";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     let workload = WorkloadKind::Canneal;
     let cols = vec![
         "Cluster".to_owned(),
@@ -29,16 +27,16 @@ fn main() -> Result<(), SimError> {
     let mut json = Vec::new();
     for scenario in [Scenario::LowContiguity, Scenario::MediumContiguity, Scenario::HighContiguity]
     {
-        let map = mapping_for(workload, scenario, &config);
-        let resolved = map.page_index().resolve(&trace_for(workload, &config));
-        let replay = |scheme| Machine::new(scheme, &config).try_run_resolved(&resolved);
-        let base = replay(SchemeDispatch::build(SchemeKind::Baseline, &map, &config))?;
+        let map = mapping_for(workload, scenario, config);
+        let resolved = map.page_index().resolve(&trace_for(workload, config));
+        let replay = |scheme| Machine::new(scheme, config).try_run_resolved(&resolved);
+        let base = replay(SchemeDispatch::build(SchemeKind::Baseline, &map, config))?;
         let latency = LatencyModel::default();
         let schemes = [
-            SchemeDispatch::build(SchemeKind::Cluster, &map, &config),
+            SchemeDispatch::build(SchemeKind::Cluster, &map, config),
             SchemeDispatch::new(Mmu::colt(&map, latency), AnyLevel::Colt),
             SchemeDispatch::new(Mmu::colt_fa(&map, latency), AnyLevel::Colt),
-            SchemeDispatch::build(SchemeKind::AnchorDynamic, &map, &config),
+            SchemeDispatch::build(SchemeKind::AnchorDynamic, &map, config),
         ];
         let cells = schemes
             .into_iter()
@@ -61,6 +59,5 @@ fn main() -> Result<(), SimError> {
          — the §2.1 scalability/flexibility argument, quantified.\n",
         render_table("scenario", &cols, &rows)
     );
-    emit("ext_hw_coalescing", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
-    Ok(())
+    Ok((text, serde_json::to_string_pretty(&json).expect("serializable")))
 }

@@ -7,17 +7,15 @@
 //! scheme copes: THP collapses under interleaving while the anchor TLB
 //! adapts its distance to the interleave granularity.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_mem::{ContiguityHistogram, FragmentationLevel, NumaPolicy, NumaTopology};
 use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind, SimError};
+use hytlb_sim::{Machine, PaperConfig, SchemeKind};
 use hytlb_trace::WorkloadKind;
 use std::sync::Arc;
 
-fn main() -> Result<(), SimError> {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Extension: NUMA placement vs translation coverage (§2.2)", &config);
-
+pub(crate) const BANNER: &str = "Extension: NUMA placement vs translation coverage (§2.2)";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     let footprint = config.footprint_for(WorkloadKind::Canneal);
     let policies = [
         ("local (1 node)", NumaPolicy::LocalOnly { node: 0 }),
@@ -49,7 +47,7 @@ fn main() -> Result<(), SimError> {
         let mut cells = vec![format!("{:.0}", hist.mean_contiguity())];
         let mut distance = None;
         for &kind in &kinds {
-            let run = Machine::for_scheme_indexed(kind, &map, &index, &config)
+            let run = Machine::for_scheme_indexed(kind, &map, &index, config)
                 .try_run_resolved(&resolved)?;
             distance = distance.or(run.anchor_distance);
             json.push(serde_json::json!({
@@ -70,6 +68,5 @@ fn main() -> Result<(), SimError> {
          with its distance — the §2.2 case for allocation-flexible coalescing.\n",
         render_table("NUMA policy", &cols, &rows)
     );
-    emit("ext_numa", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
-    Ok(())
+    Ok((text, serde_json::to_string_pretty(&json).expect("serializable")))
 }

@@ -6,18 +6,17 @@
 //! workload/scenario — showing where the constant is a good average and
 //! where (sparse, giant footprints) it underestimates.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
 use hytlb_pagetable::{CachedWalker, PageTable};
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
+use hytlb_sim::PaperConfig;
 use hytlb_trace::WorkloadKind;
 use hytlb_types::PAGE_SIZE_U64;
 
-fn main() {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Extension: MMU-cache walk latency vs the fixed 50-cycle model", &config);
-
+pub(crate) const BANNER: &str = "Extension: MMU-cache walk latency vs the fixed 50-cycle model";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     let cols =
         vec!["avg cycles".to_owned(), "mem accesses/walk".to_owned(), "pwc hit rate".to_owned()];
     let mut rows = Vec::new();
@@ -28,7 +27,7 @@ fn main() {
         (WorkloadKind::Gups, Scenario::MediumContiguity),
         (WorkloadKind::Milc, Scenario::HighContiguity),
     ] {
-        let map = mapping_for(workload, scenario, &config);
+        let map = mapping_for(workload, scenario, config);
         let table = PageTable::from_map(&map, false);
         let index = map.page_index();
         let mut walker = CachedWalker::default();
@@ -36,7 +35,7 @@ fn main() {
         let mut accesses = 0u64;
         let mut hits = 0u64;
         let mut walks = 0u64;
-        for logical in trace_for(workload, &config).into_iter().take(200_000) {
+        for logical in trace_for(workload, config).into_iter().take(200_000) {
             let vpn = index.nth_page(logical / PAGE_SIZE_U64);
             let r = walker.walk(&table, vpn);
             cycles += r.cycles.as_u64();
@@ -67,5 +66,5 @@ fn main() {
          cold 80-cycle bound — bracketing the paper's fixed 50-cycle charge.\n",
         render_table("walk stream", &cols, &rows)
     );
-    emit("ext_walk_latency", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    Ok((text, serde_json::to_string_pretty(&json).expect("serializable")))
 }

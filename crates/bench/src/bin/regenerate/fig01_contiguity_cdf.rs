@@ -8,14 +8,13 @@
 //! are the CDF values at chunk sizes 2^0 .. 2^10 pages — the x-axis of the
 //! paper's figure.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_mem::{ContiguityHistogram, FragmentationLevel, Scenario};
 use hytlb_sim::report::render_table;
+use hytlb_sim::PaperConfig;
 
-fn main() {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Figure 1: contiguity CDFs under fragmentation pressure", &config);
-
+pub(crate) const BANNER: &str = "Figure 1: contiguity CDFs under fragmentation pressure";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     // canneal's ~1 GB working set and raytrace's ~1.3 GB, scaled.
     let subjects =
         [("canneal_4socket", 1u64 << 18), ("raytrace_2socket", (1u64 << 18) + (1 << 16))];
@@ -53,9 +52,5 @@ fn main() {
          keep most memory in >=2^9-page chunks, heavy pressure pushes the CDF\n\
          toward small chunks.\n",
     );
-    emit(
-        "fig01_contiguity_cdf",
-        &text,
-        &serde_json::to_string_pretty(&json_rows).expect("serializable"),
-    );
+    Ok((text, serde_json::to_string_pretty(&json_rows).expect("serializable")))
 }

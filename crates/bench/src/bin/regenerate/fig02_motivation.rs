@@ -6,17 +6,14 @@
 //! chunks but plateaus; RMM is ineffective at small chunks and nearly
 //! eliminates misses at large ones.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
+use hytlb_bench::select_columns;
 use hytlb_mem::Scenario;
-use hytlb_sim::experiment::run_suite;
-use hytlb_sim::report::render_table;
-use hytlb_sim::{SchemeKind, SimError};
-use hytlb_trace::WorkloadKind;
+use hytlb_sim::report::{render_table, to_json};
+use hytlb_sim::{PaperConfig, SchemeKind};
 
-fn main() -> Result<(), SimError> {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Figure 2: motivation — prior schemes vs. mapping contiguity", &config);
-
+pub(crate) const BANNER: &str = "Figure 2: motivation — prior schemes vs. mapping contiguity";
+pub(crate) fn format(_: &PaperConfig, matrix: &Matrix) -> Output {
     let kinds = [SchemeKind::Baseline, SchemeKind::Cluster, SchemeKind::Rmm];
     let scenarios = [
         ("Small contig.", Scenario::LowContiguity),
@@ -27,7 +24,7 @@ fn main() -> Result<(), SimError> {
     let mut rows = Vec::new();
     let mut suites = Vec::new();
     for (label, scenario) in scenarios {
-        let suite = run_suite(scenario, &WorkloadKind::all(), &kinds, &config)?;
+        let suite = select_columns(&matrix[&scenario], &kinds);
         let means = suite.mean_relative_misses();
         rows.push((label.to_owned(), means.iter().map(|m| format!("{m:.1}")).collect()));
         suites.push(suite);
@@ -37,6 +34,5 @@ fn main() -> Result<(), SimError> {
          RMM ~ base at small contiguity, near zero at large contiguity.\n",
         render_table("mean rel. misses %", &cols, &rows)
     );
-    emit("fig02_motivation", &text, &serde_json::to_string_pretty(&suites).expect("serializable"));
-    Ok(())
+    Ok((text, to_json(&suites)))
 }

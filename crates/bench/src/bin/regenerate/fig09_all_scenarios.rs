@@ -1,18 +1,14 @@
 //! Figure 9: mean relative TLB misses of every scheme under all six
 //! mapping scenarios.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage, per_benchmark_suites};
+use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
 use hytlb_sim::report::{render_table, suite_bars, to_json};
+use hytlb_sim::PaperConfig;
 
-fn main() {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Figure 9: mean relative TLB misses, all mapping scenarios", &config);
-
-    // One matrix call: all six scenarios share the worker pool, and each
-    // workload's trace is generated once for the whole figure.
-    eprintln!("running all {} scenarios ...", Scenario::all().len());
-    let suites = per_benchmark_suites(&Scenario::all(), &config);
+pub(crate) const BANNER: &str = "Figure 9: mean relative TLB misses, all mapping scenarios";
+pub(crate) fn format(_: &PaperConfig, matrix: &Matrix) -> Output {
+    let suites: Vec<_> = Scenario::all().into_iter().map(|s| &matrix[&s]).collect();
     let cols: Vec<String> = suites[0].schemes.clone();
     let rows: Vec<(String, Vec<String>)> = suites
         .iter()
@@ -33,5 +29,5 @@ fn main() {
          eliminates misses on high/max and Dynamic matches it; Dynamic achieves\n\
          the best (lowest) mean in every scenario among practical schemes.\n",
     );
-    emit("fig09_all_scenarios", &text, &to_json(&suites));
+    Ok((text, to_json(&suites)))
 }

@@ -2,22 +2,18 @@
 //! regular hit rate, anchor hit rate and L2 miss rate — for the demand and
 //! medium-contiguity mappings.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
+use hytlb_bench::select_columns;
 use hytlb_mem::Scenario;
-use hytlb_sim::experiment::run_suite;
 use hytlb_sim::report::{l2_breakdown_table, to_json};
-use hytlb_sim::{SchemeKind, SimError};
-use hytlb_trace::WorkloadKind;
+use hytlb_sim::{PaperConfig, SchemeKind};
 
-fn main() -> Result<(), SimError> {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Table 5: L2 TLB access breakdown (Dynamic)", &config);
-
+pub(crate) const BANNER: &str = "Table 5: L2 TLB access breakdown (Dynamic)";
+pub(crate) fn format(_: &PaperConfig, matrix: &Matrix) -> Output {
     let mut text = String::new();
     let mut suites = Vec::new();
     for scenario in [Scenario::DemandPaging, Scenario::MediumContiguity] {
-        let suite =
-            run_suite(scenario, &WorkloadKind::all(), &[SchemeKind::AnchorDynamic], &config)?;
+        let suite = select_columns(&matrix[&scenario], &[SchemeKind::AnchorDynamic]);
         text.push_str(&l2_breakdown_table(&suite, 0));
         text.push('\n');
         suites.push(suite);
@@ -27,6 +23,5 @@ fn main() -> Result<(), SimError> {
          dominate; under medium contiguity anchor hits take over; gups/graph500\n\
          keep high L2 miss rates at medium contiguity.\n",
     );
-    emit("table5_l2_breakdown", &text, &to_json(&suites));
-    Ok(())
+    Ok((text, to_json(&suites)))
 }

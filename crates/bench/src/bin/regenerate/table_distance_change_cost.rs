@@ -7,16 +7,15 @@
 //! software sweep itself goes to stderr only, so the archived outputs stay
 //! byte-identical from run to run.
 
-use hytlb_bench::{banner, config_from_args, emit, exit_usage};
+use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
 use hytlb_pagetable::{AnchoredPageTable, PageTable};
 use hytlb_sim::report::render_table;
+use hytlb_sim::PaperConfig;
 use std::time::Instant;
 
-fn main() {
-    let config = config_from_args().unwrap_or_else(|e| exit_usage(&e));
-    banner("Distance-change cost (paper §3.3)", &config);
-
+pub(crate) const BANNER: &str = "Distance-change cost (paper §3.3)";
+pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     // 30 GB = 7,864,320 pages, exactly the paper's measurement; only
     // --quick shrinks it (the shift is 2 at default scale and 0 under
     // --paper, both of which should measure the true 30 GB sweep).
@@ -59,9 +58,5 @@ fn main() {
          EXPERIMENTS.md.\n",
         render_table("sweep cost (30 GB)", &cols, &rows)
     );
-    emit(
-        "table_distance_change_cost",
-        &text,
-        &serde_json::to_string_pretty(&json).expect("serializable"),
-    );
+    Ok((text, serde_json::to_string_pretty(&json).expect("serializable")))
 }

@@ -1,6 +1,6 @@
-//! Shared plumbing for the figure/table regenerator binaries.
+//! Shared plumbing for the `regenerate` binary and `bench_matrix`.
 //!
-//! Every binary accepts the same flags:
+//! Both accept the same flags:
 //!
 //! * `--quick`   — tiny footprints and traces (seconds; shapes still hold)
 //! * `--paper`   — full scale (the default is a middle ground)
@@ -22,18 +22,24 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// The flags every regenerator accepts.
+/// The flags every binary accepts.
 pub const USAGE: &str = "flags: --quick --paper --seed N --accesses N (N <= 134217728)";
 
-/// Parses the common CLI flags into a [`PaperConfig`]. A malformed or
-/// unknown flag is an `Err` naming it; see [`exit_usage`].
-pub fn config_from_args() -> Result<PaperConfig, String> {
-    parse_config(std::env::args().skip(1))
+/// Parses the common CLI flags into a [`PaperConfig`], returning it with
+/// the positional arguments, each of which must be one of `names`. A
+/// malformed or unknown flag or name is an `Err` naming it; see
+/// [`exit_usage`].
+pub fn config_from_args(names: &[&str]) -> Result<(PaperConfig, Vec<String>), String> {
+    parse_config(std::env::args().skip(1), names)
 }
 
-fn parse_config(args: impl IntoIterator<Item = String>) -> Result<PaperConfig, String> {
+fn parse_config(
+    args: impl IntoIterator<Item = String>,
+    names: &[&str],
+) -> Result<(PaperConfig, Vec<String>), String> {
     let mut config =
         PaperConfig { accesses: 1_000_000, footprint_shift: 2, ..PaperConfig::default() };
+    let mut picked = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -56,10 +62,12 @@ fn parse_config(args: impl IntoIterator<Item = String>) -> Result<PaperConfig, S
                     .filter(|&n| n <= MAX_ACCESSES)
                     .ok_or_else(|| format!("--accesses needs an integer <= {MAX_ACCESSES}"))?;
             }
-            other => return Err(format!("unknown flag {other}")),
+            name if names.contains(&name) => picked.push(arg),
+            other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+            other => return Err(format!("unknown name {other}; valid names: {}", names.join(" "))),
         }
     }
-    Ok(config)
+    Ok((config, picked))
 }
 
 /// Prints `error` and the flag summary to stderr and exits with status 2,
@@ -99,12 +107,12 @@ pub fn banner(experiment: &str, config: &PaperConfig) {
 }
 
 use hytlb_mem::Scenario;
-use hytlb_sim::experiment::SuiteResult;
+use hytlb_sim::experiment::{SuiteResult, WorkloadRow};
 use hytlb_sim::matrix::{run_matrix_with_static_ideal, MatrixCache};
 use hytlb_sim::SchemeKind;
 use hytlb_trace::WorkloadKind;
 
-/// The static-ideal candidate sweep used by the figure binaries: one good
+/// The static-ideal candidate sweep of the paper matrix: one good
 /// candidate per contiguity regime (exhaustive sweeps are available through
 /// `hytlb_sim::experiment::static_ideal` with a custom candidate list).
 #[must_use]
@@ -112,28 +120,35 @@ pub fn figure_static_sweep() -> Vec<u64> {
     vec![4, 32, 512, 4096, 65_536]
 }
 
-/// Runs the per-benchmark figure experiment (Figures 7/8/10/11): the six
-/// paper schemes plus a `Static Ideal` column, for every workload under one
-/// scenario. Returns a suite whose last column is `Static Ideal`.
+/// The paper matrix (Figure 9, and the figures and tables sliced from
+/// it): the six paper schemes plus a trailing `Static Ideal` column, for
+/// each of `workloads`, one suite per scenario. The whole matrix runs on
+/// one worker pool, and each workload's mapping and trace are generated
+/// exactly once per scenario; the cache holding them is dropped on return.
 #[must_use]
-pub fn per_benchmark_suite(scenario: Scenario, config: &PaperConfig) -> SuiteResult {
-    per_benchmark_suites(&[scenario], config).pop().expect("one scenario in, one suite out")
+pub fn per_benchmark_suites(
+    scenarios: &[Scenario],
+    workloads: &[WorkloadKind],
+    config: &PaperConfig,
+) -> Vec<SuiteResult> {
+    let (kinds, sweep) = (SchemeKind::paper_set(), figure_static_sweep());
+    run_matrix_with_static_ideal(&MatrixCache::new(), scenarios, workloads, &kinds, &sweep, config)
 }
 
-/// [`per_benchmark_suite`] over several scenarios at once (Figure 9): the
-/// whole scenario × workload × scheme × sweep matrix runs on one worker
-/// pool, and each workload's mapping and trace are generated exactly once
-/// per scenario — not once per scheme or figure.
+/// The columns `kinds` of `suite`, in that order. Every cell is simulated
+/// independently, so this equals a suite run over just those columns.
+///
+/// # Panics
+///
+/// Panics if `suite` has no column for one of `kinds`.
 #[must_use]
-pub fn per_benchmark_suites(scenarios: &[Scenario], config: &PaperConfig) -> Vec<SuiteResult> {
-    run_matrix_with_static_ideal(
-        &MatrixCache::new(),
-        scenarios,
-        &WorkloadKind::all(),
-        &SchemeKind::paper_set(),
-        &figure_static_sweep(),
-        config,
-    )
+pub fn select_columns(suite: &SuiteResult, kinds: &[SchemeKind]) -> SuiteResult {
+    let schemes: Vec<String> = kinds.iter().map(|k| k.label()).collect();
+    let column = |l: &String| suite.schemes.iter().position(|s| s == l).expect("column in suite");
+    let columns: Vec<usize> = schemes.iter().map(column).collect();
+    let runs = |row: &WorkloadRow| columns.iter().map(|&c| row.runs[c].clone()).collect();
+    let rows = suite.rows.iter().map(|r| WorkloadRow { workload: r.workload, runs: runs(r) });
+    SuiteResult { scenario: suite.scenario, schemes, rows: rows.collect() }
 }
 
 /// Runs `f` `rounds` times and returns its last output with the smallest
@@ -217,7 +232,7 @@ mod tests {
     use super::*;
 
     fn args(list: &[&str]) -> Result<PaperConfig, String> {
-        parse_config(list.iter().map(|s| (*s).to_owned()))
+        parse_config(list.iter().map(|s| (*s).to_owned()), &[]).map(|(config, _)| config)
     }
 
     #[test]
@@ -234,6 +249,37 @@ mod tests {
         assert!(args(&["--seed", "x"]).unwrap_err().contains("--seed"));
         assert!(args(&["--accesses"]).unwrap_err().contains("--accesses"));
         assert!(args(&["--frobnicate"]).unwrap_err().contains("--frobnicate"));
+    }
+
+    #[test]
+    fn positional_arguments_must_be_known_names() {
+        let valid = ["fig07_demand", "ablations"];
+        let parse = |list: [&str; 3]| parse_config(list.map(str::to_owned), &valid);
+        let (c, names) = parse(["ablations", "--quick", "fig07_demand"]).unwrap();
+        assert_eq!(c.accesses, 200_000);
+        assert_eq!(names, ["ablations", "fig07_demand"]);
+        let err = parse(["ablations", "fig99", "--quick"]).unwrap_err();
+        assert!(err.contains("fig99") && err.contains("fig07_demand ablations"), "{err}");
+        assert!(args(&["ablations"]).unwrap_err().contains("ablations"));
+    }
+
+    /// The invariant the `regenerate` binary relies on when it slices
+    /// Figure 2 and Tables 5–6 out of the paper matrix: a cell's
+    /// `RunStats` never depends on which other columns share its matrix.
+    #[test]
+    fn selected_columns_equal_a_suite_of_just_those_columns() {
+        use hytlb_sim::experiment::run_suite_serial;
+        use SchemeKind::{AnchorDynamic, Baseline, Cluster, Rmm};
+        let config = PaperConfig { accesses: 8_000, footprint_shift: 5, ..PaperConfig::default() };
+        let scenarios = [Scenario::DemandPaging, Scenario::MediumContiguity];
+        let workloads = [WorkloadKind::Gups, WorkloadKind::Omnetpp];
+        let suites = per_benchmark_suites(&scenarios, &workloads, &config);
+        for kinds in [&[Baseline, Cluster, Rmm][..], &[AnchorDynamic]] {
+            for (suite, &scenario) in suites.iter().zip(&scenarios) {
+                let alone = run_suite_serial(scenario, &workloads, kinds, &config).unwrap();
+                assert_eq!(select_columns(suite, kinds), alone, "{scenario:?} {kinds:?}");
+            }
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub enum Scenario {
 impl Scenario {
     /// All six scenarios in the order the paper reports them (Figure 9).
     #[must_use]
-    pub fn all() -> [Scenario; 6] {
+    pub const fn all() -> [Scenario; 6] {
         [
             Scenario::DemandPaging,
             Scenario::EagerPaging,

@@ -20,7 +20,7 @@ fn all_kinds() -> Vec<SchemeKind> {
     kinds
 }
 
-/// Every registry scheme plus the custom configurations the regenerators
+/// Every registry scheme plus the custom configurations `regenerate`
 /// build: CoLT-FA(32), and the anchor fill-policy and indexing ablations.
 fn all_schemes(map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Vec<SchemeDispatch> {
     let anchor =
