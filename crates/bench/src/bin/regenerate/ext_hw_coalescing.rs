@@ -8,7 +8,7 @@
 
 use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
-use hytlb_schemes::{LatencyModel, Mmu};
+use hytlb_schemes::Mmu;
 use hytlb_sim::experiment::{mapping_for, trace_for};
 use hytlb_sim::report::render_table;
 use hytlb_sim::{AnyLevel, Machine, PaperConfig, SchemeDispatch, SchemeKind, SimError};
@@ -30,13 +30,12 @@ pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
         let map = mapping_for(workload, scenario, config);
         let resolved = map.page_index().resolve(&trace_for(workload, config));
         let replay = |scheme| Machine::new(scheme, config).try_run_resolved(&resolved);
-        let base = replay(SchemeDispatch::build(SchemeKind::Baseline, &map, config))?;
-        let latency = LatencyModel::default();
+        let base = replay(SchemeDispatch::build(SchemeKind::Baseline, &map))?;
         let schemes = [
-            SchemeDispatch::build(SchemeKind::Cluster, &map, config),
-            SchemeDispatch::new(Mmu::colt(&map, latency), AnyLevel::Colt),
-            SchemeDispatch::new(Mmu::colt_fa(&map, latency), AnyLevel::Colt),
-            SchemeDispatch::build(SchemeKind::AnchorDynamic, &map, config),
+            SchemeDispatch::build(SchemeKind::Cluster, &map),
+            SchemeDispatch::new(Mmu::colt(&map), AnyLevel::Colt),
+            SchemeDispatch::new(Mmu::colt_fa(&map), AnyLevel::Colt),
+            SchemeDispatch::build(SchemeKind::AnchorDynamic, &map),
         ];
         let cells = schemes
             .into_iter()

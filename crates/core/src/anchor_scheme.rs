@@ -22,8 +22,8 @@ use crate::os::OsKernel;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
 use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_schemes::{
-    AnchorIndexing, BuildMmu, Cascade, CoalescedLevel, LatencyModel, Mmu, Probe, PteBlock,
-    SharedL2, TranslationPath,
+    AnchorIndexing, BuildMmu, Cascade, CoalescedLevel, Mmu, Probe, PteBlock, SharedL2,
+    TranslationPath,
 };
 use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
 use std::sync::Arc;
@@ -61,8 +61,6 @@ pub struct AnchorConfig {
     pub indexing: AnchorIndexing,
     /// Fill policy on double misses.
     pub fill: FillPolicy,
-    /// Timing model.
-    pub latency: LatencyModel,
     /// Cost model for the distance selector.
     pub cost_model: CostModel,
 }
@@ -75,7 +73,6 @@ impl AnchorConfig {
             mode: DistanceMode::Dynamic,
             indexing: AnchorIndexing::Fig6,
             fill: FillPolicy::PreferAnchor,
-            latency: LatencyModel::default(),
             cost_model: CostModel::default(),
         }
     }
@@ -151,7 +148,7 @@ impl BuildMmu for AnchorLevel {
             }
         };
         Mmu {
-            cascade: Cascade::new(name, SharedL2::paper_default(), config.latency),
+            cascade: Cascade::new(name, SharedL2::paper_default()),
             level: AnchorLevel {
                 os,
                 mode: config.mode,
@@ -263,14 +260,13 @@ impl CoalescedLevel for AnchorLevel {
 mod tests {
     use super::*;
     use hytlb_mem::Scenario;
-    use hytlb_schemes::TranslationScheme;
-    use hytlb_types::{Cycles, VirtAddr};
+    use hytlb_types::VirtAddr;
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
     }
 
-    fn touch_all(s: &mut dyn TranslationScheme, map: &AddressSpaceMap, rounds: usize) {
+    fn touch_all<L: CoalescedLevel>(s: &mut Mmu<L>, map: &AddressSpaceMap, rounds: usize) {
         for _ in 0..rounds {
             for (vpn, pfn) in map.iter_pages() {
                 assert_eq!(s.access(va(vpn)).pfn, Some(pfn), "at {vpn}");
@@ -294,7 +290,6 @@ mod tests {
         assert_eq!(s.access(va(VirtPageNum::new(3))).path, TranslationPath::Walk);
         let r = s.access(va(VirtPageNum::new(6)));
         assert_eq!(r.path, TranslationPath::CoalescedHit);
-        assert_eq!(r.cycles, Cycles::new(8));
         assert_eq!(r.pfn, Some(PhysFrameNum::new(102)));
     }
 
@@ -328,7 +323,6 @@ mod tests {
         s.cascade.l1_mut().flush(); // bypass L1 so the L2 path is visible
         let r2 = s.access(va(VirtPageNum::new(5)));
         assert_eq!(r2.path, TranslationPath::L2RegularHit);
-        assert_eq!(r2.cycles, Cycles::new(7));
     }
 
     #[test]
@@ -384,7 +378,7 @@ mod tests {
     fn dynamic_beats_baseline_on_medium_contiguity() {
         let map = Arc::new(Scenario::MediumContiguity.generate(8192, 8));
         let mut anchor = AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic());
-        let mut base = Mmu::baseline(&map, LatencyModel::default());
+        let mut base = Mmu::baseline(&map);
         touch_all(&mut anchor, &map, 2);
         touch_all(&mut base, &map, 2);
         assert!(
@@ -502,6 +496,5 @@ mod tests {
         s.cascade.l1_mut().flush(); // bypass L1 so the L2 2MB entry is observable
         let r = s.access(va(head + 300));
         assert_eq!(r.path, TranslationPath::L2RegularHit);
-        assert_eq!(r.cycles, Cycles::new(7));
     }
 }

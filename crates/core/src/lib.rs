@@ -18,6 +18,8 @@
 //!   ([`CoalescedLevel`](hytlb_schemes::CoalescedLevel)): after the
 //!   regular L2 (4 KB, 2 MB) misses, the anchor probe (Figure 6 indexing,
 //!   extra contiguity comparator), then a page walk with anchor-aware fill.
+//!   An anchor hit is a coalesced hit, charged Table 3's 8 cycles
+//!   ([`TranslationPath::cycles`](hytlb_schemes::TranslationPath::cycles)).
 //!   [`AnchorScheme`] is the whole MMU built around it.
 //! * [`RegionTable`] — the §4.2 multi-region extension (the paper's future
 //!   work): partitions the address space into up to `N` regions with
@@ -28,7 +30,6 @@
 //! ```
 //! use hytlb_core::{AnchorConfig, AnchorScheme};
 //! use hytlb_mem::Scenario;
-//! use hytlb_schemes::TranslationScheme;
 //! use std::sync::Arc;
 //!
 //! let map = Arc::new(Scenario::MediumContiguity.generate(2048, 1));

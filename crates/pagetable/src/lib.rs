@@ -10,8 +10,10 @@
 //! * [`PageTable`] — a real 4-level radix table (PML4→PDPT→PD→PT) with 2 MB
 //!   leaf entries at the PD level, built from an
 //!   [`AddressSpaceMap`](hytlb_mem::AddressSpaceMap).
-//! * [`PageWalker`] — walks the radix table, charging the paper's fixed
-//!   50-cycle walk latency (Table 3) or an optional per-level model.
+//! * [`PageWalker`] — walks the radix table and reports the leaf and the
+//!   nodes it touched. The paper charges every walk a fixed 50 cycles
+//!   (Table 3); that cost lives with the other Table 3 costs in
+//!   `hytlb_schemes::TranslationPath::cycles`.
 //! * [`AnchoredPageTable`] — maintains anchor contiguity fields for a given
 //!   anchor distance, answers anchor probes, and models the cost of
 //!   re-anchoring the table when the OS changes the distance (§3.3).
@@ -47,4 +49,4 @@ pub use pte::{
 };
 pub use pwc::{CachedWalkResult, CachedWalker};
 pub use table::{LeafEntry, PageTable};
-pub use walker::{PageWalker, WalkLatency, WalkResult};
+pub use walker::{PageWalker, WalkResult};

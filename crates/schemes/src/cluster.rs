@@ -14,7 +14,7 @@
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::paged::fill_paged;
-use crate::scheme::{LatencyModel, TranslationPath};
+use crate::scheme::TranslationPath;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
 use hytlb_pagetable::{LeafEntry, PageTable};
@@ -87,21 +87,21 @@ impl Mmu<ClusterTlb> {
     /// The paper's `Cluster`: everything is 4 KB PTEs, as in the original
     /// cluster TLB paper.
     #[must_use]
-    pub fn cluster(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::clustered("Cluster", map, false, latency)
+    pub fn cluster(map: &AddressSpaceMap) -> Self {
+        Self::clustered("Cluster", map, false)
     }
 
     /// The paper's `Cluster-2MB`: THP-shaped regions get 2 MB leaves, held
     /// as 2 MB entries in the regular partition.
     #[must_use]
-    pub fn cluster_2mb(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::clustered("Cluster-2MB", map, true, latency)
+    pub fn cluster_2mb(map: &AddressSpaceMap) -> Self {
+        Self::clustered("Cluster-2MB", map, true)
     }
 
-    fn clustered(name: &str, map: &AddressSpaceMap, thp: bool, latency: LatencyModel) -> Self {
+    fn clustered(name: &str, map: &AddressSpaceMap, thp: bool) -> Self {
         Mmu {
             // 768 entries, 6-way = 128 sets.
-            cascade: Cascade::new(name, SharedL2::new(128, 6), latency),
+            cascade: Cascade::new(name, SharedL2::new(128, 6)),
             level: ClusterTlb {
                 // 320 entries, 5-way = 64 sets.
                 cluster: SetAssocTlb::new(64, 5),
@@ -177,7 +177,6 @@ impl CoalescedLevel for ClusterTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TranslationScheme;
     use hytlb_mem::Scenario;
     use hytlb_types::VirtAddr;
 
@@ -185,7 +184,7 @@ mod tests {
         vpn.base_addr()
     }
 
-    fn touch_all(s: &mut dyn TranslationScheme, map: &AddressSpaceMap, rounds: usize) {
+    fn touch_all<L: CoalescedLevel>(s: &mut Mmu<L>, map: &AddressSpaceMap, rounds: usize) {
         for _ in 0..rounds {
             for (vpn, pfn) in map.iter_pages() {
                 let r = s.access(va(vpn));
@@ -199,7 +198,7 @@ mod tests {
         // Medium contiguity has many multi-page chunks: cluster entries
         // must form and serve hits.
         let map = Scenario::MediumContiguity.generate(2048, 1);
-        let mut s = Mmu::cluster(&map, LatencyModel::default());
+        let mut s = Mmu::cluster(&map);
         touch_all(&mut s, &map, 2);
         assert!(s.level.cluster_fills() > 0);
         assert!(s.stats().coalesced_hits > 0);
@@ -208,8 +207,8 @@ mod tests {
     #[test]
     fn cluster_beats_baseline_on_low_contiguity() {
         let map = Scenario::LowContiguity.generate(4096, 2);
-        let mut cl = Mmu::cluster(&map, LatencyModel::default());
-        let mut base = Mmu::baseline(&map, LatencyModel::default());
+        let mut cl = Mmu::cluster(&map);
+        let mut base = Mmu::baseline(&map);
         touch_all(&mut cl, &map, 2);
         touch_all(&mut base, &map, 2);
         assert!(
@@ -223,7 +222,7 @@ mod tests {
     #[test]
     fn cluster_2mb_uses_huge_entries_on_demand_mapping() {
         let map = Scenario::DemandPaging.generate(4096, 3);
-        let mut s = Mmu::cluster_2mb(&map, LatencyModel::default());
+        let mut s = Mmu::cluster_2mb(&map);
         touch_all(&mut s, &map, 1);
         assert!(s.stats().l2_regular_hits + s.stats().walks > 0);
         // Far fewer walks than there are pages: 2 MB entries cover regions.
@@ -242,7 +241,7 @@ mod tests {
                 hytlb_types::Permissions::READ_WRITE,
             );
         }
-        let mut s = Mmu::cluster(&map, LatencyModel::default());
+        let mut s = Mmu::cluster(&map);
         touch_all(&mut s, &map, 2);
         assert_eq!(s.level.cluster_fills(), 0);
         assert_eq!(s.stats().coalesced_hits, 0);
@@ -261,7 +260,7 @@ mod tests {
             8,
             hytlb_types::Permissions::READ_WRITE,
         );
-        let mut s = Mmu::cluster(&map, LatencyModel::default());
+        let mut s = Mmu::cluster(&map);
         let r = s.access(va(VirtPageNum::new(0)));
         assert_eq!(r.path, TranslationPath::Walk);
         // Pages 0..4 share the entry; page 4 (PFN 8, other cluster) misses.
@@ -277,7 +276,7 @@ mod tests {
     #[test]
     fn translations_always_match_map() {
         let map = Scenario::DemandPaging.generate(2048, 5);
-        let mut s = Mmu::cluster_2mb(&map, LatencyModel::default());
+        let mut s = Mmu::cluster_2mb(&map);
         touch_all(&mut s, &map, 2);
     }
 }

@@ -13,7 +13,7 @@
 //! partner for it: contiguity-based vs clustering-based HW coalescing.
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
-use crate::scheme::{LatencyModel, TranslationPath};
+use crate::scheme::TranslationPath;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
 use hytlb_pagetable::{LeafEntry, PageTable};
@@ -126,20 +126,20 @@ impl ColtTlb {
 impl Mmu<ColtTlb> {
     /// The CoLT-SA MMU (4 KB pages only, like the original proposal).
     #[must_use]
-    pub fn colt(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::build_colt(map, latency, false)
+    pub fn colt(map: &AddressSpaceMap) -> Self {
+        Self::build_colt(map, false)
     }
 
     /// CoLT-SA plus a CoLT-FA side structure of 32 unbounded-length
     /// coalesced runs.
     #[must_use]
-    pub fn colt_fa(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::build_colt(map, latency, true)
+    pub fn colt_fa(map: &AddressSpaceMap) -> Self {
+        Self::build_colt(map, true)
     }
 
-    fn build_colt(map: &AddressSpaceMap, latency: LatencyModel, fa: bool) -> Self {
+    fn build_colt(map: &AddressSpaceMap, fa: bool) -> Self {
         Mmu {
-            cascade: Cascade::new("CoLT", SharedL2::new(128, 6), latency),
+            cascade: Cascade::new("CoLT", SharedL2::new(128, 6)),
             level: ColtTlb {
                 coalesced: SetAssocTlb::new(64, 5),
                 fa: fa.then(|| RangeTlb::new(COLT_FA_ENTRIES)),
@@ -226,7 +226,6 @@ impl CoalescedLevel for ColtTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TranslationScheme;
     use hytlb_mem::Scenario;
     use hytlb_types::{Permissions, VirtAddr};
 
@@ -241,7 +240,7 @@ mod tests {
         // TLB could not.
         let mut map = AddressSpaceMap::new();
         map.map_range(VirtPageNum::new(0), PhysFrameNum::new(4), 8, Permissions::READ_WRITE);
-        let mut s = Mmu::colt(&map, LatencyModel::default());
+        let mut s = Mmu::colt(&map);
         assert_eq!(s.access(va(VirtPageNum::new(0))).path, TranslationPath::Walk);
         for i in 1..8u64 {
             let r = s.access(va(VirtPageNum::new(i)));
@@ -256,7 +255,7 @@ mod tests {
         // A 16-page chunk needs two CoLT entries (one per window).
         let mut map = AddressSpaceMap::new();
         map.map_range(VirtPageNum::new(0), PhysFrameNum::new(100), 16, Permissions::READ_WRITE);
-        let mut s = Mmu::colt(&map, LatencyModel::default());
+        let mut s = Mmu::colt(&map);
         s.access(va(VirtPageNum::new(0)));
         assert_eq!(s.access(va(VirtPageNum::new(7))).path, TranslationPath::CoalescedHit);
         // Page 8 is in the next window: walk, then coalesced.
@@ -276,7 +275,7 @@ mod tests {
                 Permissions::READ_WRITE,
             );
         }
-        let mut s = Mmu::colt(&map, LatencyModel::default());
+        let mut s = Mmu::colt(&map);
         for i in 0..8u64 {
             s.access(va(VirtPageNum::new(i)));
         }
@@ -288,7 +287,7 @@ mod tests {
     fn translations_match_map_on_scenarios() {
         for scenario in [Scenario::LowContiguity, Scenario::MediumContiguity] {
             let map = scenario.generate(2048, 5);
-            let mut s = Mmu::colt(&map, LatencyModel::default());
+            let mut s = Mmu::colt(&map);
             for _ in 0..2 {
                 for (vpn, pfn) in map.iter_pages() {
                     assert_eq!(s.access(va(vpn)).pfn, Some(pfn), "{scenario} at {vpn}");
@@ -303,14 +302,14 @@ mod tests {
         // covers everything with a single FA run after one walk.
         let mut map = AddressSpaceMap::new();
         map.map_range(VirtPageNum::new(0), PhysFrameNum::new(1000), 600, Permissions::READ_WRITE);
-        let mut fa = Mmu::colt_fa(&map, LatencyModel::default());
+        let mut fa = Mmu::colt_fa(&map);
         assert_eq!(fa.access(va(VirtPageNum::new(0))).path, TranslationPath::Walk);
         // A page far outside the first window is an FA coalesced hit.
         let r = fa.access(va(VirtPageNum::new(500)));
         assert_eq!(r.path, TranslationPath::CoalescedHit);
         assert_eq!(r.pfn, Some(PhysFrameNum::new(1500)));
         // Plain CoLT-SA walks there instead.
-        let mut sa = Mmu::colt(&map, LatencyModel::default());
+        let mut sa = Mmu::colt(&map);
         sa.access(va(VirtPageNum::new(0)));
         assert_eq!(sa.access(va(VirtPageNum::new(500))).path, TranslationPath::Walk);
     }
@@ -319,7 +318,7 @@ mod tests {
     fn colt_fa_keeps_short_runs_out_of_fa_slots() {
         let mut map = AddressSpaceMap::new();
         map.map_range(VirtPageNum::new(0), PhysFrameNum::new(10), 4, Permissions::READ_WRITE);
-        let mut s = Mmu::colt_fa(&map, LatencyModel::default());
+        let mut s = Mmu::colt_fa(&map);
         s.access(va(VirtPageNum::new(0)));
         // Short runs (< window) stay in the SA structures only; the FA
         // array is reserved for long runs, so it remains empty.
@@ -330,8 +329,8 @@ mod tests {
     #[test]
     fn colt_beats_baseline_on_low_contiguity() {
         let map = Scenario::LowContiguity.generate(4096, 6);
-        let mut colt = Mmu::colt(&map, LatencyModel::default());
-        let mut base = Mmu::baseline(&map, LatencyModel::default());
+        let mut colt = Mmu::colt(&map);
+        let mut base = Mmu::baseline(&map);
         for _ in 0..2 {
             for (vpn, _) in map.iter_pages() {
                 colt.access(va(vpn));
@@ -349,7 +348,7 @@ mod tests {
         let mut map = AddressSpaceMap::new();
         map.map_range(VirtPageNum::new(0), PhysFrameNum::new(100), 6, Permissions::READ_WRITE);
         map.map_range(VirtPageNum::new(6), PhysFrameNum::new(500), 2, Permissions::READ_WRITE);
-        let mut s = Mmu::colt(&map, LatencyModel::default());
+        let mut s = Mmu::colt(&map);
         s.access(va(VirtPageNum::new(0)));
         assert_eq!(s.access(va(VirtPageNum::new(6))).path, TranslationPath::Walk);
         // The 6-run survives; page 3 still coalesced-hits after L1 flush.

@@ -5,10 +5,9 @@
 //! the shared L2's 4 KB then 2 MB entries → one coalesced structure →
 //! page walk → fill. A design is a [`CoalescedLevel`] — the coalesced
 //! structure and its fill rule — and its [`Mmu`] is the cascade plus that
-//! level, implementing [`TranslationScheme`]: feed it a stream of virtual
-//! addresses and it reports, per access, which structure resolved the
-//! translation and how many cycles it cost under the paper's Table 3
-//! latency model.
+//! level: feed it a stream of virtual addresses and it reports, per access,
+//! which structure resolved the translation. The path alone sets the cost:
+//! [`TranslationPath::cycles`] is the paper's Table 3.
 //!
 //! Levels provided here (the anchor level is `hytlb-core`'s):
 //!
@@ -47,8 +46,6 @@ pub use colt::ColtTlb;
 pub use mmu::{BuildMmu, Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 pub use paged::PagedLevel;
 pub use rmm::RangeLevel;
-pub use scheme::{
-    AccessResult, BatchFault, LatencyModel, SchemeStats, TranslationPath, TranslationScheme,
-};
+pub use scheme::{AccessResult, BatchFault, SchemeStats, TranslationPath};
 pub use shared_l2::{AnchorHit, AnchorIndexing, SharedL2};
 pub use thp1g::GiantTlb;

@@ -7,14 +7,12 @@
 //! [`CoalescedLevel`] plugged into the shared [`Cascade`]; an [`Mmu`] is
 //! one cascade plus one level.
 
-use crate::scheme::{
-    AccessResult, BatchFault, LatencyModel, SchemeStats, TranslationPath, TranslationScheme,
-};
+use crate::scheme::{AccessResult, BatchFault, SchemeStats, TranslationPath};
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry, PageWalker};
+use hytlb_pagetable::{LeafEntry, PageTable, PageTableEntry};
 use hytlb_tlb::{L1Tlb, TlbGeometry};
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
+use hytlb_types::{PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
 use std::sync::Arc;
 
 /// The 64-byte cache block of 8 PTEs a walk fetches last.
@@ -89,30 +87,21 @@ pub trait CoalescedLevel: Send {
 }
 
 /// The parts of the MMU every design shares — the L1, the shared L2, the
-/// walker, the latency model, the statistics and the design's name — and
-/// the translation cascade that drives them through a level.
+/// statistics and the design's name — and the translation cascade that
+/// drives them through a level.
 #[derive(Debug)]
 pub struct Cascade {
     l1: L1Tlb,
     l2: SharedL2,
-    walker: PageWalker,
-    latency: LatencyModel,
     stats: SchemeStats,
     name: String,
 }
 
 impl Cascade {
-    /// A cascade named `name` around `l2`, with the paper's L1 and walker.
+    /// A cascade named `name` around `l2`, with the paper's L1.
     #[must_use]
-    pub fn new(name: impl Into<String>, l2: SharedL2, latency: LatencyModel) -> Self {
-        Cascade {
-            l1: L1Tlb::paper_default(),
-            l2,
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
-            name: name.into(),
-        }
+    pub fn new(name: impl Into<String>, l2: SharedL2) -> Self {
+        Cascade { l1: L1Tlb::paper_default(), l2, stats: SchemeStats::default(), name: name.into() }
     }
 
     /// The design's label.
@@ -134,37 +123,31 @@ impl Cascade {
     }
 
     /// Translates one address through `level`: the L1, the L2's 4 KB then
-    /// 2 MB entries, the level, and on a miss a walk and the level's fill.
-    /// The L1 caches every translation served below it. This is the only
-    /// translation body: every design runs it, monomorphized per level.
+    /// 2 MB entries, the level, and on a miss a walk of the level's table
+    /// and the level's fill. The L1 caches every translation served below
+    /// it. This is the only translation body: every design runs it,
+    /// monomorphized per level. Its cost follows from the path
+    /// ([`TranslationPath::cycles`]).
     #[inline]
     pub fn access<L: CoalescedLevel>(&mut self, level: &mut L, vaddr: VirtAddr) -> AccessResult {
         let vpn = vaddr.page_number();
-        let latency = self.latency;
         let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
+            AccessResult { path: TranslationPath::L1Hit, pfn: Some(pfn) }
         } else {
-            let (path, cycles, found) = if let Some(pfn) = self.l2.lookup_4k(vpn) {
-                (TranslationPath::L2RegularHit, latency.l2_hit, Some((pfn, PageSize::Base4K)))
+            let (path, found) = if let Some(pfn) = self.l2.lookup_4k(vpn) {
+                (TranslationPath::L2RegularHit, Some((pfn, PageSize::Base4K)))
             } else if let Some(pfn) = self.l2.lookup_2m(vpn) {
-                (TranslationPath::L2RegularHit, latency.l2_hit, Some((pfn, PageSize::Huge2M)))
+                (TranslationPath::L2RegularHit, Some((pfn, PageSize::Huge2M)))
             } else {
                 match level.probe(&mut self.l2, vpn) {
-                    Probe::Hit { pfn, size, path } => {
-                        let cycles = if path == TranslationPath::CoalescedHit {
-                            latency.coalesced_hit
-                        } else {
-                            latency.l2_hit
-                        };
-                        (path, cycles, Some((pfn, size)))
-                    }
+                    Probe::Hit { pfn, size, path } => (path, Some((pfn, size))),
                     Probe::Miss(miss) => {
-                        let (walk, block) = self.walker.walk_with_block(level.table(), vpn);
+                        let (leaf, _, block) = level.table().lookup_with_block(vpn);
                         // The block borrows the level's table, which the
                         // fill may not hold while it mutates the level:
                         // copy the 64 bytes.
                         let block = block.and_then(|b| b.try_into().ok());
-                        let found = walk.leaf.map(|leaf| {
+                        let found = leaf.map(|leaf| {
                             level.fill(&mut self.l2, vpn, leaf, block, miss);
                             (leaf.pfn_for(vpn), leaf.size)
                         });
@@ -173,16 +156,16 @@ impl Cascade {
                         } else {
                             TranslationPath::Fault
                         };
-                        (path, walk.cycles, found)
+                        (path, found)
                     }
                 }
             };
             if let Some((pfn, size)) = found {
                 self.l1.insert(vpn, pfn, size);
             }
-            AccessResult { path, cycles, pfn: found.map(|(pfn, _)| pfn) }
+            AccessResult { path, pfn: found.map(|(pfn, _)| pfn) }
         };
-        self.stats.record(result);
+        self.stats.record(result.path);
         result
     }
 
@@ -257,37 +240,59 @@ impl<L: BuildMmu> Mmu<L> {
     }
 }
 
-impl<L: CoalescedLevel> TranslationScheme for Mmu<L> {
-    fn name(&self) -> &str {
+/// The cascade's methods, run through the design's level.
+impl<L: CoalescedLevel> Mmu<L> {
+    /// Short scheme label as used in the paper's figures ("Base", "THP",
+    /// "Cluster", "Cluster-2MB", "RMM", "Dynamic", ...).
+    #[must_use]
+    pub fn name(&self) -> &str {
         self.cascade.name()
     }
 
+    /// Translates one virtual address ([`Cascade::access`]).
     #[inline]
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
+    pub fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         self.cascade.access(&mut self.level, vaddr)
     }
 
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
+    /// Translates a batch, stopping at the first unmapped address
+    /// ([`Cascade::access_batch`]).
+    ///
+    /// # Errors
+    ///
+    /// [`BatchFault`] naming the first address that did not translate.
+    pub fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
         self.cascade.access_batch(&mut self.level, vaddrs)
     }
 
-    fn stats(&self) -> &SchemeStats {
+    /// Accumulated statistics.
+    #[must_use]
+    pub fn stats(&self) -> &SchemeStats {
         self.cascade.stats()
     }
 
-    fn on_epoch(&mut self) {
+    /// Passes an epoch boundary (the paper checks memory mappings every
+    /// billion instructions); only the dynamic anchor level reacts.
+    pub fn on_epoch(&mut self) {
         self.cascade.on_epoch(&mut self.level);
     }
 
-    fn flush(&mut self) {
+    /// Flushes all TLB state (context switch / shootdown).
+    pub fn flush(&mut self) {
         self.cascade.flush(&mut self.level);
     }
 
-    fn anchor_distance(&self) -> Option<u64> {
+    /// The anchor distance in effect, for anchor designs (Table 6 reports
+    /// it); `None` for the others.
+    #[must_use]
+    pub fn anchor_distance(&self) -> Option<u64> {
         self.level.anchor_distance()
     }
 
-    fn geometries(&self) -> Vec<TlbGeometry> {
+    /// Geometries of every TLB structure the design instantiates, so
+    /// `hytlb-audit -- invariants` can check the architectural constraints.
+    #[must_use]
+    pub fn geometries(&self) -> Vec<TlbGeometry> {
         self.cascade.geometries(&self.level)
     }
 }

@@ -2,7 +2,6 @@
 //! entries sharing the L2 array).
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
-use crate::scheme::LatencyModel;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
 use hytlb_pagetable::{LeafEntry, PageTable};
@@ -32,31 +31,30 @@ impl Mmu<PagedLevel> {
     ///
     /// ```
     /// use hytlb_mem::Scenario;
-    /// use hytlb_schemes::{LatencyModel, Mmu, TranslationScheme};
+    /// use hytlb_schemes::{Mmu, TranslationPath};
     ///
     /// let map = Scenario::LowContiguity.generate(256, 1);
-    /// let mut base = Mmu::baseline(&map, LatencyModel::default());
+    /// let mut base = Mmu::baseline(&map);
     /// let va = map.chunks().next().unwrap().vpn.base_addr();
-    /// let first = base.access(va);
-    /// let second = base.access(va);
-    /// assert!(second.cycles < first.cycles); // second access hits
+    /// assert_eq!(base.access(va).path, TranslationPath::Walk);
+    /// assert_eq!(base.access(va).path, TranslationPath::L1Hit); // second access hits
     /// ```
     #[must_use]
-    pub fn baseline(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::paged("Base", map, false, latency)
+    pub fn baseline(map: &AddressSpaceMap) -> Self {
+        Self::paged("Base", map, false)
     }
 
     /// The paper's `THP` configuration: the OS maps 2 MB-shaped regions
     /// with huge PTEs (Linux transparent huge pages), and both page sizes
     /// share the 1024-entry 8-way L2 (Table 3, "Baseline/THP").
     #[must_use]
-    pub fn thp(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
-        Self::paged("THP", map, true, latency)
+    pub fn thp(map: &AddressSpaceMap) -> Self {
+        Self::paged("THP", map, true)
     }
 
-    fn paged(name: &str, map: &AddressSpaceMap, thp: bool, latency: LatencyModel) -> Self {
+    fn paged(name: &str, map: &AddressSpaceMap, thp: bool) -> Self {
         Mmu {
-            cascade: Cascade::new(name, SharedL2::paper_default(), latency),
+            cascade: Cascade::new(name, SharedL2::paper_default()),
             level: PagedLevel { table: PageTable::from_map(map, thp) },
         }
     }
@@ -103,9 +101,9 @@ pub(crate) fn fill_paged(l2: &mut SharedL2, vpn: VirtPageNum, leaf: LeafEntry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TranslationPath, TranslationScheme};
+    use crate::TranslationPath;
     use hytlb_mem::Scenario;
-    use hytlb_types::{Cycles, VirtAddr};
+    use hytlb_types::VirtAddr;
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -113,7 +111,7 @@ mod tests {
 
     fn baseline(footprint: u64, seed: u64) -> (Mmu<PagedLevel>, AddressSpaceMap) {
         let map = Scenario::MediumContiguity.generate(footprint, seed);
-        (Mmu::baseline(&map, LatencyModel::default()), map)
+        (Mmu::baseline(&map), map)
     }
 
     #[test]
@@ -122,11 +120,9 @@ mod tests {
         let vpn = map.chunks().next().unwrap().vpn;
         let r1 = s.access(va(vpn));
         assert_eq!(r1.path, TranslationPath::Walk);
-        assert_eq!(r1.cycles, Cycles::new(50));
         // Second access: L1 hit, free.
         let r2 = s.access(va(vpn));
         assert_eq!(r2.path, TranslationPath::L1Hit);
-        assert_eq!(r2.cycles, Cycles::ZERO);
         assert_eq!(r1.pfn, r2.pfn);
     }
 
@@ -181,7 +177,7 @@ mod tests {
         // Even a fully contiguous mapping gives baseline no benefit: one
         // walk per distinct page.
         let map = Scenario::MaxContiguity.generate(2048, 6);
-        let mut s = Mmu::baseline(&map, LatencyModel::default());
+        let mut s = Mmu::baseline(&map);
         for (vpn, _) in map.iter_pages() {
             s.access(va(vpn));
         }
@@ -193,7 +189,7 @@ mod tests {
         // A max-contiguity mapping is fully huge-page-shaped (modulo edge
         // remainders), so touching all 2048 pages costs ~4 walks.
         let map = Scenario::MaxContiguity.generate(2048, 1);
-        let mut s = Mmu::thp(&map, LatencyModel::default());
+        let mut s = Mmu::thp(&map);
         assert!(s.level.huge_leaves() >= 2);
         for (vpn, pfn) in map.iter_pages() {
             assert_eq!(s.access(va(vpn)).pfn, Some(pfn));
@@ -205,8 +201,8 @@ mod tests {
     #[test]
     fn thp_beats_baseline_on_demand_mapping() {
         let map = Scenario::DemandPaging.generate(8192, 2);
-        let mut thp = Mmu::thp(&map, LatencyModel::default());
-        let mut base = Mmu::baseline(&map, LatencyModel::default());
+        let mut thp = Mmu::thp(&map);
+        let mut base = Mmu::baseline(&map);
         for (vpn, _) in map.iter_pages() {
             thp.access(va(vpn));
             base.access(va(vpn));
@@ -217,14 +213,14 @@ mod tests {
     #[test]
     fn thp_useless_on_low_contiguity() {
         let map = Scenario::LowContiguity.generate(4096, 3);
-        let s = Mmu::thp(&map, LatencyModel::default());
+        let s = Mmu::thp(&map);
         assert_eq!(s.level.huge_leaves(), 0);
     }
 
     #[test]
     fn thp_translations_match_the_map() {
         let map = Scenario::DemandPaging.generate(2048, 4);
-        let mut s = Mmu::thp(&map, LatencyModel::default());
+        let mut s = Mmu::thp(&map);
         for (vpn, pfn) in map.iter_pages() {
             assert_eq!(s.access(va(vpn)).pfn, Some(pfn), "at {vpn}");
         }
@@ -233,7 +229,7 @@ mod tests {
     #[test]
     fn l1_caches_huge_translations() {
         let map = Scenario::MaxContiguity.generate(4096, 5);
-        let mut s = Mmu::thp(&map, LatencyModel::default());
+        let mut s = Mmu::thp(&map);
         let head = map.chunks().next().unwrap().vpn;
         s.access(va(head));
         // A different page of the same huge page: L1 hit.

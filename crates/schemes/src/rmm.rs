@@ -14,7 +14,7 @@
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::paged::fill_paged;
-use crate::scheme::{LatencyModel, TranslationPath};
+use crate::scheme::TranslationPath;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
 use hytlb_pagetable::{LeafEntry, PageTable};
@@ -56,9 +56,9 @@ impl Mmu<RangeLevel> {
     /// The paper's `RMM`: the THP page table and L2 plus a 32-entry range
     /// TLB.
     #[must_use]
-    pub fn rmm(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
+    pub fn rmm(map: &AddressSpaceMap) -> Self {
         Mmu {
-            cascade: Cascade::new("RMM", SharedL2::paper_default(), latency),
+            cascade: Cascade::new("RMM", SharedL2::paper_default()),
             level: RangeLevel {
                 ranges: RangeTlb::new(RANGE_ENTRIES),
                 table: PageTable::from_map(map, true),
@@ -118,9 +118,8 @@ impl CoalescedLevel for RangeLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TranslationScheme;
     use hytlb_mem::Scenario;
-    use hytlb_types::{Cycles, VirtAddr};
+    use hytlb_types::VirtAddr;
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -137,7 +136,7 @@ mod tests {
     #[test]
     fn max_contiguity_nearly_eliminates_misses() {
         let map = Scenario::MaxContiguity.generate(8192, 1);
-        let mut s = Mmu::rmm(&map, LatencyModel::default());
+        let mut s = Mmu::rmm(&map);
         touch_all(&mut s, &map, 2);
         let st = s.stats();
         // After the handful of cold walks, everything hits.
@@ -148,7 +147,7 @@ mod tests {
     #[test]
     fn low_contiguity_defeats_the_range_tlb() {
         let map = Scenario::LowContiguity.generate(8192, 2);
-        let mut s = Mmu::rmm(&map, LatencyModel::default());
+        let mut s = Mmu::rmm(&map);
         // Random access order (a golden-ratio stride walks all pages): with
         // ~1000 small chunks, 32 range entries cover almost nothing.
         let pages: Vec<_> = map.iter_pages().collect();
@@ -173,13 +172,12 @@ mod tests {
             600,
             hytlb_types::Permissions::READ_WRITE,
         );
-        let mut s = Mmu::rmm(&map, LatencyModel::default());
+        let mut s = Mmu::rmm(&map);
         let first = map.chunks().next().unwrap().vpn;
         s.access(va(first));
         // A far page of the same chunk: L1 and L2 miss, range hit.
         let r = s.access(va(first + 300));
         assert_eq!(r.path, TranslationPath::CoalescedHit);
-        assert_eq!(r.cycles, Cycles::new(8));
         assert_eq!(r.pfn, Some(PhysFrameNum::new(1301)));
     }
 
@@ -192,7 +190,7 @@ mod tests {
             1,
             hytlb_types::Permissions::READ_WRITE,
         );
-        let mut s = Mmu::rmm(&map, LatencyModel::default());
+        let mut s = Mmu::rmm(&map);
         s.access(va(VirtPageNum::new(0)));
         assert_eq!(s.level.cached_ranges(), 0);
     }
@@ -204,7 +202,7 @@ mod tests {
         // Footprint large enough that chunks exceed the >2MB range
         // threshold.
         let map = Scenario::MaxContiguity.generate(4096, 4);
-        let mut s = Mmu::rmm(&map, LatencyModel::default());
+        let mut s = Mmu::rmm(&map);
         touch_all(&mut s, &map, 1);
         assert!(s.level.cached_ranges() > 0);
         s.flush();

@@ -13,7 +13,7 @@
 
 use crate::mmu::{Cascade, CoalescedLevel, Mmu, Probe, PteBlock};
 use crate::paged::fill_paged;
-use crate::scheme::{LatencyModel, TranslationPath};
+use crate::scheme::TranslationPath;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
 use hytlb_pagetable::{LeafEntry, PageTable};
@@ -45,7 +45,7 @@ impl Mmu<GiantTlb> {
     /// giant-page-shaped 1 GB regions become 1 GB leaves, remaining
     /// huge-page-shaped regions become 2 MB leaves, the rest 4 KB.
     #[must_use]
-    pub fn thp_1g(map: &AddressSpaceMap, latency: LatencyModel) -> Self {
+    pub fn thp_1g(map: &AddressSpaceMap) -> Self {
         let mut table = PageTable::new();
         for chunk in map.chunks() {
             let mut vpn = chunk.vpn;
@@ -78,7 +78,7 @@ impl Mmu<GiantTlb> {
             }
         }
         Mmu {
-            cascade: Cascade::new("THP-1G", SharedL2::paper_default(), latency),
+            cascade: Cascade::new("THP-1G", SharedL2::paper_default()),
             level: GiantTlb { giant: SetAssocTlb::new(4, 4), table },
         }
     }
@@ -137,7 +137,6 @@ impl CoalescedLevel for GiantTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TranslationScheme;
     use hytlb_types::{Permissions, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
@@ -159,14 +158,14 @@ mod tests {
     #[test]
     fn giant_shaped_mapping_installs_giant_leaves() {
         let map = giant_map(2);
-        let s = Mmu::thp_1g(&map, LatencyModel::default());
+        let s = Mmu::thp_1g(&map);
         assert_eq!(s.level.giant_leaves(), 2);
     }
 
     #[test]
     fn one_walk_serves_a_whole_gigabyte() {
         let map = giant_map(1);
-        let mut s = Mmu::thp_1g(&map, LatencyModel::default());
+        let mut s = Mmu::thp_1g(&map);
         let head = map.chunks().next().unwrap().vpn;
         assert_eq!(s.access(va(head)).path, TranslationPath::Walk);
         // A page 900 MB away: giant-TLB hit (1 GB pages have no L1 array).
@@ -186,7 +185,7 @@ mod tests {
             GIANT_PAGE_PAGES,
             Permissions::READ_WRITE,
         );
-        let s = Mmu::thp_1g(&m, LatencyModel::default());
+        let s = Mmu::thp_1g(&m);
         assert_eq!(s.level.giant_leaves(), 0);
         assert_eq!(s.level.table.mapped_huge_pages(), 512);
     }
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn translations_match_map() {
         let map = giant_map(1);
-        let mut s = Mmu::thp_1g(&map, LatencyModel::default());
+        let mut s = Mmu::thp_1g(&map);
         for (vpn, pfn) in map.iter_pages().step_by(40_961) {
             assert_eq!(s.access(va(vpn)).pfn, Some(pfn), "at {vpn}");
         }
@@ -202,14 +201,14 @@ mod tests {
 
     #[test]
     fn giant_tlb_capacity_is_sixteen() {
-        let s = Mmu::thp_1g(&giant_map(1), LatencyModel::default());
+        let s = Mmu::thp_1g(&giant_map(1));
         assert_eq!(s.level.giant.capacity(), 16);
     }
 
     #[test]
     fn flush_clears_giant_tlb() {
         let map = giant_map(1);
-        let mut s = Mmu::thp_1g(&map, LatencyModel::default());
+        let mut s = Mmu::thp_1g(&map);
         let head = map.chunks().next().unwrap().vpn;
         s.access(va(head));
         s.flush();

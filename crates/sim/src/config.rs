@@ -1,25 +1,26 @@
 //! Evaluation configuration and the scheme kinds.
 
-use hytlb_schemes::LatencyModel;
-
 /// The largest `accesses` the command-line parsers accept: 2^27 accesses,
 /// whose `u64` trace alone takes 1 GiB. Above `--paper`'s 2 M with room to
 /// spare, and small enough that a typo fails as a usage error instead of
 /// an aborted multi-GiB allocation.
 pub const MAX_ACCESSES: u64 = 1 << 27;
 
-/// The paper's evaluation configuration (Table 3 plus trace parameters).
+/// Memory accesses per instruction: about a third of instructions touch
+/// memory. Converts a trace's accesses into the instructions it represents
+/// (for the translation-CPI figures) and an epoch's instructions into
+/// accesses.
+pub const MEM_OPS_PER_INSTRUCTION: f64 = 1.0 / 3.0;
+
+/// The paper's evaluation configuration: trace and epoch parameters. The
+/// translation costs are fixed by Table 3
+/// ([`TranslationPath::cycles`](hytlb_schemes::TranslationPath::cycles)).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PaperConfig {
-    /// Latency model (7 / 8 / 50 cycles).
-    pub latency: LatencyModel,
     /// Accesses simulated per run. The paper replays 12 B instructions; we
     /// default to 2 M memory accesses, which reaches steady state for every
     /// structure modelled (≤ 1056 entries).
     pub accesses: u64,
-    /// Memory accesses per instruction (used to convert cycles into the
-    /// translation-CPI figures; ~1/3 of instructions touch memory).
-    pub mem_ops_per_instruction: f64,
     /// Instructions per OS epoch check. The paper uses 1 B; scaled to the
     /// shorter traces here.
     pub epoch_instructions: u64,
@@ -39,9 +40,7 @@ pub struct PaperConfig {
 impl Default for PaperConfig {
     fn default() -> Self {
         PaperConfig {
-            latency: LatencyModel::default(),
             accesses: 2_000_000,
-            mem_ops_per_instruction: 1.0 / 3.0,
             epoch_instructions: 1_000_000,
             seed: 42,
             footprint_shift: 0,
@@ -58,12 +57,6 @@ impl PaperConfig {
         PaperConfig { accesses: 300_000, footprint_shift: 3, ..Self::default() }
     }
 
-    /// Instructions represented by this run's trace.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        (self.accesses as f64 / self.mem_ops_per_instruction).round() as u64
-    }
-
     /// The footprint (pages) to simulate for a workload under this config.
     #[must_use]
     pub fn footprint_for(&self, workload: hytlb_trace::WorkloadKind) -> u64 {
@@ -73,14 +66,14 @@ impl PaperConfig {
     /// Accesses between epoch checks.
     #[must_use]
     pub fn epoch_accesses(&self) -> u64 {
-        ((self.epoch_instructions as f64 * self.mem_ops_per_instruction).round() as u64).max(1)
+        ((self.epoch_instructions as f64 * MEM_OPS_PER_INSTRUCTION).round() as u64).max(1)
     }
 
     /// A fingerprint of every field that determines generated mappings and
     /// traces (`seed`, `accesses`, `footprint_shift`). Two configs with the
     /// same fingerprint generate bit-identical inputs, so matrix caches key
     /// on it. Deliberately excludes fields that only shape measurement or
-    /// scheduling (latencies, epoch length, `threads`).
+    /// scheduling (epoch length, `threads`).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over the generation-relevant fields.
@@ -170,14 +163,12 @@ mod tests {
     use super::*;
     use crate::SchemeDispatch;
     use hytlb_mem::Scenario;
-    use hytlb_schemes::TranslationScheme;
     use std::sync::Arc;
 
     #[test]
     fn config_arithmetic() {
         let c = PaperConfig::default();
-        assert_eq!(c.instructions(), 6_000_000);
-        assert!(c.epoch_accesses() > 0);
+        assert_eq!(c.epoch_accesses(), 333_333);
         let q = PaperConfig::quick();
         assert!(
             q.footprint_for(hytlb_trace::WorkloadKind::Gups)
@@ -195,7 +186,6 @@ mod tests {
 
     #[test]
     fn every_scheme_builds_and_translates() {
-        let config = PaperConfig::quick();
         let map = Arc::new(Scenario::MediumContiguity.generate(2048, 7));
         let mut kinds = vec![
             SchemeKind::AnchorStatic(16),
@@ -205,7 +195,7 @@ mod tests {
         ];
         kinds.extend(SchemeKind::paper_set());
         for kind in kinds {
-            let mut s = SchemeDispatch::build(kind, &map, &config);
+            let mut s = SchemeDispatch::build(kind, &map);
             for (vpn, pfn) in map.iter_pages().take(200) {
                 assert_eq!(s.access(vpn.base_addr()).pfn, Some(pfn), "{kind}");
             }

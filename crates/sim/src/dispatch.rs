@@ -9,12 +9,12 @@
 //! design (ablations) build its [`Mmu`] themselves and wrap it with
 //! [`SchemeDispatch::new`].
 
-use crate::config::{PaperConfig, SchemeKind};
+use crate::config::SchemeKind;
 use hytlb_core::{AnchorConfig, AnchorLevel, AnchorScheme};
 use hytlb_mem::AddressSpaceMap;
 use hytlb_schemes::{
     AccessResult, BatchFault, Cascade, ClusterTlb, CoalescedLevel, ColtTlb, GiantTlb, Mmu,
-    PagedLevel, RangeLevel, SchemeStats, TranslationScheme,
+    PagedLevel, RangeLevel, SchemeStats,
 };
 use hytlb_tlb::TlbGeometry;
 use hytlb_types::VirtAddr;
@@ -70,64 +70,70 @@ impl SchemeDispatch {
     /// Builds the scheme for `kind` over a mapping. The map is shared by
     /// reference count, never copied.
     #[must_use]
-    pub fn build(kind: SchemeKind, map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Self {
-        let latency = config.latency;
+    pub fn build(kind: SchemeKind, map: &Arc<AddressSpaceMap>) -> Self {
         let anchor = |cfg| Self::new(AnchorScheme::new(Arc::clone(map), cfg), AnyLevel::Anchor);
         match kind {
-            SchemeKind::Baseline => Self::new(Mmu::baseline(map, latency), AnyLevel::Paged),
-            SchemeKind::Thp => Self::new(Mmu::thp(map, latency), AnyLevel::Paged),
-            SchemeKind::Thp1G => Self::new(Mmu::thp_1g(map, latency), AnyLevel::Giant),
-            SchemeKind::Cluster => Self::new(Mmu::cluster(map, latency), AnyLevel::Cluster),
-            SchemeKind::Cluster2Mb => Self::new(Mmu::cluster_2mb(map, latency), AnyLevel::Cluster),
-            SchemeKind::Colt => Self::new(Mmu::colt(map, latency), AnyLevel::Colt),
-            SchemeKind::Rmm => Self::new(Mmu::rmm(map, latency), AnyLevel::Range),
-            SchemeKind::AnchorDynamic => {
-                anchor(AnchorConfig { latency, ..AnchorConfig::dynamic() })
-            }
-            SchemeKind::AnchorStatic(d) => {
-                anchor(AnchorConfig { latency, ..AnchorConfig::static_distance(d) })
-            }
-            SchemeKind::AnchorMultiRegion(n) => {
-                anchor(AnchorConfig { latency, ..AnchorConfig::multi_region(n) })
-            }
+            SchemeKind::Baseline => Self::new(Mmu::baseline(map), AnyLevel::Paged),
+            SchemeKind::Thp => Self::new(Mmu::thp(map), AnyLevel::Paged),
+            SchemeKind::Thp1G => Self::new(Mmu::thp_1g(map), AnyLevel::Giant),
+            SchemeKind::Cluster => Self::new(Mmu::cluster(map), AnyLevel::Cluster),
+            SchemeKind::Cluster2Mb => Self::new(Mmu::cluster_2mb(map), AnyLevel::Cluster),
+            SchemeKind::Colt => Self::new(Mmu::colt(map), AnyLevel::Colt),
+            SchemeKind::Rmm => Self::new(Mmu::rmm(map), AnyLevel::Range),
+            SchemeKind::AnchorDynamic => anchor(AnchorConfig::dynamic()),
+            SchemeKind::AnchorStatic(d) => anchor(AnchorConfig::static_distance(d)),
+            SchemeKind::AnchorMultiRegion(n) => anchor(AnchorConfig::multi_region(n)),
         }
     }
-}
 
-/// `stats` and `name` belong to the cascade; the other methods pass the
-/// level the cascade runs through. `access_batch` is the hot one: a single
-/// `match` selects the level, then the whole chunk runs through the
-/// cascade's loop monomorphized for it.
-impl TranslationScheme for SchemeDispatch {
-    fn name(&self) -> &str {
+    /// The design's label, as in the paper's figures.
+    #[must_use]
+    pub fn name(&self) -> &str {
         self.cascade.name()
     }
 
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
+    /// Translates one virtual address ([`Cascade::access`]).
+    pub fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         with_level!(&mut self.level, l => self.cascade.access(l, vaddr))
     }
 
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
+    /// Translates a batch, stopping at the first unmapped address. This is
+    /// the engine's hot call: a single `match` selects the level, then the
+    /// whole chunk runs through [`Cascade::access_batch`] monomorphized for
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// [`BatchFault`] naming the first address that did not translate.
+    pub fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
         with_level!(&mut self.level, l => self.cascade.access_batch(l, vaddrs))
     }
 
-    fn stats(&self) -> &SchemeStats {
+    /// Accumulated statistics.
+    #[must_use]
+    pub fn stats(&self) -> &SchemeStats {
         self.cascade.stats()
     }
 
-    fn on_epoch(&mut self) {
+    /// Passes an epoch boundary; only the dynamic anchor level reacts.
+    pub fn on_epoch(&mut self) {
         with_level!(&mut self.level, l => self.cascade.on_epoch(l));
     }
 
-    fn flush(&mut self) {
+    /// Flushes all TLB state (context switch / shootdown).
+    pub fn flush(&mut self) {
         with_level!(&mut self.level, l => self.cascade.flush(l));
     }
 
-    fn anchor_distance(&self) -> Option<u64> {
+    /// The anchor distance in effect, for anchor designs; `None` otherwise.
+    #[must_use]
+    pub fn anchor_distance(&self) -> Option<u64> {
         with_level!(&self.level, l => l.anchor_distance())
     }
 
-    fn geometries(&self) -> Vec<TlbGeometry> {
+    /// Geometries of every TLB structure the design instantiates.
+    #[must_use]
+    pub fn geometries(&self) -> Vec<TlbGeometry> {
         with_level!(&self.level, l => self.cascade.geometries(l))
     }
 }
@@ -139,13 +145,12 @@ mod tests {
 
     #[test]
     fn batch_equals_scalar_through_dispatch() {
-        let config = PaperConfig::quick();
         let map = Arc::new(Scenario::LowContiguity.generate(2048, 3));
         let vaddrs: Vec<VirtAddr> =
             map.iter_pages().take(500).map(|(vpn, _)| vpn.base_addr()).collect();
         for kind in SchemeKind::paper_set() {
-            let mut batched = SchemeDispatch::build(kind, &map, &config);
-            let mut scalar = SchemeDispatch::build(kind, &map, &config);
+            let mut batched = SchemeDispatch::build(kind, &map);
+            let mut scalar = SchemeDispatch::build(kind, &map);
             batched.access_batch(&vaddrs).expect("mapped addresses");
             for &va in &vaddrs {
                 scalar.access(va);

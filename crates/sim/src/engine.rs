@@ -1,10 +1,10 @@
 //! The machine: a translation scheme driven by a resolved-address trace.
 
-use crate::config::{PaperConfig, SchemeKind};
+use crate::config::{PaperConfig, SchemeKind, MEM_OPS_PER_INSTRUCTION};
 use crate::dispatch::SchemeDispatch;
 use crate::error::SimError;
 use hytlb_mem::{AddressSpaceMap, PageIndex};
-use hytlb_schemes::{SchemeStats, TranslationScheme};
+use hytlb_schemes::{SchemeStats, TranslationPath};
 use hytlb_types::VirtAddr;
 use std::sync::Arc;
 
@@ -114,7 +114,7 @@ impl Machine {
         config: &PaperConfig,
     ) -> Self {
         assert_eq!(index.len(), map.mapped_pages(), "page index does not match the mapping");
-        Machine::new(SchemeDispatch::build(kind, map, config), config)
+        Machine::new(SchemeDispatch::build(kind, map), config)
     }
 
     /// Drives a resolved trace through the MMU with no TLB flushes.
@@ -176,14 +176,14 @@ impl Machine {
 
     fn finish(&self, accesses: u64) -> RunStats {
         let stats = *self.scheme.stats();
-        let instructions =
-            (accesses as f64 / self.config.mem_ops_per_instruction).round().max(1.0) as u64;
-        let lat = self.config.latency;
+        let instructions = (accesses as f64 / MEM_OPS_PER_INSTRUCTION).round().max(1.0) as u64;
+        let share = |count: u64, path: TranslationPath| {
+            (count * path.cycles().as_u64()) as f64 / instructions as f64
+        };
         let cpi = CpiBreakdown {
-            l2_hit: (stats.l2_regular_hits * lat.l2_hit.as_u64()) as f64 / instructions as f64,
-            coalesced_hit: (stats.coalesced_hits * lat.coalesced_hit.as_u64()) as f64
-                / instructions as f64,
-            walk: ((stats.walks + stats.faults) * lat.walk.as_u64()) as f64 / instructions as f64,
+            l2_hit: share(stats.l2_regular_hits, TranslationPath::L2RegularHit),
+            coalesced_hit: share(stats.coalesced_hits, TranslationPath::CoalescedHit),
+            walk: share(stats.walks + stats.faults, TranslationPath::Walk),
         };
         RunStats {
             scheme: self.scheme.name().to_owned(),
@@ -227,13 +227,46 @@ mod tests {
     #[test]
     fn run_counts_accesses_and_cpi() {
         let map = Arc::new(Scenario::MediumContiguity.generate(4096, 1));
-        let trace = trace(WorkloadKind::Canneal, 4096, 1, 20_000);
-        let stats = run(SchemeKind::Baseline, &map, &trace, u64::MAX);
-        assert_eq!(stats.accesses, 20_000);
-        assert_eq!(stats.stats.accesses, 20_000);
-        assert!(stats.translation_cpi() > 0.0);
-        assert_eq!(stats.scheme, "Base");
-        assert_eq!(stats.anchor_distance, None);
+        let index = Arc::new(map.page_index());
+        let resolved = index.resolve(&trace(WorkloadKind::Canneal, 4096, 1, 20_000));
+        // Epochs every 3,000 accesses and a flush every 7,000, so epoch
+        // shoot-downs and flushes both land inside the run.
+        let config = PaperConfig { epoch_instructions: 9_000, ..quick() };
+        let mut kinds = SchemeKind::paper_set().to_vec();
+        kinds.extend([
+            SchemeKind::Thp1G,
+            SchemeKind::Colt,
+            SchemeKind::AnchorMultiRegion(4),
+            SchemeKind::AnchorStatic(64),
+        ]);
+        for kind in kinds {
+            let run = Machine::for_scheme_indexed(kind, &map, &index, &config)
+                .try_run_resolved_with_flush_period(&resolved, 7_000)
+                .expect("mapped trace");
+            let s = run.stats;
+            assert_eq!((run.accesses, s.accesses), (20_000, 20_000), "{kind}");
+            assert_eq!(run.scheme, kind.label());
+            let anchor = matches!(
+                kind,
+                SchemeKind::AnchorDynamic
+                    | SchemeKind::AnchorStatic(_)
+                    | SchemeKind::AnchorMultiRegion(_)
+            );
+            assert_eq!(run.anchor_distance.is_some(), anchor, "{kind}");
+            // The counters' cycles and the CPI both follow Table 3.
+            let shares = [
+                (run.cpi.l2_hit, 7 * s.l2_regular_hits),
+                (run.cpi.coalesced_hit, 8 * s.coalesced_hits),
+                (run.cpi.walk, 50 * (s.walks + s.faults)),
+            ];
+            let total: u64 = shares.iter().map(|&(_, cycles)| cycles).sum();
+            assert_eq!(s.cycles.as_u64(), total, "{kind}");
+            assert!(run.translation_cpi() > 0.0, "{kind}");
+            for (cpi, cycles) in shares {
+                let got = cpi * run.instructions as f64;
+                assert!((got - cycles as f64).abs() <= 1e-12 * cycles as f64, "{kind}: {got}");
+            }
+        }
     }
 
     #[test]
@@ -271,8 +304,7 @@ mod tests {
         // onto a 4096-page one: it soon leaves the scheme's map.
         let small = Arc::new(Scenario::MediumContiguity.generate(64, 7));
         let big = Arc::new(Scenario::MediumContiguity.generate(4096, 7));
-        let mut m =
-            Machine::new(SchemeDispatch::build(SchemeKind::Baseline, &small, &config), &config);
+        let mut m = Machine::new(SchemeDispatch::build(SchemeKind::Baseline, &small), &config);
         let trace: Vec<u64> = WorkloadKind::Gups.generator(4096, 7).take(5_000).collect();
         let resolved = big.page_index().resolve(&trace);
         let err = m.try_run_resolved(&resolved).expect_err("mismatched maps must fault");

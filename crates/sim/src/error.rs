@@ -21,26 +21,6 @@ pub enum SimError {
         /// The virtual address that failed to translate.
         vaddr: VirtAddr,
     },
-    /// A table renderer was handed an empty suite list.
-    NoSuites,
-    /// Suites passed to a cross-suite renderer disagree on their workload
-    /// rows.
-    SuiteMisaligned {
-        /// Row index where the disagreement was found.
-        row: usize,
-        /// Workload label the first suite has at that row.
-        expected: String,
-        /// Workload label the offending suite has there.
-        found: String,
-    },
-    /// An anchor-distance column was requested from a scheme that has no
-    /// anchor distance.
-    NotAnAnchorColumn {
-        /// Label of the scheme column.
-        scheme: String,
-        /// Workload row where the lookup failed.
-        workload: String,
-    },
     /// Serialization of a result failed.
     Serialize {
         /// The serializer's error message.
@@ -86,13 +66,6 @@ impl core::fmt::Display for SimError {
             SimError::TraceFault { scheme, vaddr } => {
                 write!(f, "scheme {scheme} faulted on a mapped-only trace at {vaddr}")
             }
-            SimError::NoSuites => write!(f, "no suites to render"),
-            SimError::SuiteMisaligned { row, expected, found } => {
-                write!(f, "suites disagree at row {row}: expected {expected}, found {found}")
-            }
-            SimError::NotAnAnchorColumn { scheme, workload } => {
-                write!(f, "scheme column {scheme} has no anchor distance (workload {workload})")
-            }
             SimError::Serialize { detail } => write!(f, "serialization failed: {detail}"),
             SimError::Corpus { detail } => write!(f, "trace corpus replay failed: {detail}"),
             SimError::Cell { scenario, workload, scheme, source } => {
@@ -106,12 +79,9 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Cell { source, .. } => Some(source.as_ref()),
-            SimError::TraceFault { .. }
-            | SimError::NoSuites
-            | SimError::SuiteMisaligned { .. }
-            | SimError::NotAnAnchorColumn { .. }
-            | SimError::Serialize { .. }
-            | SimError::Corpus { .. } => None,
+            SimError::TraceFault { .. } | SimError::Serialize { .. } | SimError::Corpus { .. } => {
+                None
+            }
         }
     }
 }
@@ -135,9 +105,6 @@ mod tests {
     #[test]
     fn display_covers_all_variants() {
         let cases: Vec<SimError> = vec![
-            SimError::NoSuites,
-            SimError::SuiteMisaligned { row: 2, expected: "gups".into(), found: "mcf".into() },
-            SimError::NotAnAnchorColumn { scheme: "Base".into(), workload: "gups".into() },
             SimError::Serialize { detail: "boom".into() },
             SimError::Corpus { detail: "manifest.json is unreadable".into() },
         ];

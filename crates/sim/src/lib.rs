@@ -2,8 +2,9 @@
 //!
 //! This crate ties everything together:
 //!
-//! * [`PaperConfig`] — the evaluation configuration of Table 3 (latencies,
-//!   epoch length, trace length, seeds).
+//! * [`PaperConfig`] — the evaluation configuration (epoch length, trace
+//!   length, seeds); Table 3's latencies are
+//!   [`TranslationPath::cycles`](hytlb_schemes::TranslationPath::cycles).
 //! * [`SchemeKind`] — the translation schemes compared in the paper, and
 //!   [`SchemeDispatch`] — the registry that builds one over any mapping.
 //! * [`Machine`] — a scheme driven by a resolved-address trace (logical

@@ -98,44 +98,6 @@ pub fn l2_breakdown_table(suite: &SuiteResult, scheme_index: usize) -> String {
     )
 }
 
-/// Table 6-style anchor-distance table: workloads × scenarios, showing the
-/// distance the dynamic algorithm selected in each suite. All suites must
-/// contain the same workloads in the same order and include an anchor
-/// scheme run; a violation is reported as a [`SimError`] naming the
-/// offending row and column instead of a bare panic.
-pub fn distance_table(suites: &[&SuiteResult], scheme_index: usize) -> Result<String, SimError> {
-    let first = suites.first().ok_or(SimError::NoSuites)?;
-    let cols: Vec<String> = suites.iter().map(|s| s.scenario.label().to_owned()).collect();
-    let rows: Vec<(String, Vec<String>)> = first
-        .rows
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let cells = suites
-                .iter()
-                .map(|s| {
-                    if s.rows[i].workload != row.workload {
-                        return Err(SimError::SuiteMisaligned {
-                            row: i,
-                            expected: row.workload.label().to_owned(),
-                            found: s.rows[i].workload.label().to_owned(),
-                        });
-                    }
-                    let d = s.rows[i].runs[scheme_index].anchor_distance.ok_or_else(|| {
-                        SimError::NotAnAnchorColumn {
-                            scheme: s.schemes[scheme_index].clone(),
-                            workload: row.workload.label().to_owned(),
-                        }
-                    })?;
-                    Ok(format_distance(d))
-                })
-                .collect::<Result<Vec<String>, SimError>>()?;
-            Ok((row.workload.label().to_owned(), cells))
-        })
-        .collect::<Result<_, SimError>>()?;
-    Ok(render_table("anchor distance", &cols, &rows))
-}
-
 /// Formats a distance the way Table 6 does (4, 32, 1K, 64K, ...).
 #[must_use]
 pub fn format_distance(d: u64) -> String {
@@ -288,25 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn distance_table_renders_k_suffixes() {
+    fn format_distance_uses_k_suffixes() {
         assert_eq!(format_distance(4), "4");
         assert_eq!(format_distance(1024), "1K");
         assert_eq!(format_distance(65536), "64K");
         assert_eq!(format_distance(1536), "1536");
-        let suite = small_suite();
-        let t = distance_table(&[&suite], 1).expect("anchor column renders");
-        assert!(t.contains("gups"));
-        assert!(t.contains("medium"));
-    }
-
-    #[test]
-    fn distance_table_reports_bad_inputs_by_name() {
-        assert_eq!(distance_table(&[], 0), Err(SimError::NoSuites));
-        let suite = small_suite();
-        // Column 0 is the baseline: no anchor distance to report.
-        let err = distance_table(&[&suite], 0).expect_err("baseline has no distance");
-        let msg = err.to_string();
-        assert!(msg.contains("Base") && msg.contains("gups"), "{msg}");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! * [`L1Tlb`] — the split per-size L1 (64-entry 4-way for 4 KB pages,
 //!   32-entry 4-way for 2 MB pages), shared by every scheme.
 //! * [`RangeTlb`] — the 32-entry fully-associative range TLB of RMM.
-//! * [`TlbStats`] — hit/miss counters.
 //!
 //! # Examples
 //!
@@ -33,10 +32,8 @@ mod geometry;
 mod l1;
 mod range_tlb;
 mod set_assoc;
-mod stats;
 
 pub use geometry::TlbGeometry;
 pub use l1::L1Tlb;
 pub use range_tlb::{RangeEntry, RangeTlb};
 pub use set_assoc::SetAssocTlb;
-pub use stats::TlbStats;

@@ -29,10 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analysis;
 mod patterns;
 mod workloads;
 
-pub use analysis::TraceProfile;
 pub use patterns::{AccessPattern, TraceGenerator};
 pub use workloads::WorkloadKind;

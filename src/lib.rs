@@ -17,7 +17,7 @@
 //! * [`core`] — the paper's contribution: the anchor TLB level and the
 //!   dynamic anchor-distance selection algorithm.
 //! * [`schemes`] — the one translation cascade every design runs
-//!   ([`schemes::Mmu`], implementing [`schemes::TranslationScheme`]) and
+//!   ([`schemes::Mmu`]), Table 3's cost of each translation path, and
 //!   the competing designs (baseline, THP, cluster, cluster-2MB, CoLT,
 //!   RMM) as its coalesced levels.
 //! * [`trace`] — synthetic workload trace generators for the 14 benchmarks.
@@ -62,7 +62,6 @@ pub use hytlb_types as types;
 pub mod prelude {
     pub use hytlb_core::{AnchorConfig, AnchorScheme, DistanceSelector};
     pub use hytlb_mem::{AddressSpaceMap, ContiguityHistogram, Scenario};
-    pub use hytlb_schemes::TranslationScheme;
     pub use hytlb_sim::{Machine, PaperConfig, RunStats, SchemeKind};
     pub use hytlb_trace::WorkloadKind;
     pub use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};

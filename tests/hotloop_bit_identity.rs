@@ -9,7 +9,7 @@
 //! actually exercised.
 
 use hytlb::mem::{AddressSpaceMap, PageCursor, PageIndex, Scenario};
-use hytlb::schemes::{SchemeStats, TranslationScheme};
+use hytlb::schemes::SchemeStats;
 use hytlb::sim::{Machine, PaperConfig, SchemeDispatch, SchemeKind};
 use hytlb::trace::WorkloadKind;
 use hytlb::types::{Permissions, PhysFrameNum, VirtAddr, VirtPageNum, PAGE_SIZE_U64};
@@ -53,7 +53,7 @@ fn per_access_reference(
     config: &PaperConfig,
     flush_period: u64,
 ) -> (SchemeStats, Option<u64>) {
-    let mut scheme = SchemeDispatch::build(kind, map, config);
+    let mut scheme = SchemeDispatch::build(kind, map);
     let epoch_every = config.epoch_accesses();
     let (mut since_epoch, mut since_flush) = (0u64, 0u64);
     for &logical in trace {

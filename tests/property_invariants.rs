@@ -4,7 +4,6 @@
 use hytlb::core::{AnchorConfig, AnchorScheme, DistanceSelector};
 use hytlb::mem::{AddressSpaceMap, BuddyAllocator, ContiguityHistogram, Scenario};
 use hytlb::pagetable::{AnchoredPageTable, PageTable};
-use hytlb::schemes::TranslationScheme;
 use hytlb::types::{Permissions, PhysFrameNum, VirtPageNum};
 use proptest::prelude::*;
 use std::collections::HashMap;

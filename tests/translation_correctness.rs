@@ -22,12 +22,12 @@ fn all_kinds() -> Vec<SchemeKind> {
 
 /// Every registry scheme plus the custom configurations `regenerate`
 /// build: CoLT-FA(32), and the anchor fill-policy and indexing ablations.
-fn all_schemes(map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Vec<SchemeDispatch> {
+fn all_schemes(map: &Arc<AddressSpaceMap>) -> Vec<SchemeDispatch> {
     let anchor =
         |cfg| SchemeDispatch::new(AnchorScheme::new(Arc::clone(map), cfg), AnyLevel::Anchor);
     let mut schemes: Vec<_> =
-        all_kinds().into_iter().map(|kind| SchemeDispatch::build(kind, map, config)).collect();
-    schemes.push(SchemeDispatch::new(Mmu::colt_fa(map, config.latency), AnyLevel::Colt));
+        all_kinds().into_iter().map(|kind| SchemeDispatch::build(kind, map)).collect();
+    schemes.push(SchemeDispatch::new(Mmu::colt_fa(map), AnyLevel::Colt));
     schemes
         .push(anchor(AnchorConfig { fill: FillPolicy::AlwaysRegular, ..AnchorConfig::dynamic() }));
     schemes.push(anchor(AnchorConfig {
@@ -46,7 +46,7 @@ fn every_scheme_translates_correctly_on_every_scenario() {
     let config = tiny_config();
     for scenario in Scenario::all() {
         let map = mapping_for(WorkloadKind::Canneal, scenario, &config);
-        for (i, mut scheme) in all_schemes(&map, &config).into_iter().enumerate() {
+        for (i, mut scheme) in all_schemes(&map).into_iter().enumerate() {
             let kind = format!("scheme #{i} ({})", scheme.name());
             for (vpn, pfn) in map.iter_pages().step_by(7) {
                 let got = scheme.access(vpn.base_addr()).pfn;
