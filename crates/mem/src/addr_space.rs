@@ -12,11 +12,6 @@ use hytlb_types::{
 };
 use std::collections::BTreeMap;
 
-/// Mappings at or below this many pages get a flat logical-index→VPN table
-/// in their [`PageIndex`] (8 bytes/page, so ≤512 KB per index), replacing
-/// the per-access binary search with a single array load.
-const FLAT_TABLE_LIMIT: u64 = 1 << 16;
-
 /// One maximal run of contiguously-mapped pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MapChunk {
@@ -291,15 +286,7 @@ impl AddressSpaceMap {
             cumulative.push((acc, c.vpn));
             acc += c.len;
         }
-        let flat = (acc <= FLAT_TABLE_LIMIT).then(|| {
-            let pages = usize::try_from(acc).expect("flat table bounded by FLAT_TABLE_LIMIT");
-            let mut table = Vec::with_capacity(pages);
-            for c in self.chunks.values() {
-                table.extend((0..c.len).map(|i| c.vpn + i));
-            }
-            table
-        });
-        PageIndex { cumulative, flat, total: acc }
+        PageIndex { cumulative, total: acc }
     }
 }
 
@@ -397,19 +384,7 @@ impl ChunkTable {
 pub struct PageIndex {
     /// `(first_logical_index, chunk_start_vpn)` per chunk, ascending.
     cumulative: Vec<(u64, VirtPageNum)>,
-    /// Direct logical-index→VPN table, present only for mappings of at most
-    /// [`FLAT_TABLE_LIMIT`] pages.
-    flat: Option<Vec<VirtPageNum>>,
     total: u64,
-}
-
-/// MRU-chunk memento for [`PageIndex::nth_page_with`]: remembers the
-/// cumulative-table slot of the last lookup so consecutive accesses inside
-/// one chunk skip the binary search. `Default` starts at slot 0. Only
-/// meaningful against the index that filled it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PageCursor {
-    pos: usize,
 }
 
 impl PageIndex {
@@ -438,79 +413,47 @@ impl PageIndex {
         vpn + (i - first)
     }
 
-    /// [`PageIndex::nth_page`] with an MRU-chunk cursor: when `i` lands in
-    /// the same chunk as the previous lookup the binary search is skipped.
-    /// Agrees with `nth_page` on every input (the cursor only changes which
-    /// slot is *tried first*, never the result).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[must_use]
-    pub fn nth_page_with(&self, i: u64, cursor: &mut PageCursor) -> VirtPageNum {
-        assert!(i < self.total, "page index {i} out of {}", self.total);
-        let pos = if self.slot_covers(cursor.pos, i) {
-            cursor.pos
-        } else {
-            let found = self.cumulative.partition_point(|&(first, _)| first <= i) - 1;
-            cursor.pos = found;
-            found
-        };
-        let (first, vpn) = self.cumulative[pos];
-        vpn + (i - first)
-    }
-
-    /// `true` if cumulative slot `pos` exists and covers logical index `i`.
-    fn slot_covers(&self, pos: usize, i: u64) -> bool {
-        match self.cumulative.get(pos) {
-            Some(&(first, _)) => {
-                first <= i
-                    && self.cumulative.get(pos + 1).map_or(i < self.total, |&(next, _)| i < next)
-            }
-            None => false,
-        }
-    }
-
-    /// `true` when this index carries the flat logical-index→VPN table
-    /// (small mappings only; see [`PageIndex::resolve`]).
-    #[must_use]
-    pub fn has_flat_table(&self) -> bool {
-        self.flat.is_some()
-    }
-
     /// Resolves a trace of *logical* byte addresses (the representation
-    /// workload generators emit) into virtual addresses of this mapping, in
-    /// one pass. Element-for-element identical to the per-address placement
-    /// math (`page = logical / 4096`, VPN via `nth_page`, byte offset
-    /// preserved), but uses the flat table when present and the MRU-chunk
-    /// cursor otherwise. This is how the simulation engine places every
-    /// logical trace.
+    /// workload generators emit) into virtual addresses of this mapping.
+    /// Element-for-element identical to the per-address placement math
+    /// (`page = logical / 4096`, VPN via `nth_page`, byte offset
+    /// preserved). This is how the simulation engine places every logical
+    /// trace.
     ///
     /// # Panics
     ///
     /// Panics if any logical address addresses a page `>= len()`, exactly
-    /// like [`PageIndex::nth_page`].
+    /// like [`PageIndex::nth_page`]; [`PageIndex::try_resolve`] returns
+    /// that page instead.
     #[must_use]
     pub fn resolve(&self, logical: &[u64]) -> Vec<VirtAddr> {
-        let mut out = Vec::with_capacity(logical.len());
-        if let Some(flat) = &self.flat {
-            for &addr in logical {
-                let page = addr / PAGE_SIZE_U64;
-                let offset = addr % PAGE_SIZE_U64;
-                assert!(page < self.total, "page index {page} out of {}", self.total);
-                let idx = usize::try_from(page).expect("flat table bounded by FLAT_TABLE_LIMIT");
-                out.push(VirtAddr::new(flat[idx].base_addr().as_u64() + offset));
-            }
-        } else {
-            let mut cursor = PageCursor::default();
-            for &addr in logical {
-                let page = addr / PAGE_SIZE_U64;
-                let offset = addr % PAGE_SIZE_U64;
-                let vpn = self.nth_page_with(page, &mut cursor);
-                out.push(VirtAddr::new(vpn.base_addr().as_u64() + offset));
-            }
+        self.try_resolve(logical)
+            .unwrap_or_else(|page| panic!("page index {page} out of {}", self.total))
+    }
+
+    /// [`PageIndex::resolve`] for untrusted traces. Builds a transient
+    /// table of every logical page's base address (8 bytes per page, one
+    /// pass over the chunks), places each access with one indexed load
+    /// plus its byte offset, and drops the table on return.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first logical page index `>= len()` the trace
+    /// addresses.
+    pub fn try_resolve(&self, logical: &[u64]) -> Result<Vec<VirtAddr>, u64> {
+        let ends = self.cumulative.iter().skip(1).map(|&(first, _)| first).chain([self.total]);
+        let mut bases = Vec::with_capacity(usize::try_from(self.total).unwrap_or(0));
+        for (&(first, vpn), end) in self.cumulative.iter().zip(ends) {
+            let base = vpn.base_addr().as_u64();
+            bases.extend((0..end - first).map(|i| base + i * PAGE_SIZE_U64));
         }
-        out
+        let mut out = Vec::with_capacity(logical.len());
+        for &addr in logical {
+            let page = addr / PAGE_SIZE_U64;
+            let base = usize::try_from(page).ok().and_then(|i| bases.get(i)).ok_or(page)?;
+            out.push(VirtAddr::new(base + addr % PAGE_SIZE_U64));
+        }
+        Ok(out)
     }
 }
 
@@ -704,35 +647,11 @@ mod tests {
     }
 
     #[test]
-    fn cursor_lookup_matches_plain_nth_page() {
-        let mut m = AddressSpaceMap::new();
-        m.map_range(VirtPageNum::new(10), PhysFrameNum::new(0), 4, rw());
-        m.map_range(VirtPageNum::new(20), PhysFrameNum::new(100), 1, rw());
-        m.map_range(VirtPageNum::new(30), PhysFrameNum::new(200), 3, rw());
-        let idx = m.page_index();
-        let mut cursor = PageCursor::default();
-        // Forward, backward, and seam-hopping patterns all agree.
-        for &i in &[0u64, 1, 2, 3, 4, 5, 6, 7, 7, 0, 4, 3, 5, 2, 6, 1] {
-            assert_eq!(idx.nth_page_with(i, &mut cursor), idx.nth_page(i), "index {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn cursor_lookup_rejects_out_of_range() {
-        let mut m = AddressSpaceMap::new();
-        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(0), 2, rw());
-        let idx = m.page_index();
-        let _ = idx.nth_page_with(2, &mut PageCursor::default());
-    }
-
-    #[test]
     fn resolve_matches_scalar_placement_math() {
         let mut m = AddressSpaceMap::new();
         m.map_range(VirtPageNum::new(10), PhysFrameNum::new(0), 4, rw());
         m.map_range(VirtPageNum::new(100), PhysFrameNum::new(50), 4, rw());
         let idx = m.page_index();
-        assert!(idx.has_flat_table());
         let logical: Vec<u64> =
             vec![0, 4095, 4096, 3 * 4096 + 17, 7 * 4096 + 4095, 5 * 4096, 4096 + 1];
         let vas = idx.resolve(&logical);
@@ -744,13 +663,49 @@ mod tests {
     }
 
     #[test]
-    fn resolve_agrees_with_and_without_flat_table() {
-        // Build a mapping just above the flat-table limit, then compare the
-        // cursor path against the same layout's nth_page answers.
+    fn resolve_hops_seams_in_any_order() {
+        // Forward, backward and seam-hopping page orders all place like
+        // nth_page, with the byte offset carried through.
         let mut m = AddressSpaceMap::new();
-        let mut vpn = 0u64;
-        let mut pfn = 0u64;
-        let mut remaining = FLAT_TABLE_LIMIT + 7;
+        m.map_range(VirtPageNum::new(10), PhysFrameNum::new(0), 4, rw());
+        m.map_range(VirtPageNum::new(20), PhysFrameNum::new(100), 1, rw());
+        m.map_range(VirtPageNum::new(30), PhysFrameNum::new(200), 3, rw());
+        let idx = m.page_index();
+        let pages = [0u64, 1, 2, 3, 4, 5, 6, 7, 7, 0, 4, 3, 5, 2, 6, 1];
+        let logical: Vec<u64> = pages.iter().map(|&p| p * PAGE_SIZE_U64 + p * 511).collect();
+        for (&l, va) in logical.iter().zip(idx.resolve(&logical)) {
+            let expect = idx.nth_page(l / PAGE_SIZE_U64).base_addr().as_u64() + l % PAGE_SIZE_U64;
+            assert_eq!(va.as_u64(), expect, "logical {l:#x}");
+        }
+    }
+
+    #[test]
+    fn try_resolve_returns_the_first_out_of_range_page() {
+        let mut m = AddressSpaceMap::new();
+        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(0), 2, rw());
+        let idx = m.page_index();
+        assert_eq!(idx.try_resolve(&[0, 4095, 2 * 4096, u64::MAX]), Err(2));
+        assert_eq!(idx.try_resolve(&[u64::MAX]), Err(u64::MAX / PAGE_SIZE_U64));
+        assert_eq!(AddressSpaceMap::new().page_index().try_resolve(&[0]), Err(0));
+        assert_eq!(idx.try_resolve(&[]), Ok(Vec::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "page index 2 out of 2")]
+    fn resolve_rejects_out_of_range() {
+        let mut m = AddressSpaceMap::new();
+        m.map_range(VirtPageNum::new(0), PhysFrameNum::new(0), 2, rw());
+        let _ = m.page_index().resolve(&[4096, 2 * 4096 + 5]);
+    }
+
+    #[test]
+    fn resolve_places_chunk_seams_on_a_large_map() {
+        // More than 2^16 pages in chunks of irregular length separated by
+        // holes: every chunk's first and last page, at byte offsets 0 and
+        // 4095, must land on that chunk's own pages.
+        let mut m = AddressSpaceMap::new();
+        let (mut vpn, mut pfn) = (0u64, 0u64);
+        let mut remaining = (1u64 << 17) + 7;
         let mut len = 3u64;
         while remaining > 0 {
             let take = len.min(remaining);
@@ -761,15 +716,21 @@ mod tests {
             len = (len * 5 + 1) % 900 + 1;
         }
         let idx = m.page_index();
-        assert!(!idx.has_flat_table());
-        let logical: Vec<u64> =
-            (0..idx.len()).step_by(97).map(|p| p * PAGE_SIZE_U64 + p % PAGE_SIZE_U64).collect();
-        let vas = idx.resolve(&logical);
-        for (&l, &va) in logical.iter().zip(&vas) {
-            let vpn = idx.nth_page(l / PAGE_SIZE_U64);
-            let expect = VirtAddr::new(vpn.base_addr().as_u64() + l % PAGE_SIZE_U64);
-            assert_eq!(va, expect, "logical {l:#x}");
+        assert!(idx.len() > 1 << 16);
+        let mut logical = Vec::new();
+        let mut expect = Vec::new();
+        let mut first = 0u64;
+        for c in m.chunks() {
+            for (page, vpn) in [(first, c.vpn), (first + c.len - 1, c.vpn + (c.len - 1))] {
+                for offset in [0, PAGE_SIZE_U64 - 1] {
+                    logical.push(page * PAGE_SIZE_U64 + offset);
+                    expect.push(VirtAddr::new(vpn.base_addr().as_u64() + offset));
+                }
+            }
+            first += c.len;
         }
+        assert!(m.chunk_count() > 100);
+        assert_eq!(idx.resolve(&logical), expect);
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod fragmenter;
 mod numa;
 mod scenario;
 
-pub use addr_space::{AddressSpaceMap, ChunkCursor, ChunkTable, MapChunk, PageCursor, PageIndex};
+pub use addr_space::{AddressSpaceMap, ChunkCursor, ChunkTable, MapChunk, PageIndex};
 pub use buddy::{BuddyAllocator, BuddyError, MAX_ORDER};
 pub use contiguity::ContiguityHistogram;
 pub use demand::DemandPager;

@@ -69,15 +69,16 @@ impl ClusterTlb {
 
     /// Builds a cluster entry from the PTE cache block the walk fetched,
     /// anchored on the walked page's own frame. Returns the entry if at
-    /// least two pages coalesce.
+    /// least two pages coalesce. Branch-free per PTE: on low-contiguity
+    /// mappings each test is a coin flip a branch would mispredict.
     fn coalesce_block(block: &PteBlock, pfn: PhysFrameNum) -> Option<ClusterEntry> {
         let pcn = pfn.as_u64() / CLUSTER_SPAN;
         let mut entry = ClusterEntry { pcn, valid: 0, offsets: [0; CLUSTER_SPAN as usize] };
         for (i, pte) in block.iter().enumerate() {
-            if pte.is_present() && pte.pfn().as_u64() / CLUSTER_SPAN == pcn {
-                entry.valid |= 1 << i;
-                entry.offsets[i] = hytlb_types::u8_from(pte.pfn().offset_within(CLUSTER_SPAN));
-            }
+            let frame = pte.pfn();
+            let hit = u8::from(pte.is_present() & (frame.as_u64() / CLUSTER_SPAN == pcn));
+            entry.valid |= hit << i;
+            entry.offsets[i] = hit * hytlb_types::u8_from(frame.offset_within(CLUSTER_SPAN));
         }
         (entry.coverage() >= 2).then_some(entry)
     }
@@ -178,7 +179,9 @@ impl CoalescedLevel for ClusterTlb {
 mod tests {
     use super::*;
     use hytlb_mem::Scenario;
-    use hytlb_types::VirtAddr;
+    use hytlb_pagetable::PageTableEntry;
+    use hytlb_types::{Permissions, VirtAddr};
+    use proptest::prelude::*;
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -278,5 +281,56 @@ mod tests {
         let map = Scenario::DemandPaging.generate(2048, 5);
         let mut s = Mmu::cluster_2mb(&map);
         touch_all(&mut s, &map, 2);
+    }
+
+    /// The branchy loop `coalesce_block` replaced, kept as its reference.
+    fn coalesce_block_reference(block: &PteBlock, pfn: PhysFrameNum) -> Option<ClusterEntry> {
+        let pcn = pfn.as_u64() / CLUSTER_SPAN;
+        let mut entry = ClusterEntry { pcn, valid: 0, offsets: [0; CLUSTER_SPAN as usize] };
+        for (i, pte) in block.iter().enumerate() {
+            if pte.is_present() && pte.pfn().as_u64() / CLUSTER_SPAN == pcn {
+                entry.valid |= 1 << i;
+                entry.offsets[i] = hytlb_types::u8_from(pte.pfn().offset_within(CLUSTER_SPAN));
+            }
+        }
+        (entry.coverage() >= 2).then_some(entry)
+    }
+
+    /// One PTE of a random block: a leaf within three physical clusters
+    /// of `base`, the same leaf with its present bit (bit 0) clear, or
+    /// arbitrary raw bits.
+    fn arb_pte() -> impl Strategy<Value = (u64, u64, u64)> {
+        (0u64..4, 0u64..3 * CLUSTER_SPAN, any::<u64>())
+    }
+
+    fn pte_from((kind, delta, raw): (u64, u64, u64), base: u64) -> PageTableEntry {
+        let leaf =
+            PageTableEntry::new_leaf(PhysFrameNum::new(base + delta), Permissions::READ_WRITE);
+        match kind {
+            0 | 1 => leaf,
+            2 => PageTableEntry::from_raw(leaf.raw() & !1),
+            _ => PageTableEntry::from_raw(raw),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The branch-free loop builds the same entry as the branchy one
+        /// over random 8-PTE blocks, anchored anywhere near the block.
+        #[test]
+        fn branch_free_coalescing_matches_reference(
+            ptes in proptest::collection::vec(arb_pte(), 8..9),
+            base in 0u64..1 << 30,
+            walked in 0u64..3 * CLUSTER_SPAN,
+        ) {
+            let block: PteBlock = std::array::from_fn(|i| pte_from(ptes[i], base));
+            let pfn = PhysFrameNum::new(base + walked);
+            let fields = |e: ClusterEntry| (e.pcn, e.valid, e.offsets);
+            prop_assert_eq!(
+                ClusterTlb::coalesce_block(&block, pfn).map(fields),
+                coalesce_block_reference(&block, pfn).map(fields)
+            );
+        }
     }
 }

@@ -32,6 +32,14 @@ pub enum SimError {
         /// The trace-file layer's error message.
         detail: String,
     },
+    /// A trace addresses a logical page its mapping does not have (a
+    /// corpus recording whose addresses exceed its footprint).
+    TraceOutOfRange {
+        /// The first logical page index past the mapping.
+        page: u64,
+        /// Pages the mapping holds (valid indices are `0..pages`).
+        pages: u64,
+    },
     /// A matrix cell failed; names the cell and carries the underlying
     /// error.
     Cell {
@@ -68,6 +76,9 @@ impl core::fmt::Display for SimError {
             }
             SimError::Serialize { detail } => write!(f, "serialization failed: {detail}"),
             SimError::Corpus { detail } => write!(f, "trace corpus replay failed: {detail}"),
+            SimError::TraceOutOfRange { page, pages } => {
+                write!(f, "trace addresses logical page {page} of a {pages}-page mapping")
+            }
             SimError::Cell { scenario, workload, scheme, source } => {
                 write!(f, "cell ({scenario}, {workload}, {scheme}) failed: {source}")
             }
@@ -79,9 +90,10 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Cell { source, .. } => Some(source.as_ref()),
-            SimError::TraceFault { .. } | SimError::Serialize { .. } | SimError::Corpus { .. } => {
-                None
-            }
+            SimError::TraceFault { .. }
+            | SimError::Serialize { .. }
+            | SimError::Corpus { .. }
+            | SimError::TraceOutOfRange { .. } => None,
         }
     }
 }
@@ -107,6 +119,7 @@ mod tests {
         let cases: Vec<SimError> = vec![
             SimError::Serialize { detail: "boom".into() },
             SimError::Corpus { detail: "manifest.json is unreadable".into() },
+            SimError::TraceOutOfRange { page: 9, pages: 8 },
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());

@@ -205,7 +205,9 @@ impl MatrixCache {
     /// trace placed onto the cell's mapping (see
     /// [`PageIndex::resolve`](hytlb_mem::PageIndex::resolve)), computed on
     /// first request and shared by every scheme of the cell afterwards.
-    /// Placement is paid once per cell instead of once per scheme.
+    /// Placement is paid once per cell instead of once per scheme. A trace
+    /// that addresses a page past the mapping (possible only from a
+    /// corpus) surfaces as [`SimError::TraceOutOfRange`].
     pub fn try_resolved_trace(
         &self,
         workload: WorkloadKind,
@@ -220,7 +222,11 @@ impl MatrixCache {
             self.resolved_builds.fetch_add(1, Ordering::Relaxed);
             let shared = self.mapping(workload, scenario, config);
             let trace = self.try_trace(workload, config)?;
-            Ok(Arc::new(shared.index.resolve(&trace)))
+            let resolved = shared
+                .index
+                .try_resolve(&trace)
+                .map_err(|page| SimError::TraceOutOfRange { page, pages: shared.index.len() })?;
+            Ok(Arc::new(resolved))
         })
         .clone()
     }
@@ -495,6 +501,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(cell_err, SimError::Cell { .. }), "{cell_err}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn out_of_range_corpus_trace_is_an_error_not_a_panic() {
+        let config = PaperConfig { threads: Some(1), ..tiny() };
+        let root =
+            std::env::temp_dir().join(format!("hytlb_matrix_farcorpus_{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        // The header and CRCs are valid; page `pages` is one past the
+        // mapping, behind an in-range access.
+        let scenario = Scenario::LowContiguity;
+        let pages = MatrixCache::new().mapping(WorkloadKind::Gups, scenario, &config).index.len();
+        let far = pages * hytlb_types::PAGE_SIZE_U64 + 7;
+        let addresses = (0..config.accesses).map(|i| if i == 1 { far } else { 0 });
+        let footprint = config.footprint_for(WorkloadKind::Gups);
+        let mut store = TraceStore::open_or_create(&root).unwrap();
+        store.record(WorkloadKind::Gups.label(), footprint, config.seed, addresses).unwrap();
+
+        let replay = MatrixCache::with_corpus(Arc::new(store));
+        let err = replay.try_resolved_trace(WorkloadKind::Gups, scenario, &config).unwrap_err();
+        assert_eq!(err, SimError::TraceOutOfRange { page: pages, pages }, "{err}");
         std::fs::remove_dir_all(&root).ok();
     }
 
