@@ -5,7 +5,7 @@
 use hytlb_bench::Bench;
 use hytlb_core::DistanceSelector;
 use hytlb_mem::{ContiguityHistogram, Scenario};
-use hytlb_pagetable::{AnchoredPageTable, PageTable};
+use hytlb_pagetable::PageTable;
 use hytlb_schemes::{AnchorIndexing, SharedL2};
 use hytlb_types::{PhysFrameNum, VirtPageNum};
 use std::hint::black_box;
@@ -53,9 +53,9 @@ fn main() {
     // §3.3: re-anchoring sweeps at the paper's three distances over 1 GB.
     let map = Scenario::MaxContiguity.generate(1 << 18, 7);
     for d in [8u64, 64, 512] {
-        let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), 8);
+        let mut table = PageTable::from_map(&map, false);
         bench.run(&format!("sec3_3_distance_change_sweep/{d}"), 1, || {
-            apt.reanchor(&map, d).anchors_written
+            table.reanchor(&map, .., d).anchors_written
         });
     }
     bench.finish();

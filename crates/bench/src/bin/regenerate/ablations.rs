@@ -98,12 +98,7 @@ pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
             ("Algorithm 1 literal", CostModel::InverseCoverage),
             ("flat entry count", CostModel::FlatCount),
         ] {
-            let selector = hytlb_core::DistanceSelector::new(
-                (1..=16).map(|s| 1u64 << s).collect(),
-                cost_model,
-                0.1,
-            );
-            let d = selector.select(&hist);
+            let d = hytlb_core::DistanceSelector::paper(cost_model).select(&hist);
             let cfg = AnchorConfig { cost_model, ..AnchorConfig::dynamic() };
             let run = run_anchor(&map, cfg, &trace, config)?;
             json.push(serde_json::json!({"ablation": "cost_model", "variant": label, "distance": d, "walks": run.tlb_misses()}));

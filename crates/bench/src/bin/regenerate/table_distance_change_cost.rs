@@ -9,7 +9,7 @@
 
 use crate::{Matrix, Output};
 use hytlb_mem::Scenario;
-use hytlb_pagetable::{AnchoredPageTable, PageTable};
+use hytlb_pagetable::PageTable;
 use hytlb_sim::report::render_table;
 use hytlb_sim::PaperConfig;
 use std::time::Instant;
@@ -22,7 +22,7 @@ pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     let shift = config.footprint_shift.saturating_sub(2);
     let footprint = (30u64 * 1024 * 1024 * 1024 / 4096) >> shift;
     let map = Scenario::MaxContiguity.generate(footprint, config.seed);
-    let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), 8);
+    let mut table = PageTable::from_map(&map, false);
 
     let paper_ms = [("8", 452.0), ("64", 71.7), ("512", 1.7)];
     let cols = vec!["anchors".to_owned(), "model est.".to_owned(), "paper".to_owned()];
@@ -31,7 +31,7 @@ pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     for (label, paper) in paper_ms {
         let d: u64 = label.parse().expect("static labels");
         let start = Instant::now();
-        let cost = apt.reanchor(&map, d);
+        let cost = table.reanchor(&map, .., d);
         let wall = start.elapsed();
         eprintln!("d={label}: sweep wall time {:.1} ms", wall.as_secs_f64() * 1e3);
         let est = cost.estimated_time();

@@ -18,7 +18,7 @@
 //! | miss    | miss   | no         | walk; fill **only the regular** entry |
 
 use crate::distance::{CostModel, DistanceSelector};
-use crate::os::OsKernel;
+use crate::os::{DistanceMode, OsKernel};
 use hytlb_mem::{AddressSpaceMap, ChunkTable};
 use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_schemes::{
@@ -27,18 +27,6 @@ use hytlb_schemes::{
 };
 use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
 use std::sync::Arc;
-
-/// How the per-process anchor distance is managed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum DistanceMode {
-    /// The paper's `Dynamic`: Algorithm 1 selects at boot and re-checks
-    /// every epoch.
-    Dynamic,
-    /// A fixed distance (used by the `Static Ideal` exhaustive sweeps).
-    Static(u64),
-    /// The §4.2 extension: per-region distances, at most this many regions.
-    MultiRegion(usize),
-}
 
 /// What the walker fills after a double miss when the anchor covers the
 /// page (Table 2 row 4).
@@ -102,14 +90,12 @@ impl Default for AnchorConfig {
 pub type AnchorScheme = Mmu<AnchorLevel>;
 
 /// The anchor level: anchor entries in the shared L2, the OS that owns the
-/// anchored page table and the distance, and the Table 2 fill rule.
+/// page table and the anchor distance, and the Table 2 fill rule.
 #[derive(Debug)]
 pub struct AnchorLevel {
     os: OsKernel,
-    mode: DistanceMode,
     indexing: AnchorIndexing,
     fill: FillPolicy,
-    shootdowns: u64,
     /// The mapping's chunks long enough to hold a 2 MB page, for the
     /// walker's huge-page-shape check; the OS never remaps pages after
     /// construction (epoch checks only re-anchor), so it never goes stale.
@@ -136,27 +122,15 @@ impl BuildMmu for AnchorLevel {
     /// Panics if a static distance in the config is invalid.
     fn build(map: Arc<AddressSpaceMap>, config: AnchorConfig) -> Mmu<AnchorLevel> {
         let huge_chunks = ChunkTable::with_min_len(&map, HUGE_PAGE_PAGES);
-        let selector =
-            DistanceSelector::new((1..=16).map(|s| 1u64 << s).collect(), config.cost_model, 0.10);
-        let (os, name) = match config.mode {
-            DistanceMode::Dynamic => (OsKernel::new(map, selector), "Dynamic".to_owned()),
-            DistanceMode::Static(d) => {
-                (OsKernel::with_static_distance(map, d), format!("Anchor-d{d}"))
-            }
-            DistanceMode::MultiRegion(n) => {
-                (OsKernel::with_regions(map, selector, n), format!("Anchor-region{n}"))
-            }
+        let name = match config.mode {
+            DistanceMode::Dynamic => "Dynamic".to_owned(),
+            DistanceMode::Static(d) => format!("Anchor-d{d}"),
+            DistanceMode::MultiRegion(n) => format!("Anchor-region{n}"),
         };
+        let os = OsKernel::boot(map, DistanceSelector::paper(config.cost_model), config.mode);
         Mmu {
             cascade: Cascade::new(name, SharedL2::paper_default()),
-            level: AnchorLevel {
-                os,
-                mode: config.mode,
-                indexing: config.indexing,
-                fill: config.fill,
-                shootdowns: 0,
-                huge_chunks,
-            },
+            level: AnchorLevel { os, indexing: config.indexing, fill: config.fill, huge_chunks },
         }
     }
 }
@@ -169,16 +143,10 @@ impl AnchorLevel {
         self.os.distance()
     }
 
-    /// The OS model (histogram, epochs, region table, ...).
+    /// The OS model (distance, epochs, distance changes, region table).
     #[must_use]
     pub fn os(&self) -> &OsKernel {
         &self.os
-    }
-
-    /// TLB shootdowns triggered by distance changes.
-    #[must_use]
-    pub fn shootdowns(&self) -> u64 {
-        self.shootdowns
     }
 
     fn fill_regular(&self, l2: &mut SharedL2, vpn: VirtPageNum, pfn: PhysFrameNum) {
@@ -243,12 +211,7 @@ impl CoalescedLevel for AnchorLevel {
     }
 
     fn on_epoch(&mut self) -> bool {
-        if self.mode != DistanceMode::Dynamic {
-            return false;
-        }
-        let shootdown = self.os.check_epoch().requires_shootdown();
-        self.shootdowns += u64::from(shootdown);
-        shootdown
+        self.os.check_epoch().requires_shootdown()
     }
 
     fn anchor_distance(&self) -> Option<u64> {
@@ -455,7 +418,6 @@ mod tests {
         for _ in 0..5 {
             s.on_epoch();
         }
-        assert_eq!(s.level.shootdowns(), 0);
         assert_eq!(s.level.os().distance_changes(), 0);
     }
 

@@ -10,6 +10,7 @@
 //! the paper's selector works from the static mapping snapshot alone.
 
 use hytlb_mem::ContiguityHistogram;
+use hytlb_pagetable::is_valid_anchor_distance;
 use hytlb_types::HUGE_PAGE_PAGES;
 
 /// The L2 TLB entry budget assumed by [`CostModel::CapacityAware`] —
@@ -77,25 +78,29 @@ impl DistanceSelector {
     /// Table 6-reproducing cost model, 10 % hysteresis.
     #[must_use]
     pub fn paper_default() -> Self {
-        DistanceSelector {
-            candidates: (1..=16).map(|s| 1u64 << s).collect(),
-            cost_model: CostModel::default(),
-            hysteresis: 0.10,
-        }
+        Self::paper(CostModel::default())
+    }
+
+    /// The paper's candidates `[2, 4, 8, …, 2^16]` and 10 % hysteresis
+    /// under `cost_model`.
+    #[must_use]
+    pub fn paper(cost_model: CostModel) -> Self {
+        Self::new((1..=16).map(|s| 1u64 << s).collect(), cost_model, 0.10)
     }
 
     /// Builds a selector with explicit parameters.
     ///
     /// # Panics
     ///
-    /// Panics if `candidates` is empty, contains a non-power-of-two, or
+    /// Panics if `candidates` is empty, contains a distance that is not a
+    /// power of two in `[2, 65536]` (the range an anchor PTE can hold), or
     /// `hysteresis` is negative/NaN.
     #[must_use]
     pub fn new(candidates: Vec<u64>, cost_model: CostModel, hysteresis: f64) -> Self {
         assert!(!candidates.is_empty(), "need at least one candidate distance");
         assert!(
-            candidates.iter().all(|d| d.is_power_of_two()),
-            "anchor distances are powers of two"
+            candidates.iter().all(|&d| is_valid_anchor_distance(d)),
+            "anchor distances are powers of two in [2, 65536]"
         );
         assert!(hysteresis >= 0.0, "hysteresis must be non-negative");
         DistanceSelector { candidates, cost_model, hysteresis }
@@ -303,6 +308,19 @@ mod tests {
     #[should_panic(expected = "powers of two")]
     fn non_power_of_two_candidate_panics() {
         let _ = DistanceSelector::new(vec![3], CostModel::InverseCoverage, 0.0);
+    }
+
+    /// A selector may only choose distances every kernel boot accepts.
+    #[test]
+    #[should_panic(expected = "powers of two in [2, 65536]")]
+    fn distance_one_candidate_panics() {
+        let _ = DistanceSelector::new(vec![1], CostModel::FlatCount, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two in [2, 65536]")]
+    fn candidate_beyond_the_anchor_field_panics() {
+        let _ = DistanceSelector::new(vec![1 << 17], CostModel::FlatCount, 0.1);
     }
 
     #[test]

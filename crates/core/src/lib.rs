@@ -9,10 +9,13 @@
 //!   for every candidate distance, how many TLB entries (anchor + 2 MB +
 //!   4 KB) covering the footprint would cost, weighted by inverse coverage,
 //!   and picks the cheapest.
-//! * [`OsKernel`] — the operating-system model: owns the mapping, the
-//!   anchored page table and the per-process anchor distance; performs the
-//!   periodic epoch check (§3.3/§4.1) with hysteresis, and pays the
-//!   re-anchoring sweep plus full TLB shootdown when the distance changes.
+//! * [`OsKernel`] — the operating-system model and the only holder of the
+//!   anchor distance: owns the mapping, the page table and the
+//!   per-process (or, under the §4.2 extension, per-region) distance;
+//!   boots every [`DistanceMode`] through one path that anchors the table;
+//!   performs the `Dynamic` kernel's periodic epoch check (§3.3/§4.1) with
+//!   hysteresis, and pays the re-anchoring sweep plus full TLB shootdown
+//!   when the distance changes.
 //! * [`AnchorLevel`] — the hardware lookup flow of Figure 5 / Table 2 as
 //!   the coalesced level of the shared cascade
 //!   ([`CoalescedLevel`](hytlb_schemes::CoalescedLevel)): after the
@@ -48,9 +51,7 @@ mod distance;
 mod os;
 mod region;
 
-pub use anchor_scheme::{
-    AnchorConfig, AnchorLevel, AnchorMiss, AnchorScheme, DistanceMode, FillPolicy,
-};
+pub use anchor_scheme::{AnchorConfig, AnchorLevel, AnchorMiss, AnchorScheme, FillPolicy};
 pub use distance::{CostModel, DistanceSelector, L2_ENTRY_BUDGET};
-pub use os::{EpochOutcome, OsKernel};
+pub use os::{DistanceMode, EpochOutcome, OsKernel};
 pub use region::{Region, RegionTable};

@@ -1,9 +1,10 @@
 //! The operating-system model behind hybrid coalescing.
 //!
-//! The OS owns the authoritative mapping and the anchored page table. Its
-//! responsibilities (paper §3.3):
+//! The OS owns the authoritative mapping, the page table and the anchor
+//! distance: it is the only place a distance is chosen and the only caller
+//! that writes anchor fields. Its responsibilities (paper §3.3):
 //!
-//! * keep anchor contiguity fields in sync with the mapping;
+//! * write the anchor contiguity fields for the distance in effect;
 //! * periodically (every epoch ≈ 1 B instructions) rebuild the contiguity
 //!   histogram, re-run the distance selector, and — if the improvement
 //!   clears the hysteresis — pay for a full table sweep plus TLB shootdown.
@@ -11,9 +12,21 @@
 use crate::distance::DistanceSelector;
 use crate::region::RegionTable;
 use hytlb_mem::{AddressSpaceMap, ContiguityHistogram};
-use hytlb_pagetable::{AnchorProbe, AnchoredPageTable, PageTable, ReanchorCost};
+use hytlb_pagetable::{AnchorProbe, PageTable};
 use hytlb_types::VirtPageNum;
 use std::sync::Arc;
+
+/// How the per-process anchor distance is managed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum DistanceMode {
+    /// The paper's `Dynamic`: Algorithm 1 selects at boot and re-checks
+    /// every epoch.
+    Dynamic,
+    /// A fixed distance (used by the `Static Ideal` exhaustive sweeps).
+    Static(u64),
+    /// The §4.2 extension: per-region distances, at most this many regions.
+    MultiRegion(usize),
+}
 
 /// What an epoch check did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,8 +34,6 @@ pub struct EpochOutcome {
     /// `Some((old, new))` when the anchor distance changed; the TLBs must
     /// then be flushed by the caller (hardware shootdown).
     pub distance_change: Option<(u64, u64)>,
-    /// Cost of the re-anchoring sweep, when one happened.
-    pub sweep_cost: Option<ReanchorCost>,
 }
 
 impl EpochOutcome {
@@ -37,75 +48,66 @@ impl EpochOutcome {
 #[derive(Debug)]
 pub struct OsKernel {
     map: Arc<AddressSpaceMap>,
-    apt: AnchoredPageTable,
-    selector: DistanceSelector,
-    histogram: ContiguityHistogram,
+    table: PageTable,
+    /// The process-wide distance: the fixed one, Algorithm 1's current
+    /// choice, or — for multi-region kernels — its choice over the whole
+    /// map, used outside every region.
+    distance: u64,
+    /// The selector the epoch check re-runs; `None` for the static and
+    /// multi-region kernels, whose distances are fixed at boot.
+    selector: Option<DistanceSelector>,
     regions: Option<RegionTable>,
     epochs: u64,
     distance_changes: u64,
 }
 
 impl OsKernel {
-    /// Boots the kernel model for a process: builds the 4 KB page table,
-    /// runs the selector once on the initial histogram (the paper sets the
-    /// distance "once sufficient amount of memory is allocated") and
-    /// anchors the table.
+    /// Boots the kernel model for a process with the paper's `Dynamic`
+    /// policy: builds the 4 KB page table, runs the selector once on the
+    /// initial histogram (the paper sets the distance "once sufficient
+    /// amount of memory is allocated") and anchors the table.
     #[must_use]
     pub fn new(map: Arc<AddressSpaceMap>, selector: DistanceSelector) -> Self {
-        let histogram = ContiguityHistogram::from_map(&map);
-        let initial = selector.select(&histogram);
-        let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), initial);
-        apt.reanchor(&map, initial);
-        OsKernel { map, apt, selector, histogram, regions: None, epochs: 0, distance_changes: 0 }
+        Self::boot(map, selector, DistanceMode::Dynamic)
     }
 
-    /// Boots the kernel with a *fixed* anchor distance (the paper's
-    /// `static ideal` sweeps use this).
+    /// Boots the kernel under `mode`, the one boot path of every kernel:
+    /// builds the 4 KB page table and anchors it. A `Dynamic` kernel
+    /// anchors at the distance `selector` picks for the whole map, a
+    /// `Static(d)` kernel at `d`. A `MultiRegion(n)` kernel (§4.2)
+    /// partitions the address space into at most `n` regions by contiguity
+    /// similarity and anchors each at the distance `selector` picks for it.
     ///
     /// # Panics
     ///
-    /// Panics if `distance` is not a power of two in `[2, 65536]`.
-    #[must_use]
-    pub fn with_static_distance(map: Arc<AddressSpaceMap>, distance: u64) -> Self {
-        let histogram = ContiguityHistogram::from_map(&map);
-        let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), distance);
-        apt.reanchor(&map, distance);
-        OsKernel {
-            map,
-            apt,
-            selector: DistanceSelector::paper_default(),
-            histogram,
-            regions: None,
-            epochs: 0,
-            distance_changes: 0,
-        }
-    }
-
-    /// Boots the kernel with per-region distances (§4.2 extension): the
-    /// address space is partitioned into at most `max_regions` regions by
-    /// contiguity similarity and each gets its own selected distance.
-    #[must_use]
-    pub fn with_regions(
+    /// Panics if a static distance is not a power of two in `[2, 65536]`,
+    /// or if a multi-region kernel is asked for zero regions.
+    pub(crate) fn boot(
         map: Arc<AddressSpaceMap>,
         selector: DistanceSelector,
-        max_regions: usize,
+        mode: DistanceMode,
     ) -> Self {
-        let histogram = ContiguityHistogram::from_map(&map);
-        let regions = RegionTable::partition(&map, &selector, max_regions);
-        let default = selector.select(&histogram);
-        let mut apt = AnchoredPageTable::new(PageTable::from_map(&map, false), default);
-        for r in regions.regions() {
-            apt.reanchor_range(&map, r.start, r.end, r.distance);
+        let whole_map = || selector.select(&ContiguityHistogram::from_map(&map));
+        let (distance, regions) = match mode {
+            DistanceMode::Dynamic => (whole_map(), None),
+            DistanceMode::Static(d) => (d, None),
+            DistanceMode::MultiRegion(max_regions) => {
+                (whole_map(), Some(RegionTable::partition(&map, &selector, max_regions)))
+            }
+        };
+        let mut table = PageTable::from_map(&map, false);
+        match &regions {
+            Some(rt) => {
+                for r in rt.regions() {
+                    table.reanchor(&map, r.start..r.end, r.distance);
+                }
+            }
+            None => {
+                table.reanchor(&map, .., distance);
+            }
         }
-        OsKernel {
-            map,
-            apt,
-            selector,
-            histogram,
-            regions: Some(regions),
-            epochs: 0,
-            distance_changes: 0,
-        }
+        let selector = (mode == DistanceMode::Dynamic).then_some(selector);
+        OsKernel { map, table, distance, selector, regions, epochs: 0, distance_changes: 0 }
     }
 
     /// The process's mapping.
@@ -114,27 +116,19 @@ impl OsKernel {
         &self.map
     }
 
-    /// The anchored page table.
-    #[must_use]
-    pub fn anchored_table(&self) -> &AnchoredPageTable {
-        &self.apt
-    }
-
     /// The current anchor distance (the value loaded into the per-process
     /// anchor-distance register on context switch). For multi-region
     /// kernels this is the distance of the region containing `vpn`.
     #[must_use]
     pub fn distance_for(&self, vpn: VirtPageNum) -> u64 {
-        match &self.regions {
-            Some(rt) => rt.distance_for(vpn).unwrap_or_else(|| self.apt.distance()),
-            None => self.apt.distance(),
-        }
+        self.regions.as_ref().and_then(|rt| rt.distance_for(vpn)).unwrap_or(self.distance)
     }
 
-    /// The process-wide anchor distance (single-region kernels).
+    /// The process-wide anchor distance (for multi-region kernels, the
+    /// whole-map selection).
     #[must_use]
     pub fn distance(&self) -> u64 {
-        self.apt.distance()
+        self.distance
     }
 
     /// The region table, if the kernel runs the multi-region extension.
@@ -143,62 +137,55 @@ impl OsKernel {
         self.regions.as_ref()
     }
 
-    /// Current contiguity histogram.
-    #[must_use]
-    pub fn histogram(&self) -> &ContiguityHistogram {
-        &self.histogram
-    }
-
-    /// Epochs elapsed.
+    /// Epochs checked by a `Dynamic` kernel.
     #[must_use]
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
 
-    /// Number of distance changes actually performed.
+    /// Number of distance changes actually performed; each one cost a
+    /// table sweep and a TLB shootdown.
     #[must_use]
     pub fn distance_changes(&self) -> u64 {
         self.distance_changes
     }
 
     /// Probes the anchor entry for `vpn` in the page table (the walker's
-    /// off-critical-path anchor fetch, Figure 5c step 7).
+    /// off-critical-path anchor fetch, Figure 5c step 7). A multi-region
+    /// kernel has no anchor outside its regions.
     #[must_use]
     pub fn anchor_probe(&self, vpn: VirtPageNum) -> Option<AnchorProbe> {
-        match &self.regions {
-            Some(rt) => {
-                let d = rt.distance_for(vpn)?;
-                self.apt.anchor_probe_at(vpn, d)
-            }
-            None => self.apt.anchor_probe(vpn),
-        }
+        let distance = match &self.regions {
+            Some(rt) => rt.distance_for(vpn)?,
+            None => self.distance,
+        };
+        self.table.anchor_probe(vpn, distance)
     }
 
     /// Walks the page table for a regular translation.
     #[must_use]
     pub fn table(&self) -> &PageTable {
-        self.apt.table()
+        &self.table
     }
 
-    /// The periodic epoch check (§4.1): rebuild the histogram, re-select,
-    /// and re-anchor when the change clears the hysteresis. Multi-region
-    /// kernels keep their boot-time partition (the paper leaves online
-    /// repartitioning as future work).
+    /// The periodic epoch check of a `Dynamic` kernel (§4.1): rebuild the
+    /// histogram, re-select, and re-anchor when the change clears the
+    /// hysteresis. A no-op for static and multi-region kernels (the paper
+    /// leaves online repartitioning as future work).
     pub fn check_epoch(&mut self) -> EpochOutcome {
-        self.epochs += 1;
-        self.histogram = ContiguityHistogram::from_map(&self.map);
-        if self.regions.is_some() {
+        let Some(selector) = &self.selector else {
             return EpochOutcome::default();
-        }
-        let current = self.apt.distance();
-        match self.selector.should_change(&self.histogram, current) {
-            Some(new) => {
-                let cost = self.apt.reanchor(&self.map, new);
-                self.distance_changes += 1;
-                EpochOutcome { distance_change: Some((current, new)), sweep_cost: Some(cost) }
-            }
-            None => EpochOutcome::default(),
-        }
+        };
+        self.epochs += 1;
+        let current = self.distance;
+        let Some(new) = selector.should_change(&ContiguityHistogram::from_map(&self.map), current)
+        else {
+            return EpochOutcome::default();
+        };
+        self.table.reanchor(&self.map, .., new);
+        self.distance = new;
+        self.distance_changes += 1;
+        EpochOutcome { distance_change: Some((current, new)) }
     }
 }
 
@@ -222,7 +209,11 @@ mod tests {
     #[test]
     fn static_distance_is_respected() {
         let map = Arc::new(Scenario::MediumContiguity.generate(1024, 2));
-        let os = OsKernel::with_static_distance(Arc::clone(&map), 64);
+        let os = OsKernel::boot(
+            Arc::clone(&map),
+            DistanceSelector::paper_default(),
+            DistanceMode::Static(64),
+        );
         assert_eq!(os.distance(), 64);
         assert_eq!(os.distance_for(VirtPageNum::new(0)), 64);
     }
@@ -242,22 +233,33 @@ mod tests {
     }
 
     #[test]
-    fn epoch_outcome_reports_sweep_cost_on_change() {
-        // Boot with a deliberately bad static distance, then let the
-        // dynamic path fix it: simulate by constructing with a selector
-        // whose candidates exclude the boot value... simplest: boot static,
-        // then swap in a kernel rebuilt dynamically and compare.
+    fn epoch_check_reanchors_a_stale_distance() {
         let map = Arc::new(Scenario::HighContiguity.generate(65_536, 4));
         let mut os = OsKernel::new(Arc::clone(&map), DistanceSelector::paper_default());
         // Force a mismatch by re-anchoring to 2 behind the selector's back.
         let d = os.distance();
-        os.apt.reanchor(&map.clone(), 2);
+        os.table.reanchor(&map, .., 2);
+        os.distance = 2;
         let out = os.check_epoch();
         assert!(out.requires_shootdown());
-        let (_, new) = out.distance_change.unwrap();
-        assert_eq!(new, d);
-        assert!(out.sweep_cost.unwrap().anchors_written > 0);
+        assert_eq!(out.distance_change, Some((2, d)));
+        assert_eq!(os.distance(), d);
         assert_eq!(os.distance_changes(), 1);
+        // The sweep rewrote the anchors at the new distance.
+        let anchor = map.iter_pages().map(|(vpn, _)| vpn).find(|&v| v.align_down(d) == v).unwrap();
+        let contiguity = map.contiguity_at(anchor).min(hytlb_pagetable::MAX_CONTIGUITY);
+        assert_eq!(os.anchor_probe(anchor).unwrap().contiguity, contiguity);
+    }
+
+    #[test]
+    fn static_and_multi_region_kernels_skip_epoch_checks() {
+        let map = Arc::new(Scenario::MediumContiguity.generate(1024, 6));
+        for mode in [DistanceMode::Static(2), DistanceMode::MultiRegion(4)] {
+            let mut os = OsKernel::boot(Arc::clone(&map), DistanceSelector::paper_default(), mode);
+            let d = os.distance();
+            assert_eq!(os.check_epoch(), EpochOutcome::default());
+            assert_eq!((os.distance(), os.epochs(), os.distance_changes()), (d, 0, 0));
+        }
     }
 
     #[test]
@@ -297,7 +299,8 @@ mod tests {
             hytlb_types::Permissions::READ_WRITE,
         );
         let map = Arc::new(m);
-        let os = OsKernel::with_regions(Arc::clone(&map), DistanceSelector::paper_default(), 4);
+        let selector = DistanceSelector::paper_default();
+        let os = OsKernel::boot(Arc::clone(&map), selector, DistanceMode::MultiRegion(4));
         let rt = os.regions().unwrap();
         assert!(rt.regions().len() >= 2);
         let d_small = os.distance_for(VirtPageNum::new(0));

@@ -84,12 +84,6 @@ impl AddressSpaceMap {
         self.mapped_pages
     }
 
-    /// Footprint in bytes.
-    #[must_use]
-    pub fn footprint_bytes(&self) -> u64 {
-        self.mapped_pages * hytlb_types::PAGE_SIZE_U64
-    }
-
     /// Iterates over the maximal chunks in ascending virtual order.
     pub fn chunks(&self) -> impl Iterator<Item = &MapChunk> {
         self.chunks.values()

@@ -69,12 +69,6 @@ impl NumaTopology {
         }
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Free frames on a node.
     ///
     /// # Panics

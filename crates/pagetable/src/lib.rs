@@ -14,22 +14,25 @@
 //!   nodes it touched. The paper charges every walk a fixed 50 cycles
 //!   (Table 3); that cost lives with the other Table 3 costs in
 //!   `hytlb_schemes::TranslationPath::cycles`.
-//! * [`AnchoredPageTable`] — maintains anchor contiguity fields for a given
-//!   anchor distance, answers anchor probes, and models the cost of
-//!   re-anchoring the table when the OS changes the distance (§3.3).
+//! * Anchor maintenance on [`PageTable`] itself:
+//!   [`PageTable::reanchor`] writes the anchor contiguity fields for a
+//!   distance over a VPN range and returns the sweep's [`ReanchorCost`],
+//!   calibrated to the paper's distance-change measurements (§3.3);
+//!   [`PageTable::anchor_probe`] reads an anchor back as an
+//!   [`AnchorProbe`]. The table holds no distance: the OS model
+//!   (`hytlb_core::OsKernel`) owns it and passes it to every call.
 //!
 //! # Examples
 //!
 //! ```
 //! use hytlb_mem::Scenario;
-//! use hytlb_pagetable::{AnchoredPageTable, PageTable};
-//! use hytlb_types::VirtPageNum;
+//! use hytlb_pagetable::PageTable;
 //!
 //! let map = Scenario::MediumContiguity.generate(1024, 7);
-//! let mut table = AnchoredPageTable::new(PageTable::from_map(&map, true), 8);
-//! table.reanchor(&map, 8);
+//! let mut table = PageTable::from_map(&map, true);
+//! table.reanchor(&map, .., 8);
 //! let vpn = map.chunks().next().unwrap().vpn;
-//! let probe = table.anchor_probe(vpn).expect("anchor PTE exists");
+//! let probe = table.anchor_probe(vpn, 8).expect("anchor PTE exists");
 //! assert!(probe.contiguity >= 1);
 //! ```
 
@@ -42,7 +45,7 @@ mod pwc;
 mod table;
 mod walker;
 
-pub use anchored::{is_valid_anchor_distance, AnchorProbe, AnchoredPageTable, ReanchorCost};
+pub use anchored::{is_valid_anchor_distance, AnchorProbe, ReanchorCost};
 pub use pte::{
     read_distributed_contiguity, write_distributed_contiguity, PageTableEntry, ANCHOR_BITS_PER_PTE,
     FLAG_MASKS, MAX_CONTIGUITY,

@@ -201,13 +201,6 @@ pub fn static_ideal(
     Ok(runs.into_iter().min_by_key(RunStats::tlb_misses).expect("candidates nonempty"))
 }
 
-/// The distance sweep used for `Static Ideal` when exhaustive search is too
-/// slow: every power of two from 4 to 64 K in steps of 4×.
-#[must_use]
-pub fn default_static_sweep() -> Vec<u64> {
-    (1..=8).map(|i| 1u64 << (2 * i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,10 +266,5 @@ mod tests {
             .unwrap();
             assert!(best.tlb_misses() <= run.tlb_misses(), "d={d}");
         }
-    }
-
-    #[test]
-    fn default_sweep_is_powers_of_four() {
-        assert_eq!(default_static_sweep(), vec![4, 16, 64, 256, 1024, 4096, 16384, 65536]);
     }
 }

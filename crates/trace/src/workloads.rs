@@ -156,12 +156,6 @@ impl WorkloadKind {
     pub fn generator(self, footprint_pages: u64, seed: u64) -> TraceGenerator {
         TraceGenerator::new(self.pattern(), footprint_pages, seed ^ self as u64, self.burst())
     }
-
-    /// Builds a trace generator at the default footprint.
-    #[must_use]
-    pub fn default_generator(self, seed: u64) -> TraceGenerator {
-        self.generator(self.default_footprint_pages(), seed)
-    }
 }
 
 impl core::fmt::Display for WorkloadKind {

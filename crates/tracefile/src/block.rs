@@ -427,13 +427,6 @@ impl RawBlock {
         Ok(RawBlock { count, encoding, w_small, w_big, first, payload })
     }
 
-    /// Total bytes of this block's record on disk, including magic and
-    /// CRC.
-    #[must_use]
-    pub fn record_bytes(&self) -> u64 {
-        BLOCK_FIXED_BYTES + self.payload.len() as u64
-    }
-
     /// Decodes the payload back into addresses.
     pub fn decode(&self) -> Result<Vec<u64>> {
         let mut out = Vec::with_capacity(self.count as usize);
