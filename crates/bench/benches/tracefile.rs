@@ -1,5 +1,5 @@
 //! Trace-file subsystem benchmark: compression ratio and streaming
-//! throughput of the `HYTLBTR2` format against raw 8-byte addresses and
+//! throughput of the `HYTLBTR3` format against raw 8-byte addresses and
 //! against regenerating traces from scratch.
 //!
 //! For each workload this measures (min of 3 runs each, via

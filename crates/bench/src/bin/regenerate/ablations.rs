@@ -85,9 +85,11 @@ pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
         text.push_str("Filling only the anchor on covered misses (Table 2 row 4) converts the\nL2 into anchor entries with large reach; always-regular degrades to\nnear-baseline behaviour.\n\n");
     }
 
-    // 3. Cost model: which distances get picked, and the miss consequence.
-    // canneal's demand mapping is the discriminating case — bimodal, with
-    // 80% of memory in huge chunks but thousands of tiny chunks.
+    // 3. Cost model: which distances get picked, and the miss consequence,
+    // on canneal's bimodal demand mapping (80% of memory in huge chunks,
+    // thousands of tiny ones). The literal Algorithm 1 weights pick a tiny
+    // distance there; flat counting picks the default's distance and
+    // matches its walks, so this case separates only the literal weights.
     {
         let map = mapping_for(WorkloadKind::Canneal, Scenario::DemandPaging, config);
         let trace = trace_for(WorkloadKind::Canneal, config);

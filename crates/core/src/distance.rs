@@ -26,12 +26,14 @@ pub const L2_ENTRY_BUDGET: u64 = 1024;
 /// nearly free and the leftover 4 KB pages dominate, selecting d = 8 for
 /// the medium-contiguity mapping — while the paper's own Table 6 reports
 /// 16–32 there. Plain entry counting ([`CostModel::FlatCount`]) fixes the
-/// synthetic regimes but still mis-selects on the *bimodal* histograms
-/// real demand paging produces (thousands of tiny chunks outvote the few
-/// huge chunks holding 80 % of memory, costing 3–4× the achievable miss
-/// rate).
+/// synthetic regimes, and on the bimodal canneal/demand mapping of the
+/// cost-model ablation (the archived default-scale
+/// `results/ablations.txt`) it selects the same 1K distance as the
+/// default, with the same walk count; no archived result shows it
+/// mis-selecting. It ignores the TLB's capacity, though, which the
+/// paper's aim is about.
 ///
-/// The default, [`CostModel::CapacityAware`], therefore implements the
+/// The default, [`CostModel::CapacityAware`], implements the
 /// paper's *stated aim* — "minimize the number of TLB entries … required
 /// to provide coverage for the active pages" — directly: given the
 /// 1024-entry L2 budget, it counts the pages left uncovered when the

@@ -9,30 +9,31 @@
 //! ```
 //!
 //! `verify` exits non-zero on any corruption, so it works as a CI
-//! gate. `record --store` writes into a [`TraceStore`] corpus
-//! directory (manifest + per-workload files) that the simulator can
-//! replay from.
+//! gate; `info` reads the whole file too, and fails the same way.
+//! `record --store` writes into a [`TraceStore`] corpus directory
+//! (manifest + per-workload files) that the simulator can replay from.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
 use hytlb_trace::WorkloadKind;
-use hytlb_tracefile::{verify, TraceFile, TraceMeta, TraceReader, TraceStore, TraceWriter};
+use hytlb_tracefile::{verify, TraceMeta, TraceReader, TraceStore, TraceWriter};
 
 const USAGE: &str = "\
-hytlb-tracectl — record, inspect and verify HYTLBTR2 trace files
+hytlb-tracectl — record, inspect and verify HYTLBTR3 trace files
 
 USAGE:
   hytlb-tracectl record --workload <label> --accesses <n>
                         (--out <file> | --store <dir>)
-                        [--footprint-pages <n>] [--seed <n>] [--block-accesses <n>]
+                        [--footprint-pages <n>] [--seed <n>]
   hytlb-tracectl info <file>
   hytlb-tracectl verify <file>
   hytlb-tracectl cat <file> [--limit <n>]
 
 Workload labels are the simulator's (gups, mcf, graph500, …).
---footprint-pages and --seed default to the workload's defaults (seed 42).";
+--footprint-pages and --seed default to the workload's defaults (seed 42).
+info decodes the whole file to count it, so it also fails on corruption.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -124,15 +125,6 @@ fn parse_u64(flags: &[(String, String)], name: &str) -> Result<Option<u64>, CliE
     }
 }
 
-fn parse_block(flags: &[(String, String)]) -> Result<Option<u32>, CliError> {
-    match flag(flags, "block-accesses") {
-        None => Ok(None),
-        Some(text) => text.parse::<u32>().map(Some).map_err(|_| {
-            CliError::Usage(format!("--block-accesses wants an integer, got `{text}`"))
-        }),
-    }
-}
-
 fn record(args: &[String]) -> Result<(), CliError> {
     let (flags, positional) = parse_flags(args)?;
     if let Some(extra) = positional.first() {
@@ -149,17 +141,13 @@ fn record(args: &[String]) -> Result<(), CliError> {
     let footprint_pages =
         parse_u64(&flags, "footprint-pages")?.unwrap_or_else(|| workload.default_footprint_pages());
     let seed = parse_u64(&flags, "seed")?.unwrap_or(42);
-    let block = parse_block(&flags)?;
     let take = usize::try_from(accesses)
         .map_err(|_| CliError::Usage("--accesses does not fit this platform".into()))?;
     let generated = workload.generator(footprint_pages, seed).take(take);
 
     let summary = match (flag(&flags, "out"), flag(&flags, "store")) {
         (Some(path), None) => {
-            let mut meta = TraceMeta::new(workload.label(), footprint_pages, seed);
-            if let Some(block) = block {
-                meta.block_accesses = block;
-            }
+            let meta = TraceMeta::new(workload.label(), footprint_pages, seed);
             let mut writer = TraceWriter::new(BufWriter::new(File::create(path)?), &meta)?;
             writer.extend(generated)?;
             let summary = writer.finish()?;
@@ -168,13 +156,7 @@ fn record(args: &[String]) -> Result<(), CliError> {
         }
         (None, Some(dir)) => {
             let mut store = TraceStore::open_or_create(dir)?;
-            let summary = store.record_with_block(
-                workload.label(),
-                footprint_pages,
-                seed,
-                block,
-                generated,
-            )?;
+            let summary = store.record(workload.label(), footprint_pages, seed, generated)?;
             let entry =
                 store.find(workload.label(), footprint_pages, seed).expect("entry just recorded");
             println!("recorded {dir}/{}", entry.path);
@@ -211,22 +193,25 @@ fn one_positional(
 
 fn info(args: &[String]) -> Result<(), CliError> {
     let (path, _) = one_positional(args, "info")?;
-    let file = TraceFile::open(&path)?;
-    let info = file.info();
+    let reader = TraceReader::new(BufReader::new(File::open(&path)?))?;
+    let meta = reader.meta().clone();
+    let totals = reader.finish()?;
     println!("{path}");
     println!(
         "  workload={} footprint_pages={} seed={}",
-        info.workload, info.footprint_pages, info.seed
+        meta.workload, meta.footprint_pages, meta.seed
     );
     println!(
         "  accesses={} blocks={} (≤{} accesses each)",
-        info.accesses, info.blocks, info.block_accesses
+        totals.accesses, totals.blocks, meta.block_accesses
     );
+    // A file that reads cleanly holds at least its header, so `bytes > 0`.
+    let (bytes, accesses) = (totals.bytes as f64, totals.accesses as f64);
     println!(
         "  bytes={} ({:.3} bytes/access, {:.2}x smaller than raw u64)",
-        info.file_bytes,
-        if info.accesses == 0 { 0.0 } else { info.file_bytes as f64 / info.accesses as f64 },
-        info.compression_ratio
+        totals.bytes,
+        if totals.accesses == 0 { 0.0 } else { bytes / accesses },
+        8.0 * accesses / bytes
     );
     Ok(())
 }
@@ -235,7 +220,7 @@ fn verify_cmd(args: &[String]) -> Result<(), CliError> {
     let (path, _) = one_positional(args, "verify")?;
     let report = verify(BufReader::new(File::open(&path)?))?;
     println!(
-        "{path}: ok — {} accesses in {} blocks, {} bytes, all CRCs and the seek index check out",
+        "{path}: ok — {} accesses in {} blocks, {} bytes, all CRCs and the footer check out",
         report.accesses, report.blocks, report.bytes
     );
     Ok(())

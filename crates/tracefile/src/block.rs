@@ -1,10 +1,9 @@
-//! The `HYTLBTR2` block codec: zig-zag delta coding of address streams.
+//! The `HYTLBTR3` block codec: zig-zag delta coding of address streams.
 //!
 //! A block is a self-contained run of up to [`MAX_BLOCK_ACCESSES`]
 //! addresses: its first address is stored absolutely, every later one as
-//! a delta, so blocks decode independently of each other — the property
-//! the seek index, parallel decode and `info`-without-full-read all rest
-//! on. Two payload encodings exist, and the writer picks whichever is
+//! a delta, so blocks decode independently of each other and a damaged
+//! block cannot corrupt its successors. Two payload encodings exist, and the writer picks whichever is
 //! smaller for each block:
 //!
 //! * **Packed** — addresses are split into a page part (`address >> 12`)
@@ -35,7 +34,7 @@ pub const BLOCK_MAGIC: [u8; 4] = *b"BLK2";
 pub const OFFSET_BITS: u32 = 12;
 
 /// Default accesses per block (64 Ki): big enough that per-block
-/// overhead (header, index entry, width selection) is noise, small
+/// overhead (header, CRC, width selection) is noise, small
 /// enough that a block decodes well inside L2.
 pub const DEFAULT_BLOCK_ACCESSES: u32 = 1 << 16;
 

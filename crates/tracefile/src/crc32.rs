@@ -1,9 +1,8 @@
 //! CRC-32 (IEEE 802.3 polynomial), table-driven.
 //!
-//! Every block payload, the seek index and the footer of a `HYTLBTR2`
-//! file carry a CRC so corruption is detected at the granularity it
-//! occurred, instead of surfacing as garbage addresses downstream. The
-//! implementation is self-contained (the workspace builds offline, so no
+//! Every block payload and the footer of a `HYTLBTR3` file carry a CRC
+//! so corruption is detected at the granularity it occurred, instead of
+//! surfacing as garbage addresses downstream. The implementation is self-contained (the workspace builds offline, so no
 //! `crc32fast`) and uses the slicing-by-8 technique — eight 256-entry
 //! tables generated at first use, folding 8 input bytes per step — so
 //! checksumming never dominates trace replay.

@@ -11,11 +11,11 @@ pub enum TraceFileError {
     /// An underlying I/O operation failed.
     Io(io::Error),
     /// The bytes are not a trace file, or violate the format: bad magic,
-    /// failed CRC, truncated block, stale seek index, … `what` says which
+    /// failed CRC, truncated block, missing footer, … `what` says which
     /// structure, `detail` what was wrong with it.
     Corrupt {
-        /// The structure that failed to parse (`"block 3"`, `"seek
-        /// index"`, `"footer"`, …).
+        /// The structure that failed to parse (`"block 3"`, `"footer"`,
+        /// `"file"`, …).
         what: String,
         /// What was wrong with it.
         detail: String,
@@ -58,7 +58,11 @@ impl fmt::Display for TraceFileError {
                 write!(f, "corrupt trace file ({what}): {detail}")
             }
             TraceFileError::UnsupportedVersion { found } => {
-                write!(f, "unsupported trace-file version {found} (this build reads version 2)")
+                write!(
+                    f,
+                    "unsupported trace-file version {found} (this build reads version {})",
+                    crate::format::FORMAT_VERSION
+                )
             }
             TraceFileError::Store { detail } => write!(f, "trace store: {detail}"),
         }

@@ -1,50 +1,46 @@
-//! File-level structures of the `HYTLBTR2` format: magic, JSON header,
-//! seek index and footer.
+//! File-level structures of the `HYTLBTR3` format: magic, JSON header
+//! and footer.
 //!
 //! A trace file looks like:
 //!
 //! ```text
-//! "HYTLBTR2"  (8 bytes)
+//! "HYTLBTR3"  (8 bytes)
 //! header_len  (u32 LE, ≤ 1 MiB)
 //! header      (JSON-encoded TraceMeta, header_len bytes)
 //! block record …                 ── see crate::block
 //! block record …
-//! "IDX2" entry_count entries crc ── seek index, one entry per block
-//! index_offset accesses blocks crc "HYTLBEND"   ── 36-byte footer
+//! "END3" accesses blocks crc "HYTLBEND"   ── 32-byte footer
 //! ```
 //!
-//! The footer is fixed-size and sits at EOF, so a seekable reader finds
-//! the index in two seeks without scanning blocks. Streaming readers
-//! ignore both: blocks are self-delimiting and stop at `"IDX2"`.
+//! Blocks are self-delimiting and the footer opens with its own record
+//! magic, so a reader streams the blocks until it meets `"END3"`, then
+//! checks the footer's totals against what it decoded.
 
 use std::io::Read;
 
 use crate::crc32::crc32;
 use crate::error::{Result, TraceFileError};
 
-/// Leading magic of a version-2 trace file.
-pub const FILE_MAGIC: [u8; 8] = *b"HYTLBTR2";
+/// Leading magic of a version-3 trace file.
+pub const FILE_MAGIC: [u8; 8] = *b"HYTLBTR3";
 
 /// Trailing magic closing the footer; its presence at EOF marks a file
 /// whose writer ran to completion.
 pub const END_MAGIC: [u8; 8] = *b"HYTLBEND";
 
-/// Magic opening the seek index, in the position a block magic would
-/// occupy, so streaming readers detect end-of-blocks.
-pub const INDEX_MAGIC: [u8; 4] = *b"IDX2";
+/// Magic opening the footer, in the position a block magic would
+/// occupy, so the reader knows the blocks ended.
+pub const FOOTER_MAGIC: [u8; 4] = *b"END3";
 
 /// The version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Upper bound on the JSON header, so a corrupt length prefix cannot
 /// drive a giant allocation.
 pub const MAX_HEADER_BYTES: u32 = 1 << 20;
 
-/// Encoded size of one seek-index entry.
-pub const INDEX_ENTRY_BYTES: u64 = 8 + 8 + 8 + 4;
-
-/// Encoded size of the footer.
-pub const FOOTER_BYTES: u64 = 8 + 8 + 8 + 4 + 8;
+/// Encoded size of the footer, its magic included.
+pub const FOOTER_BYTES: u64 = 4 + 8 + 8 + 4 + 8;
 
 /// Descriptive metadata stored in the JSON header of every trace file.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -78,50 +74,13 @@ impl TraceMeta {
     }
 }
 
-/// One seek-index entry: where a block lives and what it covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Byte offset of the block's magic from the start of the file.
-    pub offset: u64,
-    /// Global index of the block's first access.
-    pub first_access: u64,
-    /// The block's first address (duplicated from the block header so
-    /// address-range queries never touch the block).
-    pub first_address: u64,
-    /// Accesses in the block.
-    pub count: u32,
-}
-
-/// The fixed-size footer at EOF.
+/// The footer closing every finished file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footer {
-    /// Byte offset of [`INDEX_MAGIC`] from the start of the file.
-    pub index_offset: u64,
     /// Total accesses across all blocks.
     pub accesses: u64,
     /// Total number of blocks.
     pub blocks: u64,
-}
-
-/// Summary a reader can produce without decoding any block.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct TraceInfo {
-    /// Header metadata.
-    pub workload: String,
-    /// Footprint in pages, from the header.
-    pub footprint_pages: u64,
-    /// Generator seed, from the header.
-    pub seed: u64,
-    /// Target accesses per block, from the header.
-    pub block_accesses: u32,
-    /// Total accesses, from the footer.
-    pub accesses: u64,
-    /// Total blocks, from the footer.
-    pub blocks: u64,
-    /// Size of the file in bytes.
-    pub file_bytes: u64,
-    /// `8 × accesses / file_bytes`: how much smaller than raw LE u64s.
-    pub compression_ratio: f64,
 }
 
 /// Serializes `meta` and returns the complete file prelude: magic,
@@ -144,11 +103,13 @@ pub fn encode_header(meta: &TraceMeta) -> Result<Vec<u8>> {
 pub fn read_header<R: Read>(reader: &mut R) -> Result<(TraceMeta, u64)> {
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
-    if magic == *b"HYTLBTR1" {
-        return Err(TraceFileError::UnsupportedVersion { found: 1 });
-    }
     if magic != FILE_MAGIC {
-        return Err(TraceFileError::corrupt("file magic", "not a HYTLBTR2 trace file"));
+        // Retired versions (`HYTLBTR1`, `HYTLBTR2`) differ only in the
+        // last magic byte.
+        if magic[..7] == FILE_MAGIC[..7] && magic[7].is_ascii_digit() {
+            return Err(TraceFileError::UnsupportedVersion { found: u32::from(magic[7] - b'0') });
+        }
+        return Err(TraceFileError::corrupt("file magic", "not a HYTLBTR3 trace file"));
     }
     let mut len_bytes = [0u8; 4];
     reader.read_exact(&mut len_bytes)?;
@@ -177,94 +138,38 @@ pub fn read_header<R: Read>(reader: &mut R) -> Result<(TraceMeta, u64)> {
     Ok((meta, 8 + 4 + u64::from(header_len)))
 }
 
-/// Encodes the seek index: magic, entry count, fixed-size entries and a
-/// CRC over everything after the magic.
-#[must_use]
-pub fn encode_index(entries: &[IndexEntry]) -> Vec<u8> {
-    let body = INDEX_ENTRY_BYTES as usize * entries.len();
-    let mut out = Vec::with_capacity(4 + 4 + body + 4);
-    out.extend_from_slice(&INDEX_MAGIC);
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        out.extend_from_slice(&e.offset.to_le_bytes());
-        out.extend_from_slice(&e.first_access.to_le_bytes());
-        out.extend_from_slice(&e.first_address.to_le_bytes());
-        out.extend_from_slice(&e.count.to_le_bytes());
-    }
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Reads the seek index *after* its magic has already been consumed
-/// (streaming readers peek the magic to know blocks ended).
-/// `max_entries` bounds the allocation; pass the block count from the
-/// footer, or a limit derived from the file size.
-pub fn read_index_body<R: Read>(reader: &mut R, max_entries: u64) -> Result<Vec<IndexEntry>> {
-    let mut count_bytes = [0u8; 4];
-    reader.read_exact(&mut count_bytes)?;
-    let entry_count = u32::from_le_bytes(count_bytes);
-    if u64::from(entry_count) > max_entries {
-        return Err(TraceFileError::corrupt(
-            "seek index",
-            format!("declares {entry_count} entries, more than the file can hold"),
-        ));
-    }
-    let body_len = INDEX_ENTRY_BYTES as usize * entry_count as usize;
-    let mut body = vec![0u8; body_len];
-    reader.read_exact(&mut body)?;
-    let mut crc_bytes = [0u8; 4];
-    reader.read_exact(&mut crc_bytes)?;
-    let mut crc = crate::crc32::Crc32::new();
-    crc.update(&count_bytes);
-    crc.update(&body);
-    if crc.finish() != u32::from_le_bytes(crc_bytes) {
-        return Err(TraceFileError::corrupt("seek index", "CRC mismatch"));
-    }
-    let mut entries = Vec::with_capacity(entry_count as usize);
-    for chunk in body.chunks_exact(INDEX_ENTRY_BYTES as usize) {
-        entries.push(IndexEntry {
-            offset: u64::from_le_bytes(chunk[0..8].try_into().expect("8-byte slice")),
-            first_access: u64::from_le_bytes(chunk[8..16].try_into().expect("8-byte slice")),
-            first_address: u64::from_le_bytes(chunk[16..24].try_into().expect("8-byte slice")),
-            count: u32::from_le_bytes(chunk[24..28].try_into().expect("4-byte slice")),
-        });
-    }
-    Ok(entries)
-}
-
-/// Encodes the 36-byte footer.
+/// Encodes the 32-byte footer.
 #[must_use]
 pub fn encode_footer(footer: &Footer) -> Vec<u8> {
     let mut out = Vec::with_capacity(FOOTER_BYTES as usize);
-    out.extend_from_slice(&footer.index_offset.to_le_bytes());
+    out.extend_from_slice(&FOOTER_MAGIC);
     out.extend_from_slice(&footer.accesses.to_le_bytes());
     out.extend_from_slice(&footer.blocks.to_le_bytes());
-    let crc = crc32(&out);
+    let crc = crc32(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(&END_MAGIC);
     out
 }
 
-/// Parses and validates a 36-byte footer.
-pub fn parse_footer(bytes: &[u8]) -> Result<Footer> {
-    if bytes.len() != FOOTER_BYTES as usize {
-        return Err(TraceFileError::corrupt("footer", "short footer"));
-    }
-    if bytes[28..36] != END_MAGIC {
+/// Reads and validates the footer *after* its record magic has been
+/// consumed (the streaming reader peeks the magic to know the blocks
+/// ended).
+pub fn read_footer_body<R: Read>(reader: &mut R) -> Result<Footer> {
+    let mut body = [0u8; FOOTER_BYTES as usize - FOOTER_MAGIC.len()];
+    reader.read_exact(&mut body)?;
+    if body[20..28] != END_MAGIC {
         return Err(TraceFileError::corrupt(
             "footer",
             "missing HYTLBEND trailer (file truncated or writer never finished)",
         ));
     }
-    let crc = u32::from_le_bytes(bytes[24..28].try_into().expect("4-byte slice"));
-    if crc32(&bytes[..24]) != crc {
+    let crc = u32::from_le_bytes(body[16..20].try_into().expect("4-byte slice"));
+    if crc32(&body[..16]) != crc {
         return Err(TraceFileError::corrupt("footer", "CRC mismatch"));
     }
     Ok(Footer {
-        index_offset: u64::from_le_bytes(bytes[0..8].try_into().expect("8-byte slice")),
-        accesses: u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice")),
-        blocks: u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice")),
+        accesses: u64::from_le_bytes(body[0..8].try_into().expect("8-byte slice")),
+        blocks: u64::from_le_bytes(body[8..16].try_into().expect("8-byte slice")),
     })
 }
 
@@ -292,6 +197,15 @@ mod tests {
     }
 
     #[test]
+    fn version_2_magic_reports_version_2() {
+        let mut cursor = &b"HYTLBTR2xxxx"[..];
+        match read_header(&mut cursor) {
+            Err(TraceFileError::UnsupportedVersion { found: 2 }) => {}
+            other => panic!("expected UnsupportedVersion {{ 2 }}, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn oversized_header_length_is_rejected() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&FILE_MAGIC);
@@ -303,30 +217,15 @@ mod tests {
     }
 
     #[test]
-    fn index_roundtrips_and_detects_flips() {
-        let entries = vec![
-            IndexEntry { offset: 12, first_access: 0, first_address: 4096, count: 3 },
-            IndexEntry { offset: 90, first_access: 3, first_address: 8192, count: 7 },
-        ];
-        let mut bytes = encode_index(&entries);
-        let mut cursor = &bytes[4..];
-        assert_eq!(read_index_body(&mut cursor, 10).unwrap(), entries);
-
-        bytes[10] ^= 0x40;
-        let mut cursor = &bytes[4..];
-        let err = read_index_body(&mut cursor, 10).unwrap_err();
-        assert!(err.is_corrupt(), "{err}");
-    }
-
-    #[test]
     fn footer_roundtrips_and_detects_truncation() {
-        let footer = Footer { index_offset: 777, accesses: 12_345, blocks: 4 };
+        let footer = Footer { accesses: 12_345, blocks: 4 };
         let bytes = encode_footer(&footer);
         assert_eq!(bytes.len() as u64, FOOTER_BYTES);
-        assert_eq!(parse_footer(&bytes).unwrap(), footer);
-        assert!(parse_footer(&bytes[..35]).is_err());
+        assert_eq!(bytes[..4], FOOTER_MAGIC);
+        assert_eq!(read_footer_body(&mut &bytes[4..]).unwrap(), footer);
+        assert!(read_footer_body(&mut &bytes[4..31]).unwrap_err().is_corrupt());
         let mut flipped = bytes.clone();
-        flipped[3] ^= 1;
-        assert!(parse_footer(&flipped).unwrap_err().is_corrupt());
+        flipped[7] ^= 1;
+        assert!(read_footer_body(&mut &flipped[4..]).unwrap_err().is_corrupt());
     }
 }

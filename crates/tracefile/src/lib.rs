@@ -1,4 +1,4 @@
-//! Compressed, seekable, streaming trace files: the `HYTLBTR2` format.
+//! Compressed, streaming trace files: the `HYTLBTR3` format.
 //!
 //! The paper's methodology is capture-then-replay: memory traces are
 //! recorded once and re-run against many mapping scenarios. Raw traces
@@ -17,19 +17,21 @@
 //! * **Blocks are independent** — each carries its first address
 //!   absolutely plus a CRC-32, so one block decodes without its
 //!   predecessors and corruption is localized.
-//! * **Seek index + footer** — a trailing index maps access ranges to
-//!   block offsets; the fixed-size footer at EOF finds it in two
-//!   seeks. `info` never decodes a block; `read_range` touches only
-//!   the blocks that overlap.
+//! * **Footer** — after the last block, a CRC'd footer records the
+//!   access and block totals and closes with `HYTLBEND`. The reader
+//!   checks it against what it decoded, so a truncated file, or one
+//!   whose writer never finished, is an error rather than a short trace.
 //! * **Streaming both ways** — [`TraceWriter`] buffers one block;
-//!   [`TraceReader`] decodes one block at a time. Memory is bounded by
-//!   the block size (64 Ki accesses by default), not the trace.
+//!   [`TraceReader`], the only decoder, holds one block at a time.
+//!   Memory is bounded by the block size (64 Ki accesses by default),
+//!   not the trace.
 //! * **Corpus store** ([`store`]) — a directory keyed by
 //!   (workload, footprint, seed) with a JSON manifest, which
 //!   `hytlb_sim::MatrixCache` can replay from instead of regenerating.
 //!
-//! `HYTLBTR2` is the only trace format; the reader rejects anything else
-//! (including the retired raw-`u64` `HYTLBTR1` format) with a typed error.
+//! `HYTLBTR3` is the only trace format; the reader rejects anything else
+//! (including the retired `HYTLBTR1` and `HYTLBTR2` formats) with a typed
+//! error.
 //!
 //! # Examples
 //!
@@ -61,7 +63,7 @@ pub mod varint;
 pub mod writer;
 
 pub use error::{Result, TraceFileError};
-pub use format::{TraceInfo, TraceMeta, FILE_MAGIC, FORMAT_VERSION};
-pub use reader::{verify, DecodedBlock, TraceFile, TraceReader, VerifyReport};
+pub use format::{TraceMeta, FILE_MAGIC, FORMAT_VERSION};
+pub use reader::{verify, DecodedBlock, TraceReader, VerifyReport};
 pub use store::{CorpusEntry, TraceStore};
 pub use writer::{TraceWriter, WriteSummary};

@@ -1,23 +1,15 @@
-//! Reading `HYTLBTR2` files three ways: streaming block-at-a-time
-//! ([`TraceReader`]), seekable random access ([`TraceFile`]) and full
-//! integrity checking ([`verify`]).
+//! Reading `HYTLBTR3` files: [`TraceReader`] streams the blocks one at a
+//! time and checks the footer when they end; [`verify`] drains it.
 //!
-//! The streaming reader holds one decoded block at a time, so replaying
-//! a multi-gigabyte trace needs memory proportional to the block size,
-//! not the trace. The seekable reader uses the trailing index to answer
-//! `info` without decoding anything and to land on any access in one
-//! seek.
+//! The reader holds one decoded block at a time, so replaying a
+//! multi-gigabyte trace needs memory proportional to the block size,
+//! not the trace.
 
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
-use std::path::Path;
+use std::io::Read;
 
-use crate::block::{RawBlock, BLOCK_MAGIC};
+use crate::block::{RawBlock, BLOCK_FIXED_BYTES, BLOCK_MAGIC};
 use crate::error::{Result, TraceFileError};
-use crate::format::{
-    parse_footer, read_header, read_index_body, Footer, IndexEntry, TraceInfo, TraceMeta,
-    FOOTER_BYTES, INDEX_ENTRY_BYTES, INDEX_MAGIC,
-};
+use crate::format::{read_footer_body, read_header, TraceMeta, FOOTER_BYTES, FOOTER_MAGIC};
 
 /// One decoded block and where it sits in the access stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,24 +20,49 @@ pub struct DecodedBlock {
     pub addresses: Vec<u64>,
 }
 
-// ---------------------------------------------------------------------
-// Streaming reader.
+/// The totals of a fully read file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerifyReport {
+    /// Blocks decoded and CRC-checked.
+    pub blocks: u64,
+    /// Accesses across all blocks.
+    pub accesses: u64,
+    /// Total bytes of the file.
+    pub bytes: u64,
+}
 
-/// Streaming reader: yields blocks in file order with bounded memory.
+/// Streaming reader: yields blocks in file order with bounded memory,
+/// then checks the footer.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     src: R,
     meta: TraceMeta,
-    next_access: u64,
-    ordinal: u64,
-    done: bool,
+    /// Blocks, accesses and bytes consumed so far.
+    read: VerifyReport,
+    state: State,
+}
+
+/// Where a [`TraceReader`] stands in its stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// More blocks or the footer may follow.
+    Blocks,
+    /// The footer was read and checked out.
+    Finished,
+    /// A read failed; the stream cannot be trusted past it.
+    Failed,
 }
 
 impl<R: Read> TraceReader<R> {
     /// Opens a stream, consuming and validating the magic and header.
     pub fn new(mut src: R) -> Result<Self> {
-        let (meta, _) = read_header(&mut src)?;
-        Ok(TraceReader { src, meta, next_access: 0, ordinal: 0, done: false })
+        let (meta, bytes) = read_header(&mut src)?;
+        Ok(TraceReader {
+            src,
+            meta,
+            read: VerifyReport { blocks: 0, accesses: 0, bytes },
+            state: State::Blocks,
+        })
     }
 
     /// Header metadata.
@@ -54,39 +71,70 @@ impl<R: Read> TraceReader<R> {
         &self.meta
     }
 
-    /// Decodes the next block, or `None` once the block region ends
-    /// (at the seek index, or at EOF for a file whose writer never
-    /// finished — use [`verify`] to reject such files).
+    /// Decodes the next block, or `None` once the blocks end at a
+    /// footer whose CRC checks out, whose totals match the blocks read
+    /// and which nothing follows. A stream that ends without a footer
+    /// is [`TraceFileError::Corrupt`], and so is every call after an
+    /// error.
     pub fn next_block(&mut self) -> Result<Option<DecodedBlock>> {
-        if self.done {
-            return Ok(None);
+        match self.state {
+            State::Blocks => {}
+            State::Finished => return Ok(None),
+            State::Failed => {
+                return Err(TraceFileError::corrupt("stream", "read past an earlier error"));
+            }
         }
+        let block = self.read_record().inspect_err(|_| self.state = State::Failed)?;
+        if block.is_none() {
+            self.state = State::Finished;
+        }
+        Ok(block)
+    }
+
+    /// Reads the remaining blocks and the footer, and reports the
+    /// file's totals.
+    pub fn finish(mut self) -> Result<VerifyReport> {
+        while self.next_block()?.is_some() {}
+        Ok(self.read)
+    }
+
+    fn read_record(&mut self) -> Result<Option<DecodedBlock>> {
+        let ordinal = self.read.blocks;
         let Some(magic) = read_record_magic(&mut self.src)? else {
-            self.done = true;
-            return Ok(None);
+            return Err(TraceFileError::corrupt(
+                "file",
+                "ends before the footer (truncated or writer never finished)",
+            ));
         };
-        if magic == INDEX_MAGIC {
-            self.done = true;
+        if magic == FOOTER_MAGIC {
+            let footer = read_footer_body(&mut self.src)?;
+            if footer.blocks != ordinal || footer.accesses != self.read.accesses {
+                return Err(TraceFileError::corrupt("footer", "totals disagree with the blocks"));
+            }
+            if self.src.read(&mut [0u8; 1])? != 0 {
+                return Err(TraceFileError::corrupt("file", "trailing bytes after the footer"));
+            }
+            self.read.bytes += FOOTER_BYTES;
             return Ok(None);
         }
         if magic != BLOCK_MAGIC {
-            self.done = true;
             return Err(TraceFileError::corrupt(
-                format!("block {}", self.ordinal),
+                format!("block {ordinal}"),
                 format!("bad record magic {magic:02x?}"),
             ));
         }
-        let raw = RawBlock::parse(&mut self.src, self.ordinal).inspect_err(|_| self.done = true)?;
-        let addresses = raw.decode().inspect_err(|_| self.done = true)?;
-        let first_access = self.next_access;
-        self.next_access += addresses.len() as u64;
-        self.ordinal += 1;
+        let raw = RawBlock::parse(&mut self.src, ordinal)?;
+        let addresses = raw.decode()?;
+        let first_access = self.read.accesses;
+        self.read.blocks += 1;
+        self.read.accesses += addresses.len() as u64;
+        self.read.bytes += BLOCK_FIXED_BYTES + raw.payload.len() as u64;
         Ok(Some(DecodedBlock { first_access, addresses }))
     }
 
     /// Consumes the reader into an iterator over individual addresses.
-    /// The iterator yields `Err` once on the first corrupt block, then
-    /// ends.
+    /// The iterator yields `Err` once on the first corrupt block (or a
+    /// missing or bad footer), then ends.
     #[must_use]
     pub fn addresses(self) -> Addresses<R> {
         Addresses { reader: self, current: Vec::new().into_iter(), failed: false }
@@ -142,260 +190,11 @@ fn read_record_magic<R: Read>(src: &mut R) -> Result<Option<[u8; 4]>> {
     Ok(Some(magic))
 }
 
-// ---------------------------------------------------------------------
-// Seekable reader.
-
-/// Random-access reader over a finished trace file on disk.
-///
-/// Opening reads only the header, footer and seek index; blocks are
-/// decoded on demand. Every block read cross-checks the index entry it
-/// came from, so a stale index (index rewritten without its blocks, or
-/// vice versa) surfaces as corruption instead of wrong data.
-#[derive(Debug)]
-pub struct TraceFile {
-    file: File,
-    meta: TraceMeta,
-    index: Vec<IndexEntry>,
-    footer: Footer,
-    file_bytes: u64,
-}
-
-impl TraceFile {
-    /// Opens `path`, validating header, footer and seek index.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let mut file = File::open(path.as_ref())?;
-        let file_bytes = file.metadata()?.len();
-        let (meta, header_bytes) = read_header(&mut file)?;
-        if file_bytes < header_bytes + FOOTER_BYTES {
-            return Err(TraceFileError::corrupt("file", "too short to hold a footer"));
-        }
-        file.seek(SeekFrom::End(-(FOOTER_BYTES as i64)))?;
-        let mut footer_bytes = [0u8; FOOTER_BYTES as usize];
-        file.read_exact(&mut footer_bytes)?;
-        let footer = parse_footer(&footer_bytes)?;
-        if footer.index_offset < header_bytes || footer.index_offset >= file_bytes {
-            return Err(TraceFileError::corrupt("footer", "index offset outside the file"));
-        }
-        file.seek(SeekFrom::Start(footer.index_offset))?;
-        let Some(magic) = read_record_magic(&mut file)? else {
-            return Err(TraceFileError::corrupt("seek index", "index offset points at EOF"));
-        };
-        if magic != INDEX_MAGIC {
-            return Err(TraceFileError::corrupt("seek index", "index offset points at non-index"));
-        }
-        let max_entries = file_bytes / INDEX_ENTRY_BYTES + 1;
-        let index = read_index_body(&mut file, max_entries)?;
-        if index.len() as u64 != footer.blocks {
-            return Err(TraceFileError::corrupt(
-                "seek index",
-                format!("{} entries but footer counts {} blocks", index.len(), footer.blocks),
-            ));
-        }
-        let counted: u64 = index.iter().map(|e| u64::from(e.count)).sum();
-        if counted != footer.accesses {
-            return Err(TraceFileError::corrupt(
-                "seek index",
-                format!("entries sum to {counted} accesses but footer counts {}", footer.accesses),
-            ));
-        }
-        Ok(TraceFile { file, meta, index, footer, file_bytes })
-    }
-
-    /// Header metadata.
-    #[must_use]
-    pub fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
-
-    /// Total accesses in the file.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.footer.accesses
-    }
-
-    /// Total blocks in the file.
-    #[must_use]
-    pub fn blocks(&self) -> u64 {
-        self.footer.blocks
-    }
-
-    /// Everything `hytlb-tracectl info` prints, gathered without
-    /// decoding a single block.
-    #[must_use]
-    pub fn info(&self) -> TraceInfo {
-        let raw = self.footer.accesses * 8;
-        TraceInfo {
-            workload: self.meta.workload.clone(),
-            footprint_pages: self.meta.footprint_pages,
-            seed: self.meta.seed,
-            block_accesses: self.meta.block_accesses,
-            accesses: self.footer.accesses,
-            blocks: self.footer.blocks,
-            file_bytes: self.file_bytes,
-            compression_ratio: if self.file_bytes == 0 {
-                0.0
-            } else {
-                raw as f64 / self.file_bytes as f64
-            },
-        }
-    }
-
-    /// Decodes block `ordinal`, cross-checking it against its index
-    /// entry.
-    pub fn block(&mut self, ordinal: u64) -> Result<DecodedBlock> {
-        let entry =
-            *self.index.get(usize::try_from(ordinal).unwrap_or(usize::MAX)).ok_or_else(|| {
-                TraceFileError::Store {
-                    detail: format!(
-                        "block {ordinal} out of range (file has {})",
-                        self.footer.blocks
-                    ),
-                }
-            })?;
-        self.file.seek(SeekFrom::Start(entry.offset))?;
-        let Some(magic) = read_record_magic(&mut self.file)? else {
-            return Err(TraceFileError::corrupt("seek index", "entry offset points at EOF"));
-        };
-        if magic != BLOCK_MAGIC {
-            return Err(TraceFileError::corrupt(
-                "seek index",
-                format!("entry {ordinal} does not point at a block"),
-            ));
-        }
-        let raw = RawBlock::parse(&mut self.file, ordinal)?;
-        if raw.count != entry.count || raw.first != entry.first_address {
-            return Err(TraceFileError::corrupt(
-                "seek index",
-                format!("entry {ordinal} disagrees with the block it points at (stale index)"),
-            ));
-        }
-        let addresses = raw.decode()?;
-        Ok(DecodedBlock { first_access: entry.first_access, addresses })
-    }
-
-    /// Reads accesses `[start, start + len)` using the index to touch
-    /// only the blocks that overlap the range.
-    pub fn read_range(&mut self, start: u64, len: u64) -> Result<Vec<u64>> {
-        let end = start
-            .checked_add(len)
-            .ok_or_else(|| TraceFileError::Store { detail: "access range overflows".into() })?;
-        if end > self.footer.accesses {
-            return Err(TraceFileError::Store {
-                detail: format!(
-                    "range {start}..{end} out of bounds (file has {} accesses)",
-                    self.footer.accesses
-                ),
-            });
-        }
-        let mut out = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
-        if len == 0 {
-            return Ok(out);
-        }
-        // Last block whose first access is ≤ start.
-        let first_block = self.index.partition_point(|e| e.first_access <= start) - 1;
-        for ordinal in first_block as u64..self.footer.blocks {
-            let block = self.block(ordinal)?;
-            if block.first_access >= end {
-                break;
-            }
-            let skip = start.saturating_sub(block.first_access);
-            let take = (end - block.first_access).min(block.addresses.len() as u64) - skip;
-            let skip = usize::try_from(skip).unwrap_or(usize::MAX);
-            let take = usize::try_from(take).unwrap_or(usize::MAX);
-            out.extend_from_slice(&block.addresses[skip..skip + take]);
-        }
-        Ok(out)
-    }
-
-    /// Reads the first `n` accesses.
-    pub fn read_prefix(&mut self, n: u64) -> Result<Vec<u64>> {
-        self.read_range(0, n)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Verification.
-
-/// What [`verify`] checked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerifyReport {
-    /// Blocks decoded and CRC-checked.
-    pub blocks: u64,
-    /// Accesses across all blocks.
-    pub accesses: u64,
-    /// Total bytes of the file.
-    pub bytes: u64,
-}
-
-struct CountingReader<R> {
-    inner: R,
-    consumed: u64,
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.consumed += n as u64;
-        Ok(n)
-    }
-}
-
 /// Fully checks a trace file stream: every block's CRC and payload
-/// decode, the seek index against the blocks actually present, and the
-/// footer totals. Detects truncation (missing index/footer), bit flips
-/// anywhere, a stale index and trailing garbage.
+/// decode, and the footer's CRC and totals. Detects truncation, bit
+/// flips anywhere after the header and trailing garbage.
 pub fn verify<R: Read>(src: R) -> Result<VerifyReport> {
-    let mut src = CountingReader { inner: src, consumed: 0 };
-    let (_, _) = read_header(&mut src)?;
-    let mut actual: Vec<IndexEntry> = Vec::new();
-    let mut accesses = 0u64;
-    loop {
-        let record_offset = src.consumed;
-        let Some(magic) = read_record_magic(&mut src)? else {
-            return Err(TraceFileError::corrupt(
-                "file",
-                "ends before the seek index (truncated or writer never finished)",
-            ));
-        };
-        if magic == INDEX_MAGIC {
-            let stored = read_index_body(&mut src, actual.len() as u64)?;
-            if stored != actual {
-                return Err(TraceFileError::corrupt(
-                    "seek index",
-                    "index disagrees with the blocks present (stale index)",
-                ));
-            }
-            let mut footer_bytes = [0u8; FOOTER_BYTES as usize];
-            src.read_exact(&mut footer_bytes)?;
-            let footer = parse_footer(&footer_bytes)?;
-            if footer.index_offset != record_offset {
-                return Err(TraceFileError::corrupt("footer", "index offset disagrees"));
-            }
-            if footer.blocks != actual.len() as u64 || footer.accesses != accesses {
-                return Err(TraceFileError::corrupt("footer", "totals disagree with the blocks"));
-            }
-            let mut trailing = [0u8; 1];
-            if src.read(&mut trailing)? != 0 {
-                return Err(TraceFileError::corrupt("file", "trailing bytes after the footer"));
-            }
-            return Ok(VerifyReport { blocks: footer.blocks, accesses, bytes: src.consumed });
-        }
-        if magic != BLOCK_MAGIC {
-            return Err(TraceFileError::corrupt(
-                format!("block {}", actual.len()),
-                format!("bad record magic {magic:02x?}"),
-            ));
-        }
-        let raw = RawBlock::parse(&mut src, actual.len() as u64)?;
-        let decoded = raw.decode()?;
-        actual.push(IndexEntry {
-            offset: record_offset,
-            first_access: accesses,
-            first_address: raw.first,
-            count: raw.count,
-        });
-        accesses += decoded.len() as u64;
-    }
+    TraceReader::new(src)?.finish()
 }
 
 #[cfg(test)]
@@ -456,7 +255,7 @@ mod tests {
     fn verify_rejects_truncation_at_every_length() {
         let bytes = sample_file(8, &sample_addresses(20));
         // Chop the file at a spread of lengths; none may verify.
-        for cut in [bytes.len() - 1, bytes.len() - 36, bytes.len() / 2, 13] {
+        for cut in [bytes.len() - 1, bytes.len() - FOOTER_BYTES as usize, bytes.len() / 2, 13] {
             let err = verify(&bytes[..cut]).unwrap_err();
             assert!(err.is_corrupt(), "cut at {cut}: {err}");
         }
@@ -467,8 +266,10 @@ mod tests {
         let bytes = sample_file(8, &sample_addresses(30));
         let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         let blocks_start = 12 + header_len as usize;
-        // One flip in the block region, one in the index, one in the footer.
-        for pos in [blocks_start + 30, bytes.len() - 50, bytes.len() - 10] {
+        // One flip in the block region, one in the footer magic, one in
+        // its totals and one in its trailer.
+        let footer = bytes.len() - FOOTER_BYTES as usize;
+        for pos in [blocks_start + 30, footer, footer + 6, bytes.len() - 2] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x04;
             assert!(verify(&bad[..]).is_err(), "flip at {pos} went undetected");
@@ -476,42 +277,32 @@ mod tests {
     }
 
     #[test]
-    fn tracefile_opens_and_seeks() {
-        let addresses = sample_addresses(100);
-        let bytes = sample_file(16, &addresses);
-        let dir = std::env::temp_dir().join(format!("hytlb_reader_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("seek.htr2");
-        std::fs::write(&path, &bytes).unwrap();
+    fn verify_rejects_trailing_bytes() {
+        let mut bytes = sample_file(8, &sample_addresses(10));
+        bytes.push(0);
+        let err = verify(&bytes[..]).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+    }
 
-        let mut tf = TraceFile::open(&path).unwrap();
-        assert_eq!(tf.accesses(), 100);
-        assert_eq!(tf.blocks(), 7);
-        let info = tf.info();
-        assert_eq!(info.workload, "mcf");
-        assert_eq!(info.file_bytes, bytes.len() as u64);
-        assert!(info.compression_ratio > 1.0);
-
-        assert_eq!(tf.read_prefix(10).unwrap(), addresses[..10]);
-        assert_eq!(tf.read_range(15, 20).unwrap(), addresses[15..35]);
-        assert_eq!(tf.read_range(99, 1).unwrap(), addresses[99..]);
-        assert_eq!(tf.read_range(100, 0).unwrap(), Vec::<u64>::new());
-        assert!(tf.read_range(95, 10).is_err());
-        assert_eq!(tf.block(6).unwrap().addresses, addresses[96..]);
-        assert!(tf.block(7).is_err());
-
-        std::fs::remove_file(&path).ok();
+    #[test]
+    fn reads_after_an_error_keep_failing() {
+        let bytes = sample_file(8, &sample_addresses(20));
+        let mut reader = TraceReader::new(&bytes[..bytes.len() - 1]).unwrap();
+        while reader.next_block().is_ok_and(|b| b.is_some()) {}
+        assert!(reader.next_block().unwrap_err().is_corrupt());
+        assert!(reader.finish().unwrap_err().is_corrupt());
     }
 
     #[test]
     fn tracefile_rejects_missing_footer() {
-        let bytes = sample_file(16, &sample_addresses(20));
-        let dir = std::env::temp_dir().join(format!("hytlb_reader_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("nofooter.htr2");
-        std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
-        let err = TraceFile::open(&path).unwrap_err();
-        assert!(err.is_corrupt(), "{err}");
-        std::fs::remove_file(&path).ok();
+        let addresses = sample_addresses(20);
+        let bytes = sample_file(16, &addresses);
+        for cut in [8, FOOTER_BYTES as usize] {
+            let reader = TraceReader::new(&bytes[..bytes.len() - cut]).unwrap();
+            let replayed: Vec<Result<u64>> = reader.addresses().collect();
+            assert_eq!(replayed.len(), addresses.len() + 1, "every address, then the error");
+            let err = replayed.last().unwrap().as_ref().unwrap_err();
+            assert!(err.is_corrupt(), "{err}");
+        }
     }
 }

@@ -15,12 +15,12 @@
 //! manifest intact.
 
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::error::{Result, TraceFileError};
 use crate::format::TraceMeta;
-use crate::reader::TraceFile;
+use crate::reader::TraceReader;
 use crate::writer::{TraceWriter, WriteSummary};
 
 /// Manifest schema version.
@@ -109,28 +109,12 @@ impl TraceStore {
         seed: u64,
         addresses: impl IntoIterator<Item = u64>,
     ) -> Result<WriteSummary> {
-        self.record_with_block(workload, footprint_pages, seed, None, addresses)
-    }
-
-    /// [`TraceStore::record`] with an explicit block size (`None` →
-    /// default).
-    pub fn record_with_block(
-        &mut self,
-        workload: &str,
-        footprint_pages: u64,
-        seed: u64,
-        block_accesses: Option<u32>,
-        addresses: impl IntoIterator<Item = u64>,
-    ) -> Result<WriteSummary> {
         let relative = format!("{workload}/fp{footprint_pages}-s{seed}.htr2");
         let full = self.root.join(&relative);
         if let Some(parent) = full.parent() {
             fs::create_dir_all(parent)?;
         }
-        let mut meta = TraceMeta::new(workload, footprint_pages, seed);
-        if let Some(block) = block_accesses {
-            meta.block_accesses = block;
-        }
+        let meta = TraceMeta::new(workload, footprint_pages, seed);
         let mut writer = TraceWriter::new(BufWriter::new(File::create(&full)?), &meta)?;
         writer.extend(addresses)?;
         let summary = writer.finish()?;
@@ -152,15 +136,14 @@ impl TraceStore {
         Ok(summary)
     }
 
-    /// Opens the trace file behind `entry` for random access.
-    pub fn open_trace(&self, entry: &CorpusEntry) -> Result<TraceFile> {
-        TraceFile::open(self.root.join(&entry.path))
-    }
-
     /// Loads the first `accesses` addresses of the recorded trace for
     /// the key, or `None` when the corpus has no long-enough recording.
     /// Generators are deterministic streams, so the prefix of a longer
     /// recording is bit-identical to a shorter generation.
+    ///
+    /// The whole file is read and checked, footer included, so damage
+    /// past the prefix is still an error; a file whose header or totals
+    /// disagree with the manifest is one too.
     pub fn load_prefix(
         &self,
         workload: &str,
@@ -174,16 +157,35 @@ impl TraceStore {
         if entry.accesses < accesses {
             return Ok(None);
         }
-        let mut file = self.open_trace(entry)?;
-        if file.meta().workload != workload
-            || file.meta().footprint_pages != footprint_pages
-            || file.meta().seed != seed
+        let file = File::open(self.root.join(&entry.path))?;
+        // Every access takes at least one byte on disk, so the file size
+        // bounds the allocation even when the manifest overstates it.
+        let file_bytes = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+        let mut reader = TraceReader::new(BufReader::new(file))?;
+        let meta = reader.meta();
+        if meta.workload != workload || meta.footprint_pages != footprint_pages || meta.seed != seed
         {
             return Err(TraceFileError::Store {
                 detail: format!("{}: file header disagrees with the manifest", entry.path),
             });
         }
-        file.read_prefix(accesses).map(Some)
+        let wanted = usize::try_from(accesses).unwrap_or(usize::MAX);
+        let mut prefix = Vec::with_capacity(wanted.min(file_bytes));
+        while prefix.len() < wanted {
+            let Some(block) = reader.next_block()? else { break };
+            let take = block.addresses.len().min(wanted - prefix.len());
+            prefix.extend_from_slice(&block.addresses[..take]);
+        }
+        let totals = reader.finish()?;
+        if totals.accesses != entry.accesses {
+            return Err(TraceFileError::Store {
+                detail: format!(
+                    "{}: file holds {} accesses but the manifest records {}",
+                    entry.path, totals.accesses, entry.accesses
+                ),
+            });
+        }
+        Ok(Some(prefix))
     }
 
     fn save_manifest(&self) -> Result<()> {
@@ -284,6 +286,55 @@ mod tests {
 
         let err = store.load_prefix("gups", 512, 7, 10).unwrap_err();
         assert!(matches!(err, TraceFileError::Store { .. }), "{err}");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn file_totals_disagreeing_with_the_manifest_are_detected() {
+        let root = scratch_store("totals");
+        let mut store = TraceStore::open_or_create(&root).unwrap();
+        store.record("gups", 512, 7, walk(60)).unwrap();
+        let longer = fs::read(root.join("gups/fp512-s7.htr2")).unwrap();
+        store.record("gups", 512, 7, walk(40)).unwrap();
+        // The manifest says 40 accesses; the file on disk now holds 60.
+        fs::write(root.join("gups/fp512-s7.htr2"), longer).unwrap();
+
+        let err = store.load_prefix("gups", 512, 7, 10).unwrap_err();
+        assert!(matches!(err, TraceFileError::Store { .. }), "{err}");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// Truncation at every length and every single-bit flip after the
+    /// header make `load_prefix` fail, whether it wants the whole trace
+    /// or only a prefix of it: damaged bytes on disk never replay.
+    #[test]
+    fn damaged_corpus_files_never_load() {
+        let root = scratch_store("damaged");
+        let mut store = TraceStore::open_or_create(&root).unwrap();
+        store.record("gups", 512, 7, walk(40)).unwrap();
+        let path = root.join("gups/fp512-s7.htr2");
+        let clean = fs::read(&path).unwrap();
+        let header_len = u32::from_le_bytes(clean[8..12].try_into().unwrap()) as usize;
+
+        let mut damaged: Vec<(String, Vec<u8>)> =
+            (0..clean.len()).map(|cut| (format!("cut at {cut}"), clean[..cut].to_vec())).collect();
+        for pos in 12 + header_len..clean.len() {
+            for bit in 0..8 {
+                let mut bad = clean.clone();
+                bad[pos] ^= 1 << bit;
+                damaged.push((format!("bit {bit} of byte {pos} flipped"), bad));
+            }
+        }
+        for (what, bytes) in &damaged {
+            fs::write(&path, bytes).unwrap();
+            for n in [10, 40] {
+                let loaded = store.load_prefix("gups", 512, 7, n);
+                assert!(loaded.is_err(), "{what}: loading {n} accesses returned {loaded:?}");
+            }
+        }
+
+        fs::write(&path, &clean).unwrap();
+        assert_eq!(store.load_prefix("gups", 512, 7, 40).unwrap().unwrap(), walk(40));
         fs::remove_dir_all(&root).ok();
     }
 }

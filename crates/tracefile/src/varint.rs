@@ -1,6 +1,6 @@
 //! LEB128 varints and zig-zag signed↔unsigned mapping.
 //!
-//! The `HYTLBTR2` block codec stores address deltas zig-zag-mapped so
+//! The `HYTLBTR3` block codec stores address deltas zig-zag-mapped so
 //! that small negative and positive jumps both become small unsigned
 //! values, then either bit-packs them (see [`crate::block`]) or, for
 //! blocks where byte-aligned codes win, writes them as LEB128 varints.

@@ -1,17 +1,17 @@
-//! Streaming `HYTLBTR2` writer with bounded memory.
+//! Streaming `HYTLBTR3` writer with bounded memory.
 //!
 //! [`TraceWriter`] buffers at most one block of addresses (64 Ki by
 //! default); each full block is delta-encoded, CRC-stamped and written
 //! as a single `write_all`, so a raw `File` sink performs fine without
-//! an extra `BufWriter`. [`TraceWriter::finish`] appends the seek index
-//! and footer — a file missing them is one whose writer died, and
-//! [`crate::reader::verify`] reports it as truncated.
+//! an extra `BufWriter`. [`TraceWriter::finish`] appends the footer — a
+//! file missing it is one whose writer died, and
+//! [`crate::reader::TraceReader`] reports it as truncated.
 
 use std::io::Write;
 
 use crate::block::{encode_block, MAX_BLOCK_ACCESSES};
 use crate::error::{Result, TraceFileError};
-use crate::format::{encode_footer, encode_header, encode_index, Footer, IndexEntry, TraceMeta};
+use crate::format::{encode_footer, encode_header, Footer, TraceMeta};
 
 /// Totals reported by [`TraceWriter::finish`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,13 +42,13 @@ impl WriteSummary {
     }
 }
 
-/// Streaming writer: push addresses, get a finished `HYTLBTR2` file.
+/// Streaming writer: push addresses, get a finished `HYTLBTR3` file.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     sink: W,
     pending: Vec<u64>,
     block_accesses: usize,
-    index: Vec<IndexEntry>,
+    blocks: u64,
     written: u64,
     accesses: u64,
 }
@@ -72,7 +72,7 @@ impl<W: Write> TraceWriter<W> {
             sink,
             pending: Vec::with_capacity(meta.block_accesses as usize),
             block_accesses: meta.block_accesses as usize,
-            index: Vec::new(),
+            blocks: 0,
             written: prelude.len() as u64,
             accesses: 0,
         })
@@ -106,36 +106,24 @@ impl<W: Write> TraceWriter<W> {
             return Ok(());
         }
         let record = encode_block(&self.pending);
-        self.index.push(IndexEntry {
-            offset: self.written,
-            first_access: self.accesses,
-            first_address: self.pending[0],
-            count: self.pending.len() as u32,
-        });
         self.sink.write_all(&record)?;
         self.written += record.len() as u64;
+        self.blocks += 1;
         self.accesses += self.pending.len() as u64;
         self.pending.clear();
         Ok(())
     }
 
-    /// Flushes the final partial block, writes the seek index and
-    /// footer, flushes the sink and reports totals. An empty trace
-    /// (zero pushes) is legal: it has no blocks, an empty index and a
-    /// footer counting zero accesses.
+    /// Flushes the final partial block, writes the footer, flushes the
+    /// sink and reports totals. An empty trace (zero pushes) is legal:
+    /// it has no blocks and a footer counting zero accesses.
     pub fn finish(mut self) -> Result<WriteSummary> {
         self.flush_block()?;
-        let index_offset = self.written;
-        let index_bytes = encode_index(&self.index);
-        self.sink.write_all(&index_bytes)?;
-        self.written += index_bytes.len() as u64;
-        let footer =
-            Footer { index_offset, accesses: self.accesses, blocks: self.index.len() as u64 };
-        let footer_bytes = encode_footer(&footer);
+        let footer_bytes = encode_footer(&Footer { accesses: self.accesses, blocks: self.blocks });
         self.sink.write_all(&footer_bytes)?;
         self.written += footer_bytes.len() as u64;
         self.sink.flush()?;
-        Ok(WriteSummary { accesses: self.accesses, blocks: footer.blocks, bytes: self.written })
+        Ok(WriteSummary { accesses: self.accesses, blocks: self.blocks, bytes: self.written })
     }
 }
 
@@ -151,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_is_header_index_footer_only() {
+    fn empty_trace_is_header_and_footer_only() {
         let mut out = Vec::new();
         let writer = TraceWriter::new(&mut out, &TraceMeta::new("gups", 64, 1)).unwrap();
         let summary = writer.finish().unwrap();
@@ -160,8 +148,9 @@ mod tests {
         assert_eq!(summary.bytes, out.len() as u64);
         assert_eq!(out[0..8], FILE_MAGIC);
         assert_eq!(&out[out.len() - 8..], b"HYTLBEND");
-        // magic + len + header + empty index (magic, count, crc) + footer
-        assert!(out.len() as u64 >= 12 + 12 + FOOTER_BYTES);
+        // magic + len + header + footer
+        let header_len = u32::from_le_bytes(out[8..12].try_into().unwrap()) as u64;
+        assert_eq!(out.len() as u64, 12 + header_len + FOOTER_BYTES);
     }
 
     #[test]

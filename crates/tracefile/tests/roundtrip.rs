@@ -1,14 +1,15 @@
-//! Property-based round-trips and corruption tests for the `HYTLBTR2`
+//! Property-based round-trips and corruption tests for the `HYTLBTR3`
 //! format.
 //!
 //! The round-trip properties cover empty traces, single accesses,
 //! non-monotone and adversarial u64 streams, and every block size from
 //! one access up. The corruption half asserts the *detection* story:
 //! truncation anywhere, a flipped bit anywhere after the header, and a
-//! stale seek index all surface as corruption errors — never as wrong
-//! addresses.
+//! footer whose totals disagree with the blocks all surface as
+//! corruption errors — never as wrong addresses.
 
 use hytlb_tracefile::block::{encode_block, RawBlock, BLOCK_MAGIC};
+use hytlb_tracefile::format::FOOTER_BYTES;
 use hytlb_tracefile::varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
 use hytlb_tracefile::{verify, TraceMeta, TraceReader, TraceWriter};
 use proptest::prelude::*;
@@ -79,8 +80,8 @@ proptest! {
     }
 
     /// Truncating anywhere fails verification, and streaming replay of
-    /// the truncated file never yields anything but a prefix of the
-    /// original.
+    /// the truncated file yields a prefix of the original and then an
+    /// error — never a short trace that looks complete.
     #[test]
     fn truncation_is_detected(
         addresses in proptest::collection::vec(any::<u64>(), 1..200),
@@ -93,12 +94,14 @@ proptest! {
         prop_assert!(verify(truncated).is_err(), "verify accepted a {cut}-byte truncation");
         if let Ok(reader) = TraceReader::new(truncated) {
             let mut replayed = Vec::new();
+            let mut failed = false;
             for item in reader.addresses() {
                 match item {
                     Ok(a) => replayed.push(a),
-                    Err(_) => break,
+                    Err(_) => failed = true,
                 }
             }
+            prop_assert!(failed, "replay of a {cut}-byte truncation ended without an error");
             prop_assert!(
                 replayed.len() <= addresses.len() && replayed == addresses[..replayed.len()],
                 "truncated replay is not a prefix"
@@ -125,48 +128,26 @@ proptest! {
     }
 }
 
-/// Byte surgery: rewrite one index entry's `first_address` and patch
-/// the index CRC so the index parses cleanly — only the cross-check
-/// against the blocks can catch it. Both `verify` and the seekable
-/// reader must.
+/// Byte surgery: rewrite the footer's access total and re-stamp its CRC
+/// so the footer parses cleanly — only the cross-check against the
+/// blocks can catch it, and the streaming reader must.
 #[test]
-fn stale_seek_index_is_detected() {
+fn footer_totals_disagreeing_with_the_blocks_are_detected() {
     let addresses: Vec<u64> = (0..100u64).map(|i| i * 4096 + i).collect();
     let mut bytes = write_to_vec(&addresses, 16);
 
-    let footer_start = bytes.len() - 36;
-    let index_offset =
-        u64::from_le_bytes(bytes[footer_start..footer_start + 8].try_into().unwrap()) as usize;
-    assert_eq!(&bytes[index_offset..index_offset + 4], b"IDX2");
-    let entry_count =
-        u32::from_le_bytes(bytes[index_offset + 4..index_offset + 8].try_into().unwrap());
-    assert_eq!(entry_count, 7, "100 accesses at 16/block");
+    let footer = bytes.len() - FOOTER_BYTES as usize;
+    assert_eq!(&bytes[footer..footer + 4], b"END3");
+    assert_eq!(u64::from_le_bytes(bytes[footer + 4..footer + 12].try_into().unwrap()), 100);
+    bytes[footer + 4..footer + 12].copy_from_slice(&99u64.to_le_bytes());
+    let crc = hytlb_tracefile::crc32::crc32(&bytes[footer + 4..footer + 20]);
+    bytes[footer + 20..footer + 24].copy_from_slice(&crc.to_le_bytes());
 
-    // Corrupt entry 3's first_address (bytes 16..24 of the 28-byte entry).
-    let entry3 = index_offset + 8 + 3 * 28;
-    bytes[entry3 + 16] ^= 0xff;
-    // Re-stamp the index CRC (over count + entries) so parsing passes.
-    let crc_pos = index_offset + 8 + 7 * 28;
-    let crc = hytlb_tracefile::crc32::crc32(&bytes[index_offset + 4..crc_pos]);
-    bytes[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
-
-    // The streaming verifier cross-checks the index against the blocks.
     let err = verify(&bytes[..]).unwrap_err();
     assert!(err.is_corrupt(), "{err}");
-    assert!(err.to_string().contains("stale"), "{err}");
-
-    // The seekable reader opens (the lie is self-consistent) but the
-    // poisoned entry is caught the moment it is used.
-    let dir = std::env::temp_dir().join(format!("hytlb_stale_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("stale.htr2");
-    std::fs::write(&path, &bytes).unwrap();
-    let mut tf = hytlb_tracefile::TraceFile::open(&path).unwrap();
-    assert_eq!(tf.block(2).unwrap().addresses, addresses[32..48], "clean entries still work");
-    let err = tf.block(3).unwrap_err();
+    assert!(err.to_string().contains("totals"), "{err}");
+    let err = read_from_slice(&bytes).unwrap_err();
     assert!(err.is_corrupt(), "{err}");
-    assert!(err.to_string().contains("stale"), "{err}");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

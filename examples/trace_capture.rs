@@ -1,5 +1,5 @@
 //! Capture-then-replay workflow, mirroring the paper's Pin methodology:
-//! stream a workload trace to a compressed `HYTLBTR2` file once, then
+//! stream a workload trace to a compressed `HYTLBTR3` file once, then
 //! replay the identical trace from disk against several mapping
 //! scenarios.
 //!

@@ -21,8 +21,8 @@
 //!   the competing designs (baseline, THP, cluster, cluster-2MB, CoLT,
 //!   RMM) as its coalesced levels.
 //! * [`trace`] — synthetic workload trace generators for the 14 benchmarks.
-//! * [`tracefile`] — the compressed, seekable `HYTLBTR2` trace-file format,
-//!   the on-disk trace corpus ([`tracefile::TraceStore`]) and the
+//! * [`tracefile`] — the compressed, streaming `HYTLBTR3` trace-file
+//!   format, the on-disk trace corpus ([`tracefile::TraceStore`]) and the
 //!   `hytlb-tracectl` tool.
 //! * [`sim`] — the trace-driven simulation engine, experiment definitions
 //!   and report renderers.
