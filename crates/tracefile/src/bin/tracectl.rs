@@ -31,6 +31,7 @@ USAGE:
   hytlb-tracectl verify <file>
   hytlb-tracectl cat <file> [--limit <n>]
 
+Each subcommand takes only the flags shown, each at most once.
 Workload labels are the simulator's (gups, mcf, graph500, …).
 --footprint-pages and --seed default to the workload's defaults (seed 42).
 info decodes the whole file to count it, so it also fails on corruption.";
@@ -91,13 +92,25 @@ fn run(args: &[String]) -> Result<(), CliError> {
 type Flags = Vec<(String, String)>;
 
 /// Splits `args` into `--flag value` pairs and positional operands.
-fn parse_flags(args: &[String]) -> Result<(Flags, Vec<String>), CliError> {
-    let mut flags = Vec::new();
+/// Each flag must be one of `allowed`, the flags `command` takes, and
+/// may appear once.
+fn parse_flags(
+    command: &str,
+    allowed: &[&str],
+    args: &[String],
+) -> Result<(Flags, Vec<String>), CliError> {
+    let mut flags: Flags = Vec::new();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
         if let Some(name) = arg.strip_prefix("--") {
+            if !allowed.contains(&name) {
+                return Err(CliError::Usage(format!("{command} does not take --{name}")));
+            }
+            if flag(&flags, name).is_some() {
+                return Err(CliError::Usage(format!("--{name} given more than once")));
+            }
             let Some(value) = args.get(i + 1) else {
                 return Err(CliError::Usage(format!("--{name} needs a value")));
             };
@@ -126,7 +139,11 @@ fn parse_u64(flags: &[(String, String)], name: &str) -> Result<Option<u64>, CliE
 }
 
 fn record(args: &[String]) -> Result<(), CliError> {
-    let (flags, positional) = parse_flags(args)?;
+    let (flags, positional) = parse_flags(
+        "record",
+        &["workload", "accesses", "out", "store", "footprint-pages", "seed"],
+        args,
+    )?;
     if let Some(extra) = positional.first() {
         return Err(CliError::Usage(format!("record takes no positional argument `{extra}`")));
     }
@@ -180,11 +197,14 @@ fn record(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Parses the arguments of a subcommand that reads one file, returning
+/// the file and the flags (each one of `allowed`).
 fn one_positional(
-    args: &[String],
     command: &str,
-) -> Result<(String, Vec<(String, String)>), CliError> {
-    let (flags, positional) = parse_flags(args)?;
+    allowed: &[&str],
+    args: &[String],
+) -> Result<(String, Flags), CliError> {
+    let (flags, positional) = parse_flags(command, allowed, args)?;
     match positional.as_slice() {
         [path] => Ok((path.clone(), flags)),
         _ => Err(CliError::Usage(format!("{command} takes exactly one file argument"))),
@@ -192,7 +212,7 @@ fn one_positional(
 }
 
 fn info(args: &[String]) -> Result<(), CliError> {
-    let (path, _) = one_positional(args, "info")?;
+    let (path, _) = one_positional("info", &[], args)?;
     let reader = TraceReader::new(BufReader::new(File::open(&path)?))?;
     let meta = reader.meta().clone();
     let totals = reader.finish()?;
@@ -217,7 +237,7 @@ fn info(args: &[String]) -> Result<(), CliError> {
 }
 
 fn verify_cmd(args: &[String]) -> Result<(), CliError> {
-    let (path, _) = one_positional(args, "verify")?;
+    let (path, _) = one_positional("verify", &[], args)?;
     let report = verify(BufReader::new(File::open(&path)?))?;
     println!(
         "{path}: ok — {} accesses in {} blocks, {} bytes, all CRCs and the footer check out",
@@ -227,12 +247,9 @@ fn verify_cmd(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cat(args: &[String]) -> Result<(), CliError> {
-    let (flags, positional) = parse_flags(args)?;
-    let [path] = positional.as_slice() else {
-        return Err(CliError::Usage("cat takes exactly one file argument".into()));
-    };
+    let (path, flags) = one_positional("cat", &["limit"], args)?;
     let limit = parse_u64(&flags, "limit")?;
-    let reader = TraceReader::new(BufReader::new(File::open(path)?))?;
+    let reader = TraceReader::new(BufReader::new(File::open(&path)?))?;
     let stdout = std::io::stdout();
     let mut out = BufWriter::new(stdout.lock());
     for (printed, address) in reader.addresses().enumerate() {
@@ -256,7 +273,7 @@ mod tests {
     #[test]
     fn flag_parsing_pairs_and_positionals() {
         let args = strings(&["--workload", "gups", "file.htr2", "--seed", "7"]);
-        let (flags, positional) = parse_flags(&args).ok().unwrap();
+        let (flags, positional) = parse_flags("record", &["workload", "seed"], &args).ok().unwrap();
         assert_eq!(flag(&flags, "workload"), Some("gups"));
         assert_eq!(flag(&flags, "seed"), Some("7"));
         assert_eq!(positional, vec!["file.htr2"]);
@@ -264,7 +281,8 @@ mod tests {
 
     #[test]
     fn missing_flag_value_is_a_usage_error() {
-        assert!(matches!(parse_flags(&strings(&["--seed"])), Err(CliError::Usage(_))));
+        let args = strings(&["--seed"]);
+        assert!(matches!(parse_flags("record", &["seed"], &args), Err(CliError::Usage(_))));
     }
 
     #[test]

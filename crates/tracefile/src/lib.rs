@@ -11,9 +11,8 @@
 //!   and bit-packed with two per-block-optimized widths (a flag bit
 //!   marks same-page runs); offsets, which are uniformly random for
 //!   every generator, are stored as raw 12-bit fields — they are
-//!   incompressible, and pretending otherwise only adds overhead. A
-//!   byte-aligned LEB128 varint encoding is kept as a per-block
-//!   fallback for streams the bit-packer handles poorly.
+//!   incompressible, and pretending otherwise only adds overhead. This
+//!   packed stream is the only payload encoding.
 //! * **Blocks are independent** — each carries its first address
 //!   absolutely plus a CRC-32, so one block decodes without its
 //!   predecessors and corruption is localized.
@@ -59,7 +58,6 @@ pub mod error;
 pub mod format;
 pub mod reader;
 pub mod store;
-pub mod varint;
 pub mod writer;
 
 pub use error::{Result, TraceFileError};

@@ -10,7 +10,6 @@
 
 use hytlb_tracefile::block::{encode_block, RawBlock, BLOCK_MAGIC};
 use hytlb_tracefile::format::FOOTER_BYTES;
-use hytlb_tracefile::varint::{read_varint, write_varint, zigzag_decode, zigzag_encode};
 use hytlb_tracefile::{verify, TraceMeta, TraceReader, TraceWriter};
 use proptest::prelude::*;
 
@@ -30,7 +29,7 @@ fn read_from_slice(bytes: &[u8]) -> Result<Vec<u64>, hytlb_tracefile::TraceFileE
 
 /// Strategy: address streams of different shapes — uniformly random
 /// u64s (non-monotone, huge deltas), page-local walks, and strided
-/// scans — so both payload encodings get exercised.
+/// scans.
 fn arb_addresses() -> impl Strategy<Value = Vec<u64>> {
     prop_oneof![
         proptest::collection::vec(any::<u64>(), 0..300),
@@ -43,20 +42,6 @@ fn arb_addresses() -> impl Strategy<Value = Vec<u64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn zigzag_roundtrips_any(v in any::<i64>()) {
-        prop_assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-    }
-
-    #[test]
-    fn varint_roundtrips_any(v in any::<u64>()) {
-        let mut buf = Vec::new();
-        write_varint(&mut buf, v);
-        let mut pos = 0;
-        prop_assert_eq!(read_varint(&buf, &mut pos), Some(v));
-        prop_assert_eq!(pos, buf.len());
-    }
 
     /// A lone block record round-trips any non-empty address list.
     #[test]
