@@ -5,9 +5,10 @@
 //! that writes anchor fields. Its responsibilities (paper §3.3):
 //!
 //! * write the anchor contiguity fields for the distance in effect;
-//! * periodically (every epoch ≈ 1 B instructions) rebuild the contiguity
-//!   histogram, re-run the distance selector, and — if the improvement
-//!   clears the hysteresis — pay for a full table sweep plus TLB shootdown.
+//! * periodically (every epoch ≈ 1 B instructions) re-run the distance
+//!   selector on the contiguity histogram, and — if the improvement clears
+//!   the hysteresis — pay for a full table sweep plus TLB shootdown. The
+//!   mapping is immutable, so the histogram is built once, at boot.
 
 use crate::distance::DistanceSelector;
 use crate::region::RegionTable;
@@ -53,9 +54,10 @@ pub struct OsKernel {
     /// choice, or — for multi-region kernels — its choice over the whole
     /// map, used outside every region.
     distance: u64,
-    /// The selector the epoch check re-runs; `None` for the static and
-    /// multi-region kernels, whose distances are fixed at boot.
-    selector: Option<DistanceSelector>,
+    /// The selector the epoch check re-runs and the histogram of the map
+    /// it runs on, built at boot; `None` for the static and multi-region
+    /// kernels, whose distances are fixed at boot.
+    selector: Option<(DistanceSelector, ContiguityHistogram)>,
     regions: Option<RegionTable>,
     epochs: u64,
     distance_changes: u64,
@@ -87,13 +89,18 @@ impl OsKernel {
         selector: DistanceSelector,
         mode: DistanceMode,
     ) -> Self {
-        let whole_map = || selector.select(&ContiguityHistogram::from_map(&map));
-        let (distance, regions) = match mode {
-            DistanceMode::Dynamic => (whole_map(), None),
-            DistanceMode::Static(d) => (d, None),
-            DistanceMode::MultiRegion(max_regions) => {
-                (whole_map(), Some(RegionTable::partition(&map, &selector, max_regions)))
+        let histogram = || ContiguityHistogram::from_map(&map);
+        let (distance, regions, selector) = match mode {
+            DistanceMode::Dynamic => {
+                let histogram = histogram();
+                (selector.select(&histogram), None, Some((selector, histogram)))
             }
+            DistanceMode::Static(d) => (d, None, None),
+            DistanceMode::MultiRegion(max_regions) => (
+                selector.select(&histogram()),
+                Some(RegionTable::partition(&map, &selector, max_regions)),
+                None,
+            ),
         };
         let mut table = PageTable::from_map(&map, false);
         match &regions {
@@ -106,7 +113,6 @@ impl OsKernel {
                 table.reanchor(&map, .., distance);
             }
         }
-        let selector = (mode == DistanceMode::Dynamic).then_some(selector);
         OsKernel { map, table, distance, selector, regions, epochs: 0, distance_changes: 0 }
     }
 
@@ -168,18 +174,17 @@ impl OsKernel {
         &self.table
     }
 
-    /// The periodic epoch check of a `Dynamic` kernel (§4.1): rebuild the
-    /// histogram, re-select, and re-anchor when the change clears the
+    /// The periodic epoch check of a `Dynamic` kernel (§4.1): re-select on
+    /// the boot histogram, and re-anchor when the change clears the
     /// hysteresis. A no-op for static and multi-region kernels (the paper
     /// leaves online repartitioning as future work).
     pub fn check_epoch(&mut self) -> EpochOutcome {
-        let Some(selector) = &self.selector else {
+        let Some((selector, histogram)) = &self.selector else {
             return EpochOutcome::default();
         };
         self.epochs += 1;
         let current = self.distance;
-        let Some(new) = selector.should_change(&ContiguityHistogram::from_map(&self.map), current)
-        else {
+        let Some(new) = selector.should_change(histogram, current) else {
             return EpochOutcome::default();
         };
         self.table.reanchor(&self.map, .., new);

@@ -129,7 +129,7 @@ pub fn run_cell(
 }
 
 /// Runs a full suite: every workload × every scheme under one scenario,
-/// sharing the mapping and trace across schemes. Cells run on the matrix
+/// sharing the mapping and trace across schemes. Rows run on the matrix
 /// worker pool (see [`crate::matrix`]); results are bit-identical to
 /// [`run_suite_serial`] because each cell is deterministic.
 pub fn run_suite(

@@ -4,24 +4,25 @@
 //! workload × scheme* (plus a static-distance sweep for the `Static
 //! Ideal` column). The serial harness regenerated the mapping and the
 //! trace for every slice; this module generates each exactly once, shares
-//! them by reference count, and fans the cells out over a bounded worker
+//! them by reference count, and fans the rows out over a bounded worker
 //! pool.
 //!
 //! Guarantees:
 //!
 //! * **Bit-identical to serial.** Every cell is a pure function of
 //!   `(workload, scenario, scheme, config)`; the pool only changes *when*
-//!   a cell runs, never its inputs. [`try_run_matrix_with`] equals
+//!   a row runs, never its inputs. [`try_run_matrix_with`] equals
 //!   [`run_suite_serial`](crate::experiment::run_suite_serial)
 //!   cell-for-cell, and the static-ideal fold replicates
 //!   [`static_ideal`](crate::experiment::static_ideal)'s first-minimum
 //!   tie-breaking.
-//! * **Exactly-once generation.** Mappings are keyed by `(workload,
-//!   scenario, config fingerprint)` and traces by `(workload,
-//!   fingerprint)` — traces are scenario-independent, like the paper's
-//!   Pin traces. Concurrent requests for the same key block on one
-//!   [`OnceLock`]; [`MatrixCache::stats`] exposes build counters so tests
-//!   can assert the exactly-once property.
+//! * **Mappings and traces once per cache; resolved traces once per row
+//!   per matrix.** Mappings are keyed by `(workload, scenario, config
+//!   fingerprint)` and traces by `(workload, fingerprint)` — traces are
+//!   scenario-independent, like the paper's Pin traces — and concurrent
+//!   requests for one key block on one [`OnceLock`]. A worker claims a
+//!   `(scenario, workload)` row, resolves its trace, runs the row's
+//!   schemes on it and drops it. [`MatrixCache::stats`] counts builds.
 //! * **Zero per-scheme copies.** Each cell hands `Arc` clones of the
 //!   mapping and its [`PageIndex`] to the machine; no `AddressSpaceMap`
 //!   is ever deep-cloned.
@@ -63,8 +64,9 @@ pub struct CacheStats {
     pub trace_builds: usize,
     /// Traces replayed from the corpus store instead of generated.
     pub trace_loads: usize,
-    /// Resolved virtual-address traces computed (one per distinct
-    /// `(workload, scenario, fingerprint)` requested).
+    /// Resolved virtual-address traces computed: one per row of every
+    /// matrix run, plus one per [`MatrixCache::try_resolved_trace`] call
+    /// that missed the one-trace slot.
     pub resolved_builds: usize,
 }
 
@@ -80,7 +82,7 @@ type MemoTable<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 pub struct MatrixCache {
     mappings: MemoTable<MappingKey, SharedMapping>,
     traces: MemoTable<TraceKey, Result<Arc<Vec<u64>>, SimError>>,
-    resolved: MemoTable<MappingKey, Result<Arc<Vec<VirtAddr>>, SimError>>,
+    resolved: Mutex<Option<(MappingKey, Arc<Vec<VirtAddr>>)>>,
     corpus: Option<Arc<TraceStore>>,
     mapping_builds: AtomicUsize,
     trace_builds: AtomicUsize,
@@ -203,11 +205,12 @@ impl MatrixCache {
 
     /// The fully-resolved virtual-address trace for a cell: the logical
     /// trace placed onto the cell's mapping (see
-    /// [`PageIndex::resolve`](hytlb_mem::PageIndex::resolve)), computed on
-    /// first request and shared by every scheme of the cell afterwards.
-    /// Placement is paid once per cell instead of once per scheme. A trace
-    /// that addresses a page past the mapping (possible only from a
-    /// corpus) surfaces as [`SimError::TraceOutOfRange`].
+    /// [`PageIndex::resolve`](hytlb_mem::PageIndex::resolve)). The cache
+    /// keeps the last one in a single slot: a call for the same
+    /// `(workload, scenario)` returns the same `Arc`, a call for another
+    /// one drops it and resolves afresh. Errors are not kept. A trace that
+    /// addresses a page past the mapping (possible only from a corpus)
+    /// surfaces as [`SimError::TraceOutOfRange`].
     pub fn try_resolved_trace(
         &self,
         workload: WorkloadKind,
@@ -215,20 +218,33 @@ impl MatrixCache {
         config: &PaperConfig,
     ) -> Result<Arc<Vec<VirtAddr>>, SimError> {
         let key = (workload, scenario, config.fingerprint());
-        let slot = Arc::clone(
-            self.resolved.lock().expect("resolved table poisoned").entry(key).or_default(),
-        );
-        slot.get_or_init(|| {
-            self.resolved_builds.fetch_add(1, Ordering::Relaxed);
-            let shared = self.mapping(workload, scenario, config);
-            let trace = self.try_trace(workload, config)?;
-            let resolved = shared
-                .index
-                .try_resolve(&trace)
-                .map_err(|page| SimError::TraceOutOfRange { page, pages: shared.index.len() })?;
-            Ok(Arc::new(resolved))
-        })
-        .clone()
+        let mut slot = self.resolved.lock().expect("resolved slot poisoned");
+        if let Some((_, resolved)) = slot.as_ref().filter(|(k, _)| *k == key) {
+            return Ok(Arc::clone(resolved));
+        }
+        // Release the old trace before placing the new one.
+        *slot = None;
+        let resolved = Arc::new(self.resolve(workload, scenario, config)?.1);
+        *slot = Some((key, Arc::clone(&resolved)));
+        Ok(resolved)
+    }
+
+    /// The mapping for a cell and its trace placed onto it, freshly
+    /// resolved (counted in [`CacheStats::resolved_builds`]).
+    fn resolve(
+        &self,
+        workload: WorkloadKind,
+        scenario: Scenario,
+        config: &PaperConfig,
+    ) -> Result<(SharedMapping, Vec<VirtAddr>), SimError> {
+        self.resolved_builds.fetch_add(1, Ordering::Relaxed);
+        let shared = self.mapping(workload, scenario, config);
+        let trace = self.try_trace(workload, config)?;
+        let resolved = shared
+            .index
+            .try_resolve(&trace)
+            .map_err(|page| SimError::TraceOutOfRange { page, pages: shared.index.len() })?;
+        Ok((shared, resolved))
     }
 
     /// How many mappings, traces and resolved traces this cache has
@@ -258,10 +274,11 @@ pub fn worker_count(config: &PaperConfig) -> usize {
 }
 
 /// Runs every `(scenario, workload, scheme)` cell of the matrix on a
-/// bounded worker pool, one suite per scenario in input order. Inputs are
-/// generated exactly once per `cache`; hold one cache across consecutive
-/// matrices (e.g. several figures in one process) to reuse mappings and
-/// traces. A failing cell surfaces as [`SimError::Cell`] naming its
+/// bounded worker pool that claims `(scenario, workload)` rows in
+/// scenario-major order, one suite per scenario in input order. Mappings
+/// and traces are generated once per `cache`; hold one cache across
+/// consecutive matrices (e.g. several figures in one process) to reuse
+/// them. A failing cell surfaces as [`SimError::Cell`] naming its
 /// `(scenario, workload, scheme)`.
 pub fn try_run_matrix_with(
     cache: &MatrixCache,
@@ -270,39 +287,56 @@ pub fn try_run_matrix_with(
     kinds: &[SchemeKind],
     config: &PaperConfig,
 ) -> Result<Vec<SuiteResult>, SimError> {
-    let cells: Vec<(usize, usize, usize)> = (0..scenarios.len())
-        .flat_map(|s| {
-            (0..workloads.len()).flat_map(move |w| (0..kinds.len()).map(move |k| (s, w, k)))
-        })
-        .collect();
-    let results = run_cells(cache, &cells, scenarios, workloads, kinds, config);
-
-    let mut results = results.into_iter();
+    let rows: Vec<(Scenario, WorkloadKind)> =
+        scenarios.iter().flat_map(|&s| workloads.iter().map(move |&w| (s, w))).collect();
+    // A row's first failing cell ends it; a resolve failure is charged to
+    // the row's first scheme.
+    let run_row = |(scenario, workload): (Scenario, WorkloadKind)| {
+        let in_cell = |kind: SchemeKind| {
+            move |e: SimError| e.in_cell(scenario.label(), workload.label(), &kind.label())
+        };
+        let Some(&first) = kinds.first() else { return Ok(WorkloadRow { workload, runs: vec![] }) };
+        let (shared, resolved) =
+            cache.resolve(workload, scenario, config).map_err(in_cell(first))?;
+        let runs = kinds
+            .iter()
+            .map(|&kind| {
+                Machine::for_scheme_indexed(kind, &shared.map, &shared.index, config)
+                    .try_run_resolved(&resolved)
+                    .map_err(in_cell(kind))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(WorkloadRow { workload, runs })
+    };
+    let slots: Vec<OnceLock<Result<WorkloadRow, SimError>>> =
+        rows.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let threads = worker_count(config).min(rows.len()).max(1);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&row) = rows.get(i) else { break };
+                slots[i].set(run_row(row)).expect("each row claimed once");
+            });
+        }
+    });
+    let mut rows = slots.into_iter().map(|slot| slot.into_inner().expect("pool ran every row"));
     scenarios
         .iter()
         .map(|&scenario| {
             Ok(SuiteResult {
                 scenario,
                 schemes: kinds.iter().map(|k| k.label()).collect(),
-                rows: workloads
-                    .iter()
-                    .map(|&workload| {
-                        Ok(WorkloadRow {
-                            workload,
-                            runs: (0..kinds.len())
-                                .map(|_| results.next().expect("one run per cell"))
-                                .collect::<Result<Vec<RunStats>, SimError>>()?,
-                        })
-                    })
-                    .collect::<Result<Vec<WorkloadRow>, SimError>>()?,
+                rows: rows.by_ref().take(workloads.len()).collect::<Result<_, _>>()?,
             })
         })
         .collect()
 }
 
 /// [`try_run_matrix_with`] plus a trailing `Static Ideal` column: the sweep's
-/// `AnchorStatic` candidates join the scheme dimension of the pool, and
-/// each cell's winner is folded out afterwards with the same
+/// `AnchorStatic` candidates join each row's schemes, and each cell's
+/// winner is folded out afterwards with the same
 /// first-minimum tie-breaking as
 /// [`static_ideal`](crate::experiment::static_ideal).
 ///
@@ -335,43 +369,6 @@ pub fn run_matrix_with_static_ideal(
         }
     }
     suites
-}
-
-/// Runs the given cells on the worker pool and returns one result per
-/// cell, in input order. A failing cell's error is wrapped in
-/// [`SimError::Cell`] naming the cell's coordinates.
-fn run_cells(
-    cache: &MatrixCache,
-    cells: &[(usize, usize, usize)],
-    scenarios: &[Scenario],
-    workloads: &[WorkloadKind],
-    kinds: &[SchemeKind],
-    config: &PaperConfig,
-) -> Vec<Result<RunStats, SimError>> {
-    let slots: Vec<OnceLock<Result<RunStats, SimError>>> =
-        cells.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let threads = worker_count(config).min(cells.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(s, w, k)) = cells.get(i) else { break };
-                let run = cache
-                    .try_resolved_trace(workloads[w], scenarios[s], config)
-                    .and_then(|resolved| {
-                        let shared = cache.mapping(workloads[w], scenarios[s], config);
-                        Machine::for_scheme_indexed(kinds[k], &shared.map, &shared.index, config)
-                            .try_run_resolved(&resolved)
-                    })
-                    .map_err(|e| {
-                        e.in_cell(scenarios[s].label(), workloads[w].label(), &kinds[k].label())
-                    });
-                slots[i].set(run).expect("each cell claimed once");
-            });
-        }
-    });
-    slots.into_iter().map(|slot| slot.into_inner().expect("pool ran every cell")).collect()
 }
 
 #[cfg(test)]
@@ -407,10 +404,27 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.mapping_builds, scenarios.len() * workloads.len());
         assert_eq!(stats.trace_builds, workloads.len());
-        assert_eq!(stats.resolved_builds, scenarios.len() * workloads.len());
-        // A second matrix over the same cells generates nothing new.
+        let rows = scenarios.len() * workloads.len();
+        assert_eq!(stats.resolved_builds, rows);
+        // A second matrix over the same cells generates no mapping or
+        // trace, and resolves each row once more.
         try_run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config).unwrap();
-        assert_eq!(cache.stats(), stats);
+        assert_eq!(cache.stats(), CacheStats { resolved_builds: 2 * rows, ..stats });
+    }
+
+    #[test]
+    fn resolved_slot_holds_one_trace() {
+        let config = tiny();
+        let cache = MatrixCache::new();
+        let (gups, low) = (WorkloadKind::Gups, Scenario::LowContiguity);
+        let first = cache.try_resolved_trace(gups, low, &config).unwrap();
+        let again = cache.try_resolved_trace(gups, low, &config).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(cache.stats().resolved_builds, 1);
+        drop(again);
+        cache.try_resolved_trace(WorkloadKind::Mcf, low, &config).unwrap();
+        assert_eq!(Arc::strong_count(&first), 1, "the slot still holds the replaced trace");
+        assert_eq!(cache.stats().resolved_builds, 2);
     }
 
     #[test]
@@ -504,25 +518,52 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// A corpus whose gups trace is CRC-valid but addresses page `pages`,
+    /// one past the `scenario` mapping, behind an in-range access. Returns
+    /// the cache replaying it and `pages`.
+    fn far_gups_corpus(
+        root: &std::path::Path,
+        scenario: Scenario,
+        config: &PaperConfig,
+    ) -> (MatrixCache, u64) {
+        std::fs::remove_dir_all(root).ok();
+        let pages = MatrixCache::new().mapping(WorkloadKind::Gups, scenario, config).index.len();
+        let far = pages * hytlb_types::PAGE_SIZE_U64 + 7;
+        let addresses = (0..config.accesses).map(|i| if i == 1 { far } else { 0 });
+        let footprint = config.footprint_for(WorkloadKind::Gups);
+        let mut store = TraceStore::open_or_create(root).unwrap();
+        store.record(WorkloadKind::Gups.label(), footprint, config.seed, addresses).unwrap();
+        (MatrixCache::with_corpus(Arc::new(store)), pages)
+    }
+
     #[test]
     fn out_of_range_corpus_trace_is_an_error_not_a_panic() {
         let config = PaperConfig { threads: Some(1), ..tiny() };
         let root =
             std::env::temp_dir().join(format!("hytlb_matrix_farcorpus_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        // The header and CRCs are valid; page `pages` is one past the
-        // mapping, behind an in-range access.
         let scenario = Scenario::LowContiguity;
-        let pages = MatrixCache::new().mapping(WorkloadKind::Gups, scenario, &config).index.len();
-        let far = pages * hytlb_types::PAGE_SIZE_U64 + 7;
-        let addresses = (0..config.accesses).map(|i| if i == 1 { far } else { 0 });
-        let footprint = config.footprint_for(WorkloadKind::Gups);
-        let mut store = TraceStore::open_or_create(&root).unwrap();
-        store.record(WorkloadKind::Gups.label(), footprint, config.seed, addresses).unwrap();
-
-        let replay = MatrixCache::with_corpus(Arc::new(store));
+        let (replay, pages) = far_gups_corpus(&root, scenario, &config);
         let err = replay.try_resolved_trace(WorkloadKind::Gups, scenario, &config).unwrap_err();
         assert_eq!(err, SimError::TraceOutOfRange { page: pages, pages }, "{err}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn out_of_range_row_fails_its_cell_on_a_parallel_pool() {
+        let config = PaperConfig { threads: Some(2), ..tiny() };
+        let root = std::env::temp_dir().join(format!("hytlb_matrix_farrow_{}", std::process::id()));
+        let scenario = Scenario::LowContiguity;
+        let (replay, pages) = far_gups_corpus(&root, scenario, &config);
+        let workloads = [WorkloadKind::Mcf, WorkloadKind::Gups, WorkloadKind::Milc];
+        let kinds = [SchemeKind::Thp, SchemeKind::Baseline];
+        let err =
+            try_run_matrix_with(&replay, &[scenario], &workloads, &kinds, &config).unwrap_err();
+        let expected = SimError::TraceOutOfRange { page: pages, pages }.in_cell(
+            scenario.label(),
+            WorkloadKind::Gups.label(),
+            &SchemeKind::Thp.label(),
+        );
+        assert_eq!(err, expected, "{err}");
         std::fs::remove_dir_all(&root).ok();
     }
 

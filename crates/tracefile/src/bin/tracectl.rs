@@ -111,7 +111,7 @@ fn parse_flags(
             if flag(&flags, name).is_some() {
                 return Err(CliError::Usage(format!("--{name} given more than once")));
             }
-            let Some(value) = args.get(i + 1) else {
+            let Some(value) = args.get(i + 1).filter(|v| !v.starts_with("--")) else {
                 return Err(CliError::Usage(format!("--{name} needs a value")));
             };
             flags.push((name.to_string(), value.clone()));

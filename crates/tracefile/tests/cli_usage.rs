@@ -6,7 +6,13 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn tracectl(args: &[&str]) -> Output {
+    tracectl_in(Path::new("."), args)
+}
+
+/// Runs `hytlb-tracectl` with `dir` as its working directory.
+fn tracectl_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hytlb-tracectl"))
+        .current_dir(dir)
         .args(args)
         .output()
         .expect("spawn hytlb-tracectl")
@@ -52,6 +58,18 @@ fn record_rejects_flags_it_does_not_take() {
     let valid = tracectl(&base);
     assert_eq!(valid.status.code(), Some(0), "{}", String::from_utf8_lossy(&valid.stderr));
     assert!(Path::new(out).exists());
+}
+
+#[test]
+fn a_flag_is_not_taken_as_a_value() {
+    let dir = scratch("flag-value");
+    let out =
+        tracectl_in(&dir, &["record", "--workload", "gups", "--accesses", "10", "--out", "--seed"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr {stderr}");
+    assert!(stderr.contains("--out needs a value"), "{stderr}");
+    assert!(stderr.contains("USAGE:\n  hytlb-tracectl record"), "printed no usage: {stderr}");
+    assert!(!dir.join("--seed").exists(), "created a file named --seed");
 }
 
 #[test]
