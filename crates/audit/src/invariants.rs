@@ -28,8 +28,7 @@ pub fn check_all() -> Vec<String> {
 }
 
 /// PTE bit fields must be nonempty, pairwise disjoint, and contiguous.
-#[must_use]
-pub fn check_pte_masks() -> Vec<String> {
+fn check_pte_masks() -> Vec<String> {
     let mut violations = Vec::new();
     for (i, &(name_a, mask_a)) in FLAG_MASKS.iter().enumerate() {
         if mask_a == 0 {
@@ -53,8 +52,7 @@ pub fn check_pte_masks() -> Vec<String> {
 }
 
 /// Anchor-distance candidates must be strictly increasing powers of two.
-#[must_use]
-pub fn check_anchor_distances() -> Vec<String> {
+fn check_anchor_distances() -> Vec<String> {
     let mut violations = Vec::new();
     let candidates = DistanceSelector::paper_default().candidates().to_vec();
     if candidates.is_empty() {
@@ -93,8 +91,7 @@ fn audited_kinds() -> Vec<SchemeKind> {
 /// verifies each reported TLB array: nonzero ways, power-of-two set
 /// count, and an index mask of exactly `sets - 1` (so the index covers
 /// the low VPN bits with no gap and no aliasing).
-#[must_use]
-pub fn check_tlb_geometries() -> Vec<String> {
+fn check_tlb_geometries() -> Vec<String> {
     let config = PaperConfig::default();
     let map = Arc::new(Scenario::MediumContiguity.generate(4096, config.seed));
     let mut violations = Vec::new();

@@ -18,7 +18,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: hytlb-audit <check|invariants> [workspace-root]\n\
                  \n\
-                 check       lint every workspace .rs file against rules R1-R6\n\
+                 check       lint every workspace .rs file against rules R1-R7\n\
                  invariants  verify architectural constants of the live types"
             );
             ExitCode::from(2)

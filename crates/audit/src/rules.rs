@@ -1,7 +1,8 @@
-//! The repo-specific lint rules (R1–R6) and the allowlist machinery.
+//! The seven repo-specific lint rules (R1–R7) and the allowlist machinery.
 //!
-//! Every rule works on the token stream of one file plus the file's
-//! workspace-relative path, which decides which rules apply:
+//! R1–R6 work on the token stream of one file plus the file's
+//! workspace-relative path, which decides which rules apply; R7 works on
+//! every file at once:
 //!
 //! * **`cast` (R1)** — no raw `as` casts to integer types on
 //!   address-domain values outside `crates/types`; go through the newtype
@@ -28,6 +29,15 @@
 //!   non-generic callee in another crate is a real call unless it is
 //!   `#[inline]`. Without these attributes perfbench's `tlb-hot` runs
 //!   about 1.16× slower (DESIGN.md §7, "Cross-crate inlining").
+//! * **`dead-pub` (R7)** — every `pub fn` / `pub const fn` in the non-test
+//!   part of a library-crate file (`crates/*/src` and `src/`, without
+//!   `bin/` and `main.rs`) is named, as an identifier, by the non-test
+//!   part of some *other* caller file: any `src/` file (binaries
+//!   included), `crates/*/benches`, `examples/` or `perfbench/src`. The
+//!   non-test part is the text before the file's first `#[cfg(test)]`;
+//!   `use` items (the facade's re-exports) name nothing. A public
+//!   function only tests call is deleted, narrowed, or allowed with the
+//!   test that needs it named.
 //!
 //! A finding is suppressed by `// audit:allow(<rule>): <why>` on the same
 //! line, or on its own comment line (possibly the first of several
@@ -37,7 +47,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 use std::collections::HashSet;
 use std::fmt;
 
-/// The six audit rules.
+/// The seven audit rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// R1: raw integer `as` cast on an address-domain value.
@@ -53,6 +63,9 @@ pub enum Rule {
     /// R6: a per-access method the cascade calls across crates lacks
     /// `#[inline]`.
     Inline,
+    /// R7: a public function of a library crate that no other non-test
+    /// file names.
+    DeadPub,
 }
 
 impl Rule {
@@ -66,6 +79,7 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::WildcardMatch => "wildcard-match",
             Rule::Inline => "inline",
+            Rule::DeadPub => "dead-pub",
         }
     }
 }
@@ -171,6 +185,121 @@ pub fn check_crate_root(rel_path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
+/// R7 over a whole workspace, given as `(rel_path, source)` pairs with
+/// `/` separators: every `pub fn` and `pub const fn` in the non-test part
+/// of a library-crate file whose name no other caller file's non-test
+/// part holds as an identifier (outside `use` items). Findings come in
+/// input order, allowlist already applied.
+#[must_use]
+pub fn check_dead_pub(files: &[(&str, &str)]) -> Vec<Finding> {
+    let lexed: Vec<Vec<Token<'_>>> = files.iter().map(|&(_, source)| tokenize(source)).collect();
+    let names: Vec<HashSet<&str>> = files
+        .iter()
+        .zip(&lexed)
+        .map(|(&(path, _), tokens)| {
+            if is_caller_file(path) {
+                named_outside_uses(non_test_code(tokens))
+            } else {
+                HashSet::new()
+            }
+        })
+        .collect();
+
+    let mut findings = Vec::new();
+    for (i, (&(path, _), tokens)) in files.iter().zip(&lexed).enumerate() {
+        if !is_library_file(path) {
+            continue;
+        }
+        let allows = allowed_lines(tokens);
+        let code = non_test_code(tokens);
+        for k in 0..code.len() {
+            if !code[k].is_ident("pub") {
+                continue;
+            }
+            let fn_at =
+                if code.get(k + 1).is_some_and(|t| t.is_ident("const")) { k + 2 } else { k + 1 };
+            if !code.get(fn_at).is_some_and(|t| t.is_ident("fn")) {
+                continue;
+            }
+            let Some(name) = code.get(fn_at + 1) else { continue };
+            let called = names.iter().enumerate().any(|(j, set)| j != i && set.contains(name.text));
+            if !called && !allows.contains(&(Rule::DeadPub, name.line)) {
+                findings.push(Finding {
+                    rule: Rule::DeadPub,
+                    file: path.to_owned(),
+                    line: name.line,
+                    message: format!(
+                        "`pub fn {}` has no caller outside tests and its own file; \
+                         delete it, narrow it, or allow it naming the test that needs it",
+                        name.text
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+/// The part of a `crates/<name>/src/` or `src/` path below `src/`.
+fn src_relative(rel_path: &str) -> Option<&str> {
+    rel_path.strip_prefix("src/").or_else(|| {
+        let (_, tail) = rel_path.strip_prefix("crates/")?.split_once('/')?;
+        tail.strip_prefix("src/")
+    })
+}
+
+/// True for files whose public functions R7 checks: library-crate
+/// sources, not binaries.
+fn is_library_file(rel_path: &str) -> bool {
+    src_relative(rel_path).is_some_and(|rest| !rest.starts_with("bin/") && rest != "main.rs")
+}
+
+/// True for files whose identifiers count as R7 callers.
+fn is_caller_file(rel_path: &str) -> bool {
+    let in_benches = rel_path
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, tail)| tail.starts_with("benches/"));
+    src_relative(rel_path).is_some()
+        || in_benches
+        || rel_path.starts_with("examples/")
+        || rel_path.starts_with("perfbench/src/")
+}
+
+/// True when `#[cfg(test)]` starts at token `i`.
+fn is_cfg_test(tokens: &[Token<'_>], i: usize) -> bool {
+    let Some(w) = tokens.get(i..i + 7) else { return false };
+    w[0].is_punct('#')
+        && w[1].is_punct('[')
+        && w[2].is_ident("cfg")
+        && w[3].is_punct('(')
+        && w[4].is_ident("test")
+        && w[5].is_punct(')')
+        && w[6].is_punct(']')
+}
+
+/// The code tokens (comments dropped) before the first `#[cfg(test)]`.
+fn non_test_code<'t, 'a>(tokens: &'t [Token<'a>]) -> Vec<&'t Token<'a>> {
+    let end = (0..tokens.len()).find(|&i| is_cfg_test(tokens, i)).unwrap_or(tokens.len());
+    tokens[..end].iter().filter(|t| t.kind != TokenKind::Comment).collect()
+}
+
+/// Identifiers in `code` outside `use … ;` items.
+fn named_outside_uses<'a>(code: Vec<&Token<'a>>) -> HashSet<&'a str> {
+    let mut names = HashSet::new();
+    let mut in_use = false;
+    for t in code {
+        if t.is_ident("use") {
+            in_use = true;
+        } else if in_use {
+            in_use = !t.is_punct(';');
+        } else if t.kind == TokenKind::Ident {
+            names.insert(t.text);
+        }
+    }
+    names
+}
+
 /// Which rules apply to a file, derived from its workspace-relative path.
 struct Scope {
     check_casts: bool,
@@ -214,14 +343,7 @@ fn test_mod_ranges(tokens: &[Token<'_>]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut i = 0;
     while i + 6 < tokens.len() {
-        let is_cfg_test = tokens[i].is_punct('#')
-            && tokens[i + 1].is_punct('[')
-            && tokens[i + 2].is_ident("cfg")
-            && tokens[i + 3].is_punct('(')
-            && tokens[i + 4].is_ident("test")
-            && tokens[i + 5].is_punct(')')
-            && tokens[i + 6].is_punct(']');
-        if !is_cfg_test {
+        if !is_cfg_test(tokens, i) {
             i += 1;
             continue;
         }
@@ -294,6 +416,7 @@ fn parse_allow(comment: &str) -> Option<Rule> {
         Rule::Determinism,
         Rule::WildcardMatch,
         Rule::Inline,
+        Rule::DeadPub,
     ]
     .into_iter()
     .find(|r| r.name() == name)

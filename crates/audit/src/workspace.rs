@@ -1,6 +1,6 @@
 //! Workspace file discovery and the lint driver.
 
-use crate::rules::{check_crate_root, check_file, Finding};
+use crate::rules::{check_crate_root, check_dead_pub, check_file, Finding};
 use std::path::{Path, PathBuf};
 
 /// Directories never scanned: external stand-ins, build output, VCS.
@@ -43,13 +43,14 @@ pub fn rust_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Runs the lint rules over every workspace `.rs` file and returns all
-/// findings, in path order. Files that cannot be read are skipped (the
-/// walker only yields paths it just saw, so this is a race, not an
-/// error class worth failing the audit over).
+/// Runs the lint rules over every workspace `.rs` file (R7 over all of
+/// them at once) and returns all findings, in path order. Files that
+/// cannot be read are skipped (the walker only yields paths it just saw,
+/// so this is a race, not an error class worth failing the audit over).
 #[must_use]
 pub fn check_workspace(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let mut files = Vec::new();
     for rel in rust_files(root) {
         let Ok(source) = std::fs::read_to_string(root.join(&rel)) else {
             continue;
@@ -59,15 +60,17 @@ pub fn check_workspace(root: &Path) -> Vec<Finding> {
         if is_crate_root(&rel_str) {
             findings.extend(check_crate_root(&rel_str, &source));
         }
+        files.push((rel_str, source));
     }
+    let pairs: Vec<(&str, &str)> = files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
+    findings.extend(check_dead_pub(&pairs));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     findings
 }
 
 /// True for library crate roots: the facade `src/lib.rs` and every
 /// `crates/*/src/lib.rs`.
-#[must_use]
-pub fn is_crate_root(rel_path: &str) -> bool {
+fn is_crate_root(rel_path: &str) -> bool {
     rel_path == "src/lib.rs"
         || (rel_path.starts_with("crates/") && rel_path.ends_with("/src/lib.rs"))
 }

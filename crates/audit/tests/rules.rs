@@ -3,7 +3,9 @@
 //! suppresses it. These are the tripwires the acceptance criteria ask
 //! for — a rule that silently stops firing fails here, not in review.
 
-use hytlb_audit::rules::{check_crate_root, check_file, Finding, Rule, INLINE_REQUIRED};
+use hytlb_audit::rules::{
+    check_crate_root, check_dead_pub, check_file, Finding, Rule, INLINE_REQUIRED,
+};
 
 /// A path inside the scheme crate: in scope for R1, R2, and R5.
 const SCHEME_PATH: &str = "crates/schemes/src/fixture.rs";
@@ -254,6 +256,79 @@ fn inline_rule_honors_allow_comment() {
     let needle = "#[inline]\n    pub fn insert(";
     let src = L1_SOURCE.replace(needle, "// audit:allow(inline): fixture.\n    pub fn insert(");
     assert!(check_file(L1_PATH, &src).is_empty());
+}
+
+// ------------------------------------------------------------- R7 dead-pub
+
+/// A library file defining one public function, `sweep`.
+const LIB_PATH: &str = "crates/mem/src/fixture.rs";
+const LIB_SOURCE: &str = "/// Docs.\n#[must_use]\npub fn sweep() -> u64 { 1 }\n";
+
+/// R7 findings for the library file plus one other file.
+fn dead_pub_with(path: &str, source: &str) -> Vec<Finding> {
+    check_dead_pub(&[(LIB_PATH, LIB_SOURCE), (path, source)])
+}
+
+#[test]
+fn dead_pub_trips_on_a_function_only_tests_call() {
+    for test_file in ["tests/fixture.rs", "crates/mem/tests/fixture.rs"] {
+        let findings = dead_pub_with(test_file, "#[test]\nfn t() { sweep(); }\n");
+        assert_eq!(rules_hit(&findings), vec![Rule::DeadPub], "{test_file}");
+        assert_eq!((findings[0].file.as_str(), findings[0].line), (LIB_PATH, 3));
+        assert!(findings[0].message.contains("sweep"), "{}", findings[0].message);
+    }
+    // `pub const fn` is checked too; `pub(crate) fn` and private ones are not.
+    let src = "pub const fn sweep() {}\npub(crate) fn narrow() {}\nfn private() {}\n";
+    assert_eq!(rules_hit(&check_dead_pub(&[(LIB_PATH, src)])), vec![Rule::DeadPub]);
+}
+
+#[test]
+fn dead_pub_passes_when_a_non_test_file_calls_it() {
+    for caller in [
+        "crates/bench/benches/fixture.rs",
+        "examples/fixture.rs",
+        "perfbench/src/fixture.rs",
+        "crates/sim/src/fixture.rs",
+        "crates/bench/src/bin/fixture.rs",
+        "src/bin/fixture.rs",
+    ] {
+        let findings = dead_pub_with(caller, "fn main() { let _ = hytlb_mem::sweep(); }\n");
+        assert_eq!(findings, Vec::new(), "{caller}");
+    }
+}
+
+#[test]
+fn dead_pub_does_not_count_reexports_comments_or_test_code_as_callers() {
+    for (path, source) in [
+        ("src/lib.rs", "pub use hytlb_mem::sweep;\npub mod prelude { pub use super::sweep; }\n"),
+        ("crates/sim/src/fixture.rs", "// sweep() is called elsewhere.\n/// ```\n/// sweep();\n/// ```\nfn f() -> &'static str { \"sweep\" }\n"),
+        ("crates/sim/src/fixture.rs", "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::sweep(); }\n}\n"),
+    ] {
+        assert_eq!(rules_hit(&dead_pub_with(path, source)), vec![Rule::DeadPub], "{source}");
+    }
+    // Its own file is no caller either, in or out of its tests.
+    let own = format!("{LIB_SOURCE}fn g() -> u64 {{ sweep() }}\n");
+    assert_eq!(rules_hit(&check_dead_pub(&[(LIB_PATH, &own)])), vec![Rule::DeadPub]);
+}
+
+#[test]
+fn dead_pub_checks_library_files_only() {
+    for path in
+        ["crates/bench/src/bin/fixture.rs", "src/main.rs", "tests/fixture.rs", "examples/x.rs"]
+    {
+        assert!(check_dead_pub(&[(path, LIB_SOURCE)]).is_empty(), "{path}");
+    }
+    let tested = "fn f() {}\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+    assert!(check_dead_pub(&[(LIB_PATH, tested)]).is_empty());
+}
+
+#[test]
+fn dead_pub_honors_allow_comment() {
+    let src = "/// Docs.\n#[must_use]\n// audit:allow(dead-pub): tests/fixture.rs::t needs it.\n\
+               pub fn sweep() -> u64 { 1 }\n";
+    assert!(check_dead_pub(&[(LIB_PATH, src)]).is_empty());
+    let other_rule = src.replace("dead-pub", "panic");
+    assert_eq!(rules_hit(&check_dead_pub(&[(LIB_PATH, &other_rule)])), vec![Rule::DeadPub]);
 }
 
 // ------------------------------------------------------------ allowlist

@@ -58,16 +58,11 @@ fn main() -> Result<(), SimError> {
     });
 
     assert_eq!(parallel?, serial?, "parallel matrix must be bit-identical to the serial reference");
+    let rows = scenarios.len() * workloads.len();
     assert_eq!(
-        cache_stats.mapping_builds,
-        scenarios.len() * workloads.len(),
-        "one mapping per (workload, scenario)"
-    );
-    assert_eq!(cache_stats.trace_builds, workloads.len(), "one trace per workload");
-    assert_eq!(
-        cache_stats.resolved_builds,
-        scenarios.len() * workloads.len(),
-        "one resolved trace per (workload, scenario)"
+        (cache_stats.mapping_builds, cache_stats.trace_builds, cache_stats.resolved_builds),
+        (rows, workloads.len(), rows),
+        "one mapping and one resolved trace per (workload, scenario), one trace per workload"
     );
 
     let speedup = serial_s / parallel_s.max(1e-9);

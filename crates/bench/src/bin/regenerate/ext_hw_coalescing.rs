@@ -17,12 +17,7 @@ use hytlb_trace::WorkloadKind;
 pub(crate) const BANNER: &str = "Extension: HW-only coalescing design space (§2.1)";
 pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
     let workload = WorkloadKind::Canneal;
-    let cols = vec![
-        "Cluster".to_owned(),
-        "CoLT-SA".to_owned(),
-        "CoLT-FA(32)".to_owned(),
-        "Dynamic".to_owned(),
-    ];
+    let cols = ["Cluster", "CoLT-SA", "CoLT-FA(32)", "Dynamic"].map(str::to_owned);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for scenario in [Scenario::LowContiguity, Scenario::MediumContiguity, Scenario::HighContiguity]

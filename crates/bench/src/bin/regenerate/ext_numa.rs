@@ -9,6 +9,7 @@
 
 use crate::{Matrix, Output};
 use hytlb_mem::{ContiguityHistogram, FragmentationLevel, NumaPolicy, NumaTopology};
+use hytlb_sim::experiment::trace_for;
 use hytlb_sim::report::render_table;
 use hytlb_sim::{Machine, PaperConfig, SchemeKind};
 use hytlb_trace::WorkloadKind;
@@ -24,17 +25,9 @@ pub(crate) fn format(config: &PaperConfig, _: &Matrix) -> Output {
         ("interleave 2MB", NumaPolicy::Interleave { granularity_pages: 512 }),
     ];
     let kinds = [SchemeKind::Baseline, SchemeKind::Thp, SchemeKind::AnchorDynamic];
-    let cols = vec![
-        "mean chunk".to_owned(),
-        "Base walks".to_owned(),
-        "THP walks".to_owned(),
-        "Dynamic walks".to_owned(),
-        "anchor d".to_owned(),
-    ];
-    let trace: Vec<u64> = WorkloadKind::Canneal
-        .generator(footprint, config.seed)
-        .take(config.accesses as usize)
-        .collect();
+    let cols =
+        ["mean chunk", "Base walks", "THP walks", "Dynamic walks", "anchor d"].map(str::to_owned);
+    let trace = trace_for(WorkloadKind::Canneal, config);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for (label, policy) in policies {

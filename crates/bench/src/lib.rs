@@ -19,7 +19,7 @@
 
 use hytlb_sim::{PaperConfig, MAX_ACCESSES};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// The flags every binary accepts.
@@ -78,14 +78,12 @@ pub fn exit_usage(error: &str) -> ! {
 }
 
 /// Prints a result and archives it under `results/<name>.txt` and
-/// `results/<name>.json` (best-effort; failures to write are reported but
-/// not fatal, so experiments still print on read-only checkouts).
+/// `results/<name>.json` of the workspace it runs in (best-effort;
+/// failures to write are reported but not fatal, so experiments still
+/// print on read-only checkouts).
 pub fn emit(name: &str, text: &str, json: &str) {
     println!("{text}");
-    // `cargo bench` runs with the package directory as CWD while `cargo
-    // run` binaries inherit the invocation directory; anchor on the
-    // workspace root so both land in the same `results/`.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = results_dir(&std::env::current_dir().unwrap_or_default());
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("note: cannot create results/: {e}");
         return;
@@ -96,6 +94,16 @@ pub fn emit(name: &str, text: &str, json: &str) {
             eprintln!("note: cannot write {}: {e}", path.display());
         }
     }
+}
+
+/// The `results/` of the nearest ancestor of `start` (itself included) that
+/// holds one and whose `Cargo.toml` declares `[workspace]`, else `start/results`.
+fn results_dir(start: &Path) -> PathBuf {
+    let is_root = |dir: &&Path| {
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        dir.join("results").is_dir() && manifest.lines().any(|l| l.trim() == "[workspace]")
+    };
+    start.ancestors().find(is_root).unwrap_or(start).join("results")
 }
 
 /// Prints the experiment banner with the active configuration.
@@ -233,6 +241,37 @@ mod tests {
 
     fn args(list: &[&str]) -> Result<PaperConfig, String> {
         parse_config(list.iter().map(|s| (*s).to_owned()), &[]).map(|(config, _)| config)
+    }
+
+    #[test]
+    fn results_dir_is_found_from_the_run_directory() {
+        let tmp = std::env::temp_dir().join(format!("hytlb-results-dir-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&tmp);
+        let root = tmp.join("ws");
+        let package = root.join("crates/bench");
+        fs::create_dir_all(root.join("results")).unwrap();
+        fs::create_dir_all(package.join("src")).unwrap();
+        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n").unwrap();
+        fs::write(package.join("Cargo.toml"), "[package]\nname = \"bench\"\n").unwrap();
+
+        // The workspace root itself, a package below it, and a directory
+        // deeper still all resolve to the root's `results/`.
+        for start in [root.clone(), package.clone(), package.join("src")] {
+            assert_eq!(results_dir(&start), root.join("results"), "{}", start.display());
+        }
+        // A `results/` beside a package manifest does not count ...
+        fs::create_dir_all(package.join("results")).unwrap();
+        assert_eq!(results_dir(&package), root.join("results"));
+        // ... nor does a `[workspace]` manifest without a `results/`.
+        fs::remove_dir_all(package.join("results")).unwrap();
+        fs::write(package.join("Cargo.toml"), "[package]\nname = \"bench\"\n[workspace]\n")
+            .unwrap();
+        assert_eq!(results_dir(&package), root.join("results"));
+        // Outside any workspace: `results/` in the start directory.
+        let outside = tmp.join("elsewhere");
+        fs::create_dir_all(&outside).unwrap();
+        assert_eq!(results_dir(&outside), outside.join("results"));
+        fs::remove_dir_all(&tmp).unwrap();
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl AnchorLevel {
         self.os.distance()
     }
 
-    /// The OS model (distance, epochs, distance changes, region table).
+    /// The OS model (distance, region table).
     #[must_use]
     pub fn os(&self) -> &OsKernel {
         &self.os
@@ -415,10 +415,11 @@ mod tests {
         let map = Arc::new(Scenario::LowContiguity.generate(1024, 10));
         let mut s = AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic());
         touch_all(&mut s, &map, 1);
+        let d = s.level.distance();
         for _ in 0..5 {
             s.on_epoch();
         }
-        assert_eq!(s.level.os().distance_changes(), 0);
+        assert_eq!(s.level.distance(), d);
     }
 
     #[test]

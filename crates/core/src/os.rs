@@ -59,8 +59,6 @@ pub struct OsKernel {
     /// kernels, whose distances are fixed at boot.
     selector: Option<(DistanceSelector, ContiguityHistogram)>,
     regions: Option<RegionTable>,
-    epochs: u64,
-    distance_changes: u64,
 }
 
 impl OsKernel {
@@ -113,7 +111,7 @@ impl OsKernel {
                 table.reanchor(&map, .., distance);
             }
         }
-        OsKernel { map, table, distance, selector, regions, epochs: 0, distance_changes: 0 }
+        OsKernel { map, table, distance, selector, regions }
     }
 
     /// The process's mapping.
@@ -143,19 +141,6 @@ impl OsKernel {
         self.regions.as_ref()
     }
 
-    /// Epochs checked by a `Dynamic` kernel.
-    #[must_use]
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Number of distance changes actually performed; each one cost a
-    /// table sweep and a TLB shootdown.
-    #[must_use]
-    pub fn distance_changes(&self) -> u64 {
-        self.distance_changes
-    }
-
     /// Probes the anchor entry for `vpn` in the page table (the walker's
     /// off-critical-path anchor fetch, Figure 5c step 7). A multi-region
     /// kernel has no anchor outside its regions.
@@ -182,14 +167,12 @@ impl OsKernel {
         let Some((selector, histogram)) = &self.selector else {
             return EpochOutcome::default();
         };
-        self.epochs += 1;
         let current = self.distance;
         let Some(new) = selector.should_change(histogram, current) else {
             return EpochOutcome::default();
         };
         self.table.reanchor(&self.map, .., new);
         self.distance = new;
-        self.distance_changes += 1;
         EpochOutcome { distance_change: Some((current, new)) }
     }
 }
@@ -233,8 +216,6 @@ mod tests {
             assert!(!out.requires_shootdown());
         }
         assert_eq!(os.distance(), d0);
-        assert_eq!(os.distance_changes(), 0);
-        assert_eq!(os.epochs(), 12);
     }
 
     #[test]
@@ -249,7 +230,6 @@ mod tests {
         assert!(out.requires_shootdown());
         assert_eq!(out.distance_change, Some((2, d)));
         assert_eq!(os.distance(), d);
-        assert_eq!(os.distance_changes(), 1);
         // The sweep rewrote the anchors at the new distance.
         let anchor = map.iter_pages().map(|(vpn, _)| vpn).find(|&v| v.align_down(d) == v).unwrap();
         let contiguity = map.contiguity_at(anchor).min(hytlb_pagetable::MAX_CONTIGUITY);
@@ -263,7 +243,7 @@ mod tests {
             let mut os = OsKernel::boot(Arc::clone(&map), DistanceSelector::paper_default(), mode);
             let d = os.distance();
             assert_eq!(os.check_epoch(), EpochOutcome::default());
-            assert_eq!((os.distance(), os.epochs(), os.distance_changes()), (d, 0, 0));
+            assert_eq!(os.distance(), d);
         }
     }
 

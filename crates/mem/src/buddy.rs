@@ -116,22 +116,10 @@ impl BuddyAllocator {
         a
     }
 
-    /// Total number of frames managed.
-    #[must_use]
-    pub fn total_frames(&self) -> u64 {
-        self.total_frames
-    }
-
     /// Number of currently free frames.
     #[must_use]
     pub fn free_frames(&self) -> u64 {
         self.free_frames
-    }
-
-    /// Largest order with at least one free block, if any block is free.
-    #[must_use]
-    pub fn largest_free_order(&self) -> Option<u32> {
-        (0..=MAX_ORDER).rev().find(|&o| !self.free_lists[o as usize].is_empty())
     }
 
     /// Allocates a block of `1 << order` contiguous, naturally-aligned
@@ -232,43 +220,41 @@ impl BuddyAllocator {
         }
         Ok(out)
     }
-
-    /// Number of free blocks currently on the free list of `order`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order > MAX_ORDER`.
-    #[must_use]
-    pub fn free_blocks_of_order(&self, order: u32) -> usize {
-        self.free_lists[order as usize].len()
-    }
-
-    /// A fragmentation score in `[0, 1]`: 0 when all free memory sits in
-    /// maximal blocks, approaching 1 when it is shattered into single frames.
-    ///
-    /// Defined as `1 - usable_from_large / free`, where `usable_from_large`
-    /// counts free frames in blocks of at least 2 MB (order 9) — the chunk
-    /// size THP needs.
-    #[must_use]
-    pub fn fragmentation_score(&self) -> f64 {
-        if self.free_frames == 0 {
-            return 0.0;
-        }
-        let large: u64 =
-            (9..=MAX_ORDER).map(|o| self.free_lists[o as usize].len() as u64 * (1u64 << o)).sum();
-        1.0 - large as f64 / self.free_frames as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    impl BuddyAllocator {
+        /// Total number of frames managed.
+        pub(crate) fn total_frames(&self) -> u64 {
+            self.total_frames
+        }
+
+        /// Number of free blocks currently on the free list of `order`.
+        pub(crate) fn free_blocks_of_order(&self, order: u32) -> usize {
+            self.free_lists[order as usize].len()
+        }
+
+        /// A fragmentation score in `[0, 1]`: 0 when all free memory sits
+        /// in blocks of at least 2 MB (order 9, the chunk size THP needs),
+        /// approaching 1 when it is shattered into single frames.
+        pub(crate) fn fragmentation_score(&self) -> f64 {
+            if self.free_frames == 0 {
+                return 0.0;
+            }
+            let large: u64 =
+                (9..=MAX_ORDER).map(|o| self.free_blocks_of_order(o) as u64 * (1u64 << o)).sum();
+            1.0 - large as f64 / self.free_frames as f64
+        }
+    }
+
     #[test]
     fn fresh_allocator_is_fully_free() {
         let b = BuddyAllocator::new(1 << 10);
         assert_eq!(b.free_frames(), 1 << 10);
-        assert_eq!(b.largest_free_order(), Some(10));
+        assert_eq!(b.free_blocks_of_order(10), 1);
         assert_eq!(b.fragmentation_score(), 0.0);
     }
 

@@ -22,7 +22,7 @@ use std::fmt;
 /// map.map_range(VirtPageNum::new(0), PhysFrameNum::new(0), 8, Permissions::READ_WRITE);
 /// map.map_range(VirtPageNum::new(8), PhysFrameNum::new(100), 8, Permissions::READ_WRITE);
 /// let hist = ContiguityHistogram::from_map(&map);
-/// assert_eq!(hist.frequency(8), 2);
+/// assert_eq!(hist.iter().collect::<Vec<_>>(), [(8, 2)]);
 /// assert_eq!(hist.total_pages(), 16);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -59,20 +59,13 @@ impl ContiguityHistogram {
         }
     }
 
-    /// Number of chunks of exactly `contiguity` pages.
-    #[must_use]
-    pub fn frequency(&self, contiguity: u64) -> u64 {
-        self.entries.get(&contiguity).copied().unwrap_or(0)
-    }
-
     /// Iterates `(contiguity, frequency)` pairs in ascending contiguity.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.entries.iter().map(|(&c, &f)| (c, f))
     }
 
     /// Total number of chunks.
-    #[must_use]
-    pub fn total_chunks(&self) -> u64 {
+    fn total_chunks(&self) -> u64 {
         self.entries.values().sum()
     }
 
@@ -196,9 +189,7 @@ mod tests {
     #[test]
     fn record_and_query() {
         let h = hist(&[(4, 10), (512, 2)]);
-        assert_eq!(h.frequency(4), 10);
-        assert_eq!(h.frequency(512), 2);
-        assert_eq!(h.frequency(8), 0);
+        assert_eq!(h.iter().collect::<Vec<_>>(), [(4, 10), (512, 2)]);
         assert_eq!(h.total_chunks(), 12);
         assert_eq!(h.total_pages(), 40 + 1024);
         assert_eq!(h.max_contiguity(), 512);
@@ -235,8 +226,7 @@ mod tests {
         m.map_range(VirtPageNum::new(100), PhysFrameNum::new(500), 8, Permissions::READ_WRITE);
         m.map_range(VirtPageNum::new(200), PhysFrameNum::new(900), 3, Permissions::READ_WRITE);
         let h = ContiguityHistogram::from_map(&m);
-        assert_eq!(h.frequency(8), 2);
-        assert_eq!(h.frequency(3), 1);
+        assert_eq!(h.iter().collect::<Vec<_>>(), [(3, 1), (8, 2)]);
         assert_eq!(h.total_pages(), m.mapped_pages());
     }
 
@@ -245,8 +235,7 @@ mod tests {
         let mut a = hist(&[(4, 1)]);
         let b = hist(&[(4, 2), (8, 1)]);
         a.merge(&b);
-        assert_eq!(a.frequency(4), 3);
-        assert_eq!(a.frequency(8), 1);
+        assert_eq!(a.iter().collect::<Vec<_>>(), [(4, 3), (8, 1)]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::{AddressSpaceMap, BuddyAllocator};
 use hytlb_types::{Permissions, VirtPageNum, HUGE_PAGE_PAGES};
 
-/// Outcome of a [`DemandPager::touch`].
+/// Outcome of a [`DemandPager::touch_in_vma`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TouchOutcome {
     /// The page was already mapped; no fault.
@@ -33,8 +33,8 @@ pub enum TouchOutcome {
 ///
 /// let buddy = BuddyAllocator::new(1 << 12);
 /// let mut pager = DemandPager::new(buddy, true);
-/// pager.touch(VirtPageNum::new(0));
-/// // THP mapped the whole first 2 MB region on one touch.
+/// pager.touch_in_vma(VirtPageNum::new(0), VirtPageNum::new(0), 512);
+/// // THP mapped the whole 2 MB VMA on one touch.
 /// assert_eq!(pager.map().mapped_pages(), 512);
 /// ```
 #[derive(Debug)]
@@ -42,8 +42,6 @@ pub struct DemandPager {
     buddy: BuddyAllocator,
     map: AddressSpaceMap,
     thp_enabled: bool,
-    faults: u64,
-    huge_faults: u64,
 }
 
 impl DemandPager {
@@ -51,7 +49,7 @@ impl DemandPager {
     /// touches of fully-unmapped 2 MB regions try huge allocations first.
     #[must_use]
     pub fn new(buddy: BuddyAllocator, thp_enabled: bool) -> Self {
-        DemandPager { buddy, map: AddressSpaceMap::new(), thp_enabled, faults: 0, huge_faults: 0 }
+        DemandPager { buddy, map: AddressSpaceMap::new(), thp_enabled }
     }
 
     /// The mapping built so far.
@@ -66,33 +64,8 @@ impl DemandPager {
         self.map
     }
 
-    /// Total minor faults served.
-    #[must_use]
-    pub fn fault_count(&self) -> u64 {
-        self.faults
-    }
-
-    /// Faults served with a 2 MB THP allocation.
-    #[must_use]
-    pub fn huge_fault_count(&self) -> u64 {
-        self.huge_faults
-    }
-
-    /// Remaining free physical frames.
-    #[must_use]
-    pub fn free_frames(&self) -> u64 {
-        self.buddy.free_frames()
-    }
-
-    /// Touches `vpn`, faulting a mapping in if necessary. The page is
-    /// assumed to belong to an unbounded VMA (THP may map the whole 2 MB
-    /// region around it).
-    pub fn touch(&mut self, vpn: VirtPageNum) -> TouchOutcome {
-        self.touch_in_vma(vpn, VirtPageNum::new(0), u64::MAX)
-    }
-
-    /// Touches `vpn` inside the VMA `[vma_start, vma_start + vma_len)`.
-    /// Like Linux, THP maps a whole 2 MB region only when that region lies
+    /// Touches `vpn`, faulting a mapping in if necessary, inside the VMA
+    /// `[vma_start, vma_start + vma_len)`. Like Linux, THP maps a whole 2 MB region only when that region lies
     /// entirely within the VMA — faults in small VMAs always get 4 KB
     /// pages, which is why fine-grained allocators see little THP benefit.
     pub fn touch_in_vma(
@@ -104,15 +77,12 @@ impl DemandPager {
         if self.map.translate(vpn).is_some() {
             return TouchOutcome::AlreadyMapped;
         }
-        self.faults += 1;
         if self.thp_enabled {
             let head = vpn.align_down(HUGE_PAGE_PAGES);
-            let inside_vma = vma_len == u64::MAX
-                || (head >= vma_start && (head - vma_start) + HUGE_PAGE_PAGES <= vma_len);
+            let inside_vma = head >= vma_start && (head - vma_start) + HUGE_PAGE_PAGES <= vma_len;
             if inside_vma && !self.map.overlaps(head, HUGE_PAGE_PAGES) {
                 if let Ok(base) = self.buddy.allocate(9) {
                     self.map.map_range(head, base, HUGE_PAGE_PAGES, Permissions::READ_WRITE);
-                    self.huge_faults += 1;
                     return TouchOutcome::FaultedHuge;
                 }
             }
@@ -122,10 +92,7 @@ impl DemandPager {
                 self.map.map_range(vpn, frame, 1, Permissions::READ_WRITE);
                 TouchOutcome::FaultedBase
             }
-            Err(_) => {
-                self.faults -= 1;
-                TouchOutcome::OutOfMemory
-            }
+            Err(_) => TouchOutcome::OutOfMemory,
         }
     }
 }
@@ -134,12 +101,18 @@ impl DemandPager {
 mod tests {
     use super::*;
 
+    impl DemandPager {
+        /// A touch inside one VMA spanning the whole address space.
+        fn touch(&mut self, vpn: VirtPageNum) -> TouchOutcome {
+            self.touch_in_vma(vpn, VirtPageNum::new(0), u64::MAX)
+        }
+    }
+
     #[test]
     fn touch_maps_once() {
         let mut p = DemandPager::new(BuddyAllocator::new(1 << 12), false);
         assert_eq!(p.touch(VirtPageNum::new(7)), TouchOutcome::FaultedBase);
         assert_eq!(p.touch(VirtPageNum::new(7)), TouchOutcome::AlreadyMapped);
-        assert_eq!(p.fault_count(), 1);
         assert_eq!(p.map().mapped_pages(), 1);
     }
 
@@ -148,7 +121,6 @@ mod tests {
         let mut p = DemandPager::new(BuddyAllocator::new(1 << 12), true);
         assert_eq!(p.touch(VirtPageNum::new(100)), TouchOutcome::FaultedHuge);
         assert_eq!(p.map().mapped_pages(), 512);
-        assert_eq!(p.huge_fault_count(), 1);
         // The mapping is a genuine huge page (aligned in both spaces).
         assert!(p.map().huge_page_at(VirtPageNum::new(100)).is_some());
     }
@@ -189,7 +161,6 @@ mod tests {
         assert_eq!(p.touch(VirtPageNum::new(0)), TouchOutcome::FaultedBase);
         assert_eq!(p.touch(VirtPageNum::new(1)), TouchOutcome::FaultedBase);
         assert_eq!(p.touch(VirtPageNum::new(2)), TouchOutcome::OutOfMemory);
-        assert_eq!(p.fault_count(), 2);
     }
 
     #[test]

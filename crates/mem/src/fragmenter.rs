@@ -53,8 +53,8 @@ impl FragmentationLevel {
 /// Applies background-job allocation pressure to a buddy allocator.
 ///
 /// The fragmenter retains ownership of the blocks its "jobs" keep, so the
-/// pressure persists while the foreground process allocates; dropping the
-/// pressure is an explicit [`Fragmenter::release_all`].
+/// pressure persists while the foreground process allocates; the jobs exit
+/// one at a time through [`Fragmenter::release_one`].
 ///
 /// # Examples
 ///
@@ -64,8 +64,8 @@ impl FragmentationLevel {
 /// let mut buddy = BuddyAllocator::new(1 << 14);
 /// let mut frag = Fragmenter::new(42);
 /// frag.shatter(&mut buddy, FragmentationLevel::Heavy);
-/// assert!(buddy.fragmentation_score() > 0.2);
-/// frag.release_all(&mut buddy);
+/// assert!(buddy.free_frames() < 1 << 14);
+/// while frag.release_one(&mut buddy) {}
 /// assert_eq!(buddy.free_frames(), 1 << 14);
 /// ```
 #[derive(Debug)]
@@ -79,12 +79,6 @@ impl Fragmenter {
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Fragmenter { rng: SmallRng::seed_from_u64(seed), held: Vec::new() }
-    }
-
-    /// Number of blocks currently held by the simulated background jobs.
-    #[must_use]
-    pub fn held_blocks(&self) -> usize {
-        self.held.len()
     }
 
     /// Claims and partially releases memory to reach the given pressure
@@ -120,13 +114,6 @@ impl Fragmenter {
         }
     }
 
-    /// Releases every held block back to the allocator.
-    pub fn release_all(&mut self, buddy: &mut BuddyAllocator) {
-        for (base, order) in self.held.drain(..) {
-            buddy.free(base, order).expect("held block is live");
-        }
-    }
-
     /// Releases a single held block (one background job exiting), returning
     /// `false` when nothing was held. Releasing one at a time lets callers
     /// relieve just enough pressure without restoring full contiguity.
@@ -151,7 +138,7 @@ mod tests {
         let mut f = Fragmenter::new(1);
         f.shatter(&mut b, FragmentationLevel::None);
         assert_eq!(b.free_frames(), 1 << 12);
-        assert_eq!(f.held_blocks(), 0);
+        assert_eq!(f.held.len(), 0);
     }
 
     #[test]
@@ -173,21 +160,21 @@ mod tests {
             let mut b = BuddyAllocator::new(1 << 13);
             let mut f = Fragmenter::new(seed);
             f.shatter(&mut b, FragmentationLevel::Moderate);
-            (b.free_frames(), f.held_blocks())
+            (b.free_frames(), f.held.len())
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
     }
 
     #[test]
-    fn release_all_restores_memory() {
+    fn releasing_every_job_restores_memory() {
         let mut b = BuddyAllocator::new(1 << 12);
         let mut f = Fragmenter::new(9);
         f.shatter(&mut b, FragmentationLevel::Heavy);
         assert!(b.free_frames() < 1 << 12);
-        f.release_all(&mut b);
+        while f.release_one(&mut b) {}
         assert_eq!(b.free_frames(), 1 << 12);
-        assert_eq!(f.held_blocks(), 0);
+        assert_eq!(f.held.len(), 0);
     }
 
     #[test]

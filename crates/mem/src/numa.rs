@@ -69,24 +69,6 @@ impl NumaTopology {
         }
     }
 
-    /// Free frames on a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn free_frames(&self, node: usize) -> u64 {
-        self.nodes[node].free_frames()
-    }
-
-    /// The node owning physical frame `pfn`, if any.
-    #[must_use]
-    pub fn node_of(&self, pfn: PhysFrameNum) -> Option<usize> {
-        let per_node = self.nodes.first().map(BuddyAllocator::total_frames)?;
-        let node = hytlb_types::usize_from(pfn.as_u64() / per_node);
-        (node < self.nodes.len()).then_some(node)
-    }
-
     /// Applies background fragmentation pressure to every node.
     pub fn shatter_all(&mut self, level: FragmentationLevel, seed: u64) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
@@ -151,26 +133,34 @@ impl NumaTopology {
         }
         Ok(map)
     }
-
-    /// Fraction of a map's pages on each node — the balance metric NUMA
-    /// placement optimizes.
-    #[must_use]
-    pub fn node_shares(&self, map: &AddressSpaceMap) -> Vec<f64> {
-        let mut counts = vec![0u64; self.nodes.len()];
-        for (_, pfn) in map.iter_pages() {
-            if let Some(n) = self.node_of(pfn) {
-                counts[n] += 1;
-            }
-        }
-        let total = map.mapped_pages().max(1);
-        counts.into_iter().map(|c| c as f64 / total as f64).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ContiguityHistogram;
+
+    impl NumaTopology {
+        /// The node owning physical frame `pfn`, if any.
+        fn node_of(&self, pfn: PhysFrameNum) -> Option<usize> {
+            let per_node = self.nodes.first().map(BuddyAllocator::total_frames)?;
+            let node = hytlb_types::usize_from(pfn.as_u64() / per_node);
+            (node < self.nodes.len()).then_some(node)
+        }
+
+        /// Fraction of a map's pages on each node — the balance metric
+        /// NUMA placement optimizes.
+        fn node_shares(&self, map: &AddressSpaceMap) -> Vec<f64> {
+            let mut counts = vec![0u64; self.nodes.len()];
+            for (_, pfn) in map.iter_pages() {
+                if let Some(n) = self.node_of(pfn) {
+                    counts[n] += 1;
+                }
+            }
+            let total = map.mapped_pages().max(1);
+            counts.into_iter().map(|c| c as f64 / total as f64).collect()
+        }
+    }
 
     #[test]
     fn local_policy_maximizes_contiguity_on_one_node() {

@@ -54,15 +54,8 @@ impl AllocationProfile {
         AllocationProfile { max_unit_pages }
     }
 
-    /// Upper bound on one VMA's size, in pages.
-    #[must_use]
-    pub fn max_unit_pages(&self) -> u64 {
-        self.max_unit_pages
-    }
-
     /// `true` when VMAs are unbounded.
-    #[must_use]
-    pub fn is_contiguous(&self) -> bool {
+    fn is_contiguous(self) -> bool {
         self.max_unit_pages == u64::MAX
     }
 }
@@ -116,17 +109,6 @@ impl Scenario {
             Scenario::MediumContiguity => "medium",
             Scenario::HighContiguity => "high",
             Scenario::MaxContiguity => "max",
-        }
-    }
-
-    /// Chunk-size range `(min, max)` in pages for the synthetic scenarios.
-    #[must_use]
-    pub fn synthetic_range(self) -> Option<(u64, u64)> {
-        match self {
-            Scenario::LowContiguity => Some((1, 16)),
-            Scenario::MediumContiguity => Some((1, 512)),
-            Scenario::HighContiguity => Some((512, 65_536)),
-            _ => None,
         }
     }
 
@@ -231,7 +213,7 @@ fn vma_layout(
         }
         return out;
     }
-    let max_unit = profile.max_unit_pages();
+    let max_unit = profile.max_unit_pages;
     let min_unit = (max_unit / 4).max(1);
     let mut out = Vec::new();
     let mut vpn = VirtPageNum::new(VA_BASE);

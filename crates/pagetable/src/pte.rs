@@ -103,6 +103,8 @@ impl PageTableEntry {
 
     /// Reconstructs an entry from its raw bits.
     #[must_use]
+    // audit:allow(dead-pub): cluster.rs's proptest
+    // `branch_free_coalescing_matches_reference` builds arbitrary PTEs.
     pub const fn from_raw(raw: u64) -> Self {
         PageTableEntry(raw)
     }

@@ -64,9 +64,6 @@ impl LeafEntry {
 pub struct PageTable {
     /// The radix nodes, root at index 0.
     nodes: Vec<Node>,
-    mapped_base_pages: u64,
-    mapped_huge_pages: u64,
-    mapped_giant_pages: u64,
 }
 
 /// Index of `vpn` within the node at `level` (0 = PML4 ... 3 = PT).
@@ -145,12 +142,7 @@ impl PageTable {
     fn with_capacity(nodes: usize) -> Self {
         let mut arena = Vec::with_capacity(nodes);
         arena.push(EMPTY_NODE);
-        PageTable {
-            nodes: arena,
-            mapped_base_pages: 0,
-            mapped_huge_pages: 0,
-            mapped_giant_pages: 0,
-        }
+        PageTable { nodes: arena }
     }
 
     /// Builds a page table for an entire address-space map.
@@ -191,18 +183,6 @@ impl PageTable {
         pt
     }
 
-    /// Number of 4 KB leaf entries installed.
-    #[must_use]
-    pub fn mapped_base_pages(&self) -> u64 {
-        self.mapped_base_pages
-    }
-
-    /// Number of 2 MB leaf entries installed.
-    #[must_use]
-    pub fn mapped_huge_pages(&self) -> u64 {
-        self.mapped_huge_pages
-    }
-
     /// Arena index of the node at `level` on `vpn`'s path, allocating the
     /// missing directory nodes on the way down.
     ///
@@ -237,7 +217,6 @@ impl PageTable {
             assert!(!e.is_present(), "page {} already mapped", vpn + i);
             *e = PageTableEntry::new_leaf(pfn + i, perms);
         }
-        self.mapped_base_pages += pages;
     }
 
     /// Maps one 4 KB page.
@@ -261,7 +240,6 @@ impl PageTable {
         let e = &mut self.nodes[node][index_at(vpn, LEVELS - 2)];
         assert!(!e.is_present(), "2MB region at {vpn} already mapped");
         *e = PageTableEntry::new_huge_leaf(pfn, perms);
-        self.mapped_huge_pages += 1;
     }
 
     /// Maps one 1 GB page at the PDPT level.
@@ -276,13 +254,6 @@ impl PageTable {
         let e = &mut self.nodes[node][index_at(vpn, 1)];
         assert!(!e.is_present(), "1GB region at {vpn} already mapped");
         *e = PageTableEntry::new_huge_leaf(pfn, perms);
-        self.mapped_giant_pages += 1;
-    }
-
-    /// Number of 1 GB leaf entries installed.
-    #[must_use]
-    pub fn mapped_giant_pages(&self) -> u64 {
-        self.mapped_giant_pages
     }
 
     /// Looks a VPN up, returning the leaf translation if mapped.
@@ -291,20 +262,24 @@ impl PageTable {
         self.descend(vpn).leaf
     }
 
-    /// [`PageTable::lookup`] and [`PageTable::walk_depth`] fused into one
-    /// radix traversal: returns the leaf translation (if mapped) together
-    /// with the number of nodes touched. This is the walker's per-miss hot
-    /// path — one descent instead of two.
+    /// [`PageTable::lookup`] plus the number of page-table node accesses a
+    /// hardware walker performs to resolve `vpn`: 4 for a 4 KB leaf, 3 for
+    /// a 2 MB leaf, 2 for a 1 GB leaf, and however far it got before
+    /// finding a hole for unmapped addresses. This is the walker's
+    /// per-miss hot path.
     #[must_use]
     pub fn lookup_with_depth(&self, vpn: VirtPageNum) -> (Option<LeafEntry>, u32) {
         let d = self.descend(vpn);
         (d.leaf, d.depth)
     }
 
-    /// [`PageTable::lookup_with_depth`] plus the [`PageTable::leaf_block`]
-    /// around `vpn`, all from one radix traversal: what a coalescing walker
-    /// (CoLT / cluster TLB) receives when the walk's last cache line
-    /// arrives.
+    /// [`PageTable::lookup_with_depth`] plus the 64-byte PTE cache block
+    /// covering `vpn` at the PT (4 KB leaf) level, all from one radix
+    /// traversal: the 8 entries for the aligned VPN group
+    /// `[vpn & !7, vpn | 7]`, which a coalescing walker (CoLT / cluster
+    /// TLB) inspects "for free" since the block arrives as one cache line.
+    /// The block is `None` when the region has no PT node (unmapped or
+    /// covered by a huge leaf).
     #[must_use]
     pub fn lookup_with_block(
         &self,
@@ -312,14 +287,6 @@ impl PageTable {
     ) -> (Option<LeafEntry>, u32, Option<&[PageTableEntry]>) {
         let d = self.descend(vpn);
         (d.leaf, d.depth, d.pt.map(|entries| block_of(entries, vpn)))
-    }
-
-    /// Number of page-table node accesses a hardware walker performs to
-    /// resolve `vpn`: 4 for a 4 KB leaf, 3 for a 2 MB leaf, and however far
-    /// it got before finding a hole for unmapped addresses.
-    #[must_use]
-    pub fn walk_depth(&self, vpn: VirtPageNum) -> u32 {
-        self.descend(vpn).depth
     }
 
     /// The one radix traversal behind every read: stops at the first
@@ -368,17 +335,6 @@ impl PageTable {
         Some(&mut self.nodes[node])
     }
 
-    /// Returns the 64-byte PTE cache block covering `vpn` at the PT (4 KB
-    /// leaf) level: the 8 entries for the aligned VPN group
-    /// `[vpn & !7, vpn | 7]`. This is what a hardware coalescing engine
-    /// (CoLT / cluster TLB) inspects "for free" after a walk, since the
-    /// block arrives as one cache line. `None` when the region has no PT
-    /// node (unmapped or covered by a 2 MB leaf).
-    #[must_use]
-    pub fn leaf_block(&self, vpn: VirtPageNum) -> Option<&[PageTableEntry]> {
-        self.descend(vpn).pt.map(|entries| block_of(entries, vpn))
-    }
-
     /// Reads the contiguity field anchored at `anchor_vpn`.
     ///
     /// For anchor distances ≥ 8 the field is distributed over the anchor's
@@ -386,6 +342,10 @@ impl PageTable {
     /// 11 ignored bits. Returns `None` when no 4 KB PT node covers the
     /// anchor (e.g. the region is mapped by a 2 MB leaf or unmapped).
     #[must_use]
+    // audit:allow(dead-pub): checked against the HashMap model in
+    // crates/pagetable/tests/table_model.rs::page_table_matches_hashmap_model,
+    // and the reference for `read_anchor` in
+    // tests/property_invariants.rs::anchor_probe_matches_map.
     pub fn read_anchor_contiguity(&self, anchor_vpn: VirtPageNum, distance: u64) -> Option<u64> {
         let entries = self.descend(anchor_vpn).pt?;
         Some(anchor_contiguity(entries, anchor_vpn, distance))
@@ -450,7 +410,7 @@ mod tests {
     fn unmapped_lookup_is_none() {
         let pt = PageTable::new();
         assert_eq!(pt.lookup(VirtPageNum::new(12345)), None);
-        assert_eq!(pt.walk_depth(VirtPageNum::new(12345)), 1);
+        assert_eq!(pt.lookup_with_depth(VirtPageNum::new(12345)).1, 1);
     }
 
     #[test]
@@ -462,8 +422,7 @@ mod tests {
         assert_eq!(leaf.head_pfn, PhysFrameNum::new(42));
         assert_eq!(leaf.size, PageSize::Base4K);
         assert_eq!(leaf.pfn_for(vpn), PhysFrameNum::new(42));
-        assert_eq!(pt.walk_depth(vpn), 4);
-        assert_eq!(pt.mapped_base_pages(), 1);
+        assert_eq!(pt.lookup_with_depth(vpn).1, 4);
     }
 
     #[test]
@@ -476,7 +435,7 @@ mod tests {
         assert_eq!(leaf.size, PageSize::Huge2M);
         assert_eq!(leaf.head_vpn, head);
         assert_eq!(leaf.pfn_for(inner), PhysFrameNum::new(512 * 3 + 100));
-        assert_eq!(pt.walk_depth(inner), 3);
+        assert_eq!(pt.lookup_with_depth(inner).1, 3);
     }
 
     #[test]
@@ -500,8 +459,6 @@ mod tests {
         map.map_range(VirtPageNum::new(512), PhysFrameNum::new(1024), 512, rw());
         map.map_range(VirtPageNum::new(2048), PhysFrameNum::new(4097), 100, rw());
         let pt = PageTable::from_map(&map, true);
-        assert_eq!(pt.mapped_huge_pages(), 1);
-        assert_eq!(pt.mapped_base_pages(), 100);
         assert_eq!(pt.lookup(VirtPageNum::new(700)).unwrap().size, PageSize::Huge2M);
         assert_eq!(pt.lookup(VirtPageNum::new(2050)).unwrap().size, PageSize::Base4K);
     }
@@ -511,8 +468,9 @@ mod tests {
         let mut map = AddressSpaceMap::new();
         map.map_range(VirtPageNum::new(512), PhysFrameNum::new(1024), 512, rw());
         let pt = PageTable::from_map(&map, false);
-        assert_eq!(pt.mapped_huge_pages(), 0);
-        assert_eq!(pt.mapped_base_pages(), 512);
+        for (vpn, _) in map.iter_pages() {
+            assert_eq!(pt.lookup(vpn).unwrap().size, PageSize::Base4K, "{vpn}");
+        }
     }
 
     #[test]
@@ -522,18 +480,14 @@ mod tests {
             let map = scenario.generate(1 << 14, 3);
             for thp in [false, true] {
                 let pt = PageTable::from_map(&map, thp);
-                let mut huge_pages = 0;
                 for (vpn, pfn) in map.iter_pages() {
                     let leaf = pt.lookup(vpn).unwrap_or_else(|| panic!("{scenario}: {vpn}"));
                     assert_eq!(leaf.pfn_for(vpn), pfn, "{scenario} (THP {thp}) at {vpn}");
                     let huge = thp && map.huge_page_at(vpn).is_some();
                     let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
                     assert_eq!(leaf.size, size, "{scenario} (THP {thp}) at {vpn}");
-                    huge_pages += u64::from(huge);
+                    any_huge |= huge;
                 }
-                assert_eq!(pt.mapped_huge_pages() * HUGE_PAGE_PAGES, huge_pages, "{scenario}");
-                assert_eq!(pt.mapped_base_pages() + huge_pages, map.mapped_pages(), "{scenario}");
-                any_huge |= huge_pages > 0;
             }
         }
         assert!(any_huge, "no scenario exercised 2 MB leaves");
@@ -551,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_probe_agrees_with_lookup_and_walk_depth() {
+    fn fused_probe_agrees_with_lookup_and_carries_the_leaf_block() {
         let map = Scenario::MediumContiguity.generate(4096, 9);
         let pt = PageTable::from_map(&map, true);
         // Mapped pages, their neighbours (often unmapped holes), and a few
@@ -562,14 +516,27 @@ mod tests {
             .flat_map(|vpn| [vpn, vpn + 1])
             .chain([VirtPageNum::new(0), VirtPageNum::new(1 << 30)]);
         for vpn in probes {
-            assert_eq!(pt.lookup_with_depth(vpn), (pt.lookup(vpn), pt.walk_depth(vpn)), "{vpn}");
-            let fused = pt.lookup_with_block(vpn);
-            assert_eq!(fused, (pt.lookup(vpn), pt.walk_depth(vpn), pt.leaf_block(vpn)), "{vpn}");
+            let (leaf, depth, block) = pt.lookup_with_block(vpn);
+            assert_eq!((leaf, depth), pt.lookup_with_depth(vpn), "{vpn}");
+            assert_eq!(leaf, pt.lookup(vpn), "{vpn}");
+            // A 4 KB leaf comes with its own PTE in the block; a huge leaf
+            // or a hole above the PT level comes with none.
+            let own_pfn = block
+                .map(|b| b[vpn.offset_within(8) as usize])
+                .filter(|e| e.is_present())
+                .map(|e| e.pfn());
+            match leaf {
+                Some(l) if l.size == PageSize::Base4K => {
+                    assert_eq!(own_pfn, Some(l.head_pfn), "{vpn}")
+                }
+                Some(_) => assert!(block.is_none(), "{vpn}"),
+                None => assert_eq!(own_pfn, None, "{vpn}"),
+            }
         }
         let mut giant = PageTable::new();
         giant.map_giant(VirtPageNum::new(0), PhysFrameNum::new(0), rw());
         let vpn = VirtPageNum::new(77);
-        assert_eq!(giant.lookup_with_depth(vpn), (giant.lookup(vpn), giant.walk_depth(vpn)));
+        assert_eq!(giant.lookup_with_depth(vpn), (giant.lookup(vpn), 2));
     }
 
     #[test]

@@ -241,9 +241,6 @@ proptest! {
         for op in &ops {
             apply(&mut pt, &mut model, op);
         }
-        prop_assert_eq!(pt.mapped_base_pages(), model.base.len() as u64);
-        prop_assert_eq!(pt.mapped_huge_pages(), model.huge.len() as u64);
-        prop_assert_eq!(pt.mapped_giant_pages(), model.giant.len() as u64);
         for v in probes(&model) {
             check(&pt, &model, v);
         }

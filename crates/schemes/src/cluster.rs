@@ -53,16 +53,9 @@ impl ClusterEntry {
 pub struct ClusterTlb {
     cluster: SetAssocTlb<ClusterEntry>,
     table: PageTable,
-    cluster_fills: u64,
 }
 
 impl ClusterTlb {
-    /// Number of cluster entries inserted so far (≥ 2 pages coalesced).
-    #[must_use]
-    pub fn cluster_fills(&self) -> u64 {
-        self.cluster_fills
-    }
-
     fn cluster_set(&self, vcn: u64) -> usize {
         hytlb_types::usize_from(vcn & (self.cluster.sets() as u64 - 1))
     }
@@ -107,7 +100,6 @@ impl Mmu<ClusterTlb> {
                 // 320 entries, 5-way = 64 sets.
                 cluster: SetAssocTlb::new(64, 5),
                 table: PageTable::from_map(map, thp),
-                cluster_fills: 0,
             },
         }
     }
@@ -158,7 +150,6 @@ impl CoalescedLevel for ClusterTlb {
                 match candidate {
                     Some(entry) if entry.coverage() > existing_cov => {
                         self.cluster.insert(set, vcn, entry);
-                        self.cluster_fills += 1;
                     }
                     Some(_) | None => regular.insert_4k(vpn, pfn),
                 }
@@ -203,7 +194,6 @@ mod tests {
         let map = Scenario::MediumContiguity.generate(2048, 1);
         let mut s = Mmu::cluster(&map);
         touch_all(&mut s, &map, 2);
-        assert!(s.level.cluster_fills() > 0);
         assert!(s.stats().coalesced_hits > 0);
     }
 
@@ -246,7 +236,6 @@ mod tests {
         }
         let mut s = Mmu::cluster(&map);
         touch_all(&mut s, &map, 2);
-        assert_eq!(s.level.cluster_fills(), 0);
         assert_eq!(s.stats().coalesced_hits, 0);
         assert!(s.stats().l2_regular_hits > 0);
     }

@@ -60,19 +60,12 @@ pub struct ColtTlb {
     /// range-TLB structure — the lookup hardware is identical).
     fa: Option<RangeTlb>,
     table: PageTable,
-    coalesced_fills: u64,
     /// The mapping's runs longer than one window, which CoLT-FA refills
     /// from; empty without CoLT-FA.
     fa_runs: ChunkTable,
 }
 
 impl ColtTlb {
-    /// Coalesced entries inserted so far.
-    #[must_use]
-    pub fn coalesced_fills(&self) -> u64 {
-        self.coalesced_fills
-    }
-
     fn window_set(&self, wdw: u64) -> usize {
         hytlb_types::usize_from(wdw & (self.coalesced.sets() as u64 - 1))
     }
@@ -144,7 +137,6 @@ impl Mmu<ColtTlb> {
                 coalesced: SetAssocTlb::new(64, 5),
                 fa: fa.then(|| RangeTlb::new(COLT_FA_ENTRIES)),
                 table: PageTable::from_map(map, false),
-                coalesced_fills: 0,
                 fa_runs: if fa {
                     ChunkTable::with_min_len(map, WINDOW + 1)
                 } else {
@@ -189,7 +181,6 @@ impl CoalescedLevel for ColtTlb {
         match candidate {
             Some(entry) if entry.len > existing_len => {
                 self.coalesced.insert(set, wdw, entry);
-                self.coalesced_fills += 1;
             }
             Some(_) | None => regular.insert_4k(vpn, pfn),
         }
@@ -247,7 +238,6 @@ mod tests {
             assert_eq!(r.path, TranslationPath::CoalescedHit, "page {i}");
             assert_eq!(r.pfn, Some(PhysFrameNum::new(4 + i)));
         }
-        assert_eq!(s.level.coalesced_fills(), 1);
     }
 
     #[test]
@@ -261,7 +251,6 @@ mod tests {
         // Page 8 is in the next window: walk, then coalesced.
         assert_eq!(s.access(va(VirtPageNum::new(8))).path, TranslationPath::Walk);
         assert_eq!(s.access(va(VirtPageNum::new(15))).path, TranslationPath::CoalescedHit);
-        assert_eq!(s.level.coalesced_fills(), 2);
     }
 
     #[test]
@@ -279,7 +268,6 @@ mod tests {
         for i in 0..8u64 {
             s.access(va(VirtPageNum::new(i)));
         }
-        assert_eq!(s.level.coalesced_fills(), 0);
         assert_eq!(s.stats().coalesced_hits, 0);
     }
 

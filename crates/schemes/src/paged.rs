@@ -14,14 +14,6 @@ pub struct PagedLevel {
     table: PageTable,
 }
 
-impl PagedLevel {
-    /// Number of 2 MB leaves the OS installed for the mapping.
-    #[must_use]
-    pub fn huge_leaves(&self) -> u64 {
-        self.table.mapped_huge_pages()
-    }
-}
-
 impl Mmu<PagedLevel> {
     /// The paper's `Base` configuration: every mapping is translated
     /// through 4 KB PTEs; the shared 1024-entry 8-way L2 holds only 4 KB
@@ -190,7 +182,8 @@ mod tests {
         // remainders), so touching all 2048 pages costs ~4 walks.
         let map = Scenario::MaxContiguity.generate(2048, 1);
         let mut s = Mmu::thp(&map);
-        assert!(s.level.huge_leaves() >= 2);
+        let head = map.chunks().next().unwrap().vpn;
+        assert_eq!(s.level.table.lookup(head).unwrap().size, PageSize::Huge2M);
         for (vpn, pfn) in map.iter_pages() {
             assert_eq!(s.access(va(vpn)).pfn, Some(pfn));
         }
@@ -214,7 +207,9 @@ mod tests {
     fn thp_useless_on_low_contiguity() {
         let map = Scenario::LowContiguity.generate(4096, 3);
         let s = Mmu::thp(&map);
-        assert_eq!(s.level.huge_leaves(), 0);
+        for (vpn, _) in map.iter_pages() {
+            assert_eq!(s.level.table.lookup(vpn).unwrap().size, PageSize::Base4K, "{vpn}");
+        }
     }
 
     #[test]

@@ -29,12 +29,6 @@ pub struct GiantTlb {
 }
 
 impl GiantTlb {
-    /// Number of 1 GB leaves the OS installed.
-    #[must_use]
-    pub fn giant_leaves(&self) -> u64 {
-        self.table.mapped_giant_pages()
-    }
-
     fn giant_set(&self, head: VirtPageNum) -> usize {
         head.index_bits(18, (self.giant.sets() as u64) - 1)
     }
@@ -53,9 +47,8 @@ impl Mmu<GiantTlb> {
             while vpn < end {
                 // Giant/huge candidacy is decided chunk-locally: `vpn` is
                 // aligned and inside this chunk with `end - vpn` pages to
-                // spare, which is everything `map.giant_page_at(vpn) ==
-                // Some(vpn)` would check except PFN alignment — so only
-                // that remains, with no `BTreeMap` probe per region.
+                // spare, which leaves only the PFN alignment to check, with
+                // no `BTreeMap` probe per region.
                 // audit:allow(panic): invariant — `vpn < end`, so it lies
                 // inside `chunk` and always translates.
                 let pfn = chunk.translate(vpn).expect("inside");
@@ -159,7 +152,10 @@ mod tests {
     fn giant_shaped_mapping_installs_giant_leaves() {
         let map = giant_map(2);
         let s = Mmu::thp_1g(&map);
-        assert_eq!(s.level.giant_leaves(), 2);
+        let head = map.chunks().next().unwrap().vpn;
+        for vpn in [head, head + GIANT_PAGE_PAGES] {
+            assert_eq!(s.level.table.lookup(vpn).unwrap().size, PageSize::Giant1G, "{vpn}");
+        }
     }
 
     #[test]
@@ -186,8 +182,11 @@ mod tests {
             Permissions::READ_WRITE,
         );
         let s = Mmu::thp_1g(&m);
-        assert_eq!(s.level.giant_leaves(), 0);
-        assert_eq!(s.level.table.mapped_huge_pages(), 512);
+        let head = m.chunks().next().unwrap().vpn;
+        for i in 0..GIANT_PAGE_PAGES / HUGE_PAGE_PAGES {
+            let vpn = head + i * HUGE_PAGE_PAGES;
+            assert_eq!(s.level.table.lookup(vpn).unwrap().size, PageSize::Huge2M, "{vpn}");
+        }
     }
 
     #[test]

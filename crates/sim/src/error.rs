@@ -21,11 +21,6 @@ pub enum SimError {
         /// The virtual address that failed to translate.
         vaddr: VirtAddr,
     },
-    /// Serialization of a result failed.
-    Serialize {
-        /// The serializer's error message.
-        detail: String,
-    },
     /// Loading a recorded trace from a corpus store failed (corrupt
     /// file, unreadable manifest, I/O failure).
     Corpus {
@@ -74,7 +69,6 @@ impl core::fmt::Display for SimError {
             SimError::TraceFault { scheme, vaddr } => {
                 write!(f, "scheme {scheme} faulted on a mapped-only trace at {vaddr}")
             }
-            SimError::Serialize { detail } => write!(f, "serialization failed: {detail}"),
             SimError::Corpus { detail } => write!(f, "trace corpus replay failed: {detail}"),
             SimError::TraceOutOfRange { page, pages } => {
                 write!(f, "trace addresses logical page {page} of a {pages}-page mapping")
@@ -91,7 +85,6 @@ impl std::error::Error for SimError {
         match self {
             SimError::Cell { source, .. } => Some(source.as_ref()),
             SimError::TraceFault { .. }
-            | SimError::Serialize { .. }
             | SimError::Corpus { .. }
             | SimError::TraceOutOfRange { .. } => None,
         }
@@ -117,7 +110,6 @@ mod tests {
     #[test]
     fn display_covers_all_variants() {
         let cases: Vec<SimError> = vec![
-            SimError::Serialize { detail: "boom".into() },
             SimError::Corpus { detail: "manifest.json is unreadable".into() },
             SimError::TraceOutOfRange { page: 9, pages: 8 },
         ];

@@ -69,8 +69,7 @@ fn cell_seed(config: &PaperConfig, workload: WorkloadKind, scenario: Scenario) -
 /// `xalancbmk`, `sphinx3`, `soplex` and `astar` allocate fine-grained
 /// objects and never see large contiguity even with THP on, while
 /// `gups`/`graph500`/`mcf` back their footprints with giant allocations.
-#[must_use]
-pub fn allocation_profile_for(workload: WorkloadKind) -> AllocationProfile {
+fn allocation_profile_for(workload: WorkloadKind) -> AllocationProfile {
     match workload {
         WorkloadKind::Omnetpp | WorkloadKind::Xalancbmk => AllocationProfile::units(16),
         WorkloadKind::SoplexPds | WorkloadKind::Sphinx3 => AllocationProfile::units(32),
@@ -113,19 +112,6 @@ pub fn trace_for(workload: WorkloadKind, config: &PaperConfig) -> Vec<u64> {
         .generator(config.footprint_for(workload), config.seed)
         .take(config.accesses as usize)
         .collect()
-}
-
-/// Runs one (workload, scenario, scheme) cell from scratch.
-pub fn run_cell(
-    workload: WorkloadKind,
-    scenario: Scenario,
-    kind: SchemeKind,
-    config: &PaperConfig,
-) -> Result<RunStats, SimError> {
-    let map = mapping_for(workload, scenario, config);
-    let index = Arc::new(map.page_index());
-    let resolved = index.resolve(&trace_for(workload, config));
-    Machine::for_scheme_indexed(kind, &map, &index, config).try_run_resolved(&resolved)
 }
 
 /// Runs a full suite: every workload × every scheme under one scenario,
@@ -181,6 +167,9 @@ pub fn run_suite_serial(
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
+// audit:allow(dead-pub): the serial reference the matrix's Static-Ideal
+// fold is checked against in
+// tests/matrix_determinism.rs::static_ideal_column_replicates_serial_sweep_tie_breaking.
 pub fn static_ideal(
     workload: WorkloadKind,
     scenario: Scenario,
@@ -234,9 +223,16 @@ mod tests {
     #[test]
     fn cells_are_reproducible() {
         let config = tiny();
-        let cell =
-            || run_cell(WorkloadKind::Milc, Scenario::LowContiguity, SchemeKind::Baseline, &config);
-        let (a, b) = (cell().unwrap(), cell().unwrap());
+        let cell = || {
+            run_suite_serial(
+                Scenario::LowContiguity,
+                &[WorkloadKind::Milc],
+                &[SchemeKind::Baseline],
+                &config,
+            )
+            .unwrap()
+        };
+        let (a, b) = (cell(), cell());
         assert_eq!(a, b);
     }
 
@@ -256,14 +252,11 @@ mod tests {
         let best =
             static_ideal(WorkloadKind::Canneal, Scenario::MediumContiguity, &candidates, &config)
                 .unwrap();
-        for d in candidates {
-            let run = run_cell(
-                WorkloadKind::Canneal,
-                Scenario::MediumContiguity,
-                SchemeKind::AnchorStatic(d),
-                &config,
-            )
-            .unwrap();
+        let kinds = candidates.map(SchemeKind::AnchorStatic);
+        let suite =
+            run_suite_serial(Scenario::MediumContiguity, &[WorkloadKind::Canneal], &kinds, &config)
+                .unwrap();
+        for (d, run) in candidates.iter().zip(&suite.rows[0].runs) {
             assert!(best.tlb_misses() <= run.tlb_misses(), "d={d}");
         }
     }

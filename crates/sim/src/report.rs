@@ -1,6 +1,5 @@
 //! Text and JSON renderers that reproduce the paper's figure/table rows.
 
-use crate::error::SimError;
 use crate::experiment::SuiteResult;
 use std::fmt::Write as _;
 
@@ -143,24 +142,11 @@ pub fn cpi_table(suite: &SuiteResult) -> String {
 /// paper's bar figures. One group per row label; one bar per series, drawn
 /// to a shared scale with its numeric value appended.
 ///
-/// ```
-/// use hytlb_sim::report::render_bars;
-/// let s = render_bars(
-///     "relative misses %",
-///     &["Base".into(), "Dynamic".into()],
-///     &[("gups".into(), vec![100.0, 25.0])],
-///     100.0,
-/// );
-/// assert!(s.contains("gups"));
-/// assert!(s.contains("Dynamic"));
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `full_scale` is not a positive, finite number or a row's
 /// value count differs from the series count.
-#[must_use]
-pub fn render_bars(
+fn render_bars(
     title: &str,
     series: &[String],
     rows: &[(String, Vec<f64>)],
@@ -207,13 +193,7 @@ pub fn suite_bars(suite: &SuiteResult) -> String {
 /// Panics if serialization fails (the types here cannot fail to serialize).
 #[must_use]
 pub fn to_json<T: serde::Serialize>(value: &T) -> String {
-    try_to_json(value).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`to_json`]: a serializer failure surfaces as
-/// [`SimError::Serialize`] carrying the serializer's message.
-pub fn try_to_json<T: serde::Serialize>(value: &T) -> Result<String, SimError> {
-    serde_json::to_string_pretty(value).map_err(|e| SimError::Serialize { detail: e.to_string() })
+    serde_json::to_string_pretty(value).unwrap_or_else(|e| panic!("serialization failed: {e}"))
 }
 
 #[cfg(test)]

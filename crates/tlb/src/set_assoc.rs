@@ -114,13 +114,6 @@ impl<P> SetAssocTlb<P> {
         old.map(|w| (w.tag, w.payload))
     }
 
-    /// Removes the entry with `(set, tag)`, returning its payload.
-    pub fn invalidate(&mut self, set: usize, tag: u64) -> Option<P> {
-        let ways = &mut self.sets[set];
-        let idx = ways.iter().position(|w| w.tag == tag)?;
-        Some(ways.remove(idx).payload)
-    }
-
     /// Invalidates everything (TLB shootdown / full flush).
     pub fn flush(&mut self) {
         for s in &mut self.sets {
@@ -188,12 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn flush_empties_every_set() {
         let mut t: SetAssocTlb<u32> = SetAssocTlb::new(2, 2);
         t.insert(0, 1, 10);
         t.insert(1, 2, 20);
-        assert_eq!(t.invalidate(0, 1), Some(10));
-        assert_eq!(t.invalidate(0, 1), None);
         t.flush();
         assert!(t.is_empty());
     }

@@ -37,7 +37,6 @@ impl RefSet {
 enum Op {
     Lookup(u64),
     Insert(u64, u32),
-    Invalidate(u64),
     Flush,
 }
 
@@ -45,7 +44,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u64..40).prop_map(Op::Lookup),
         4 => (0u64..40, any::<u32>()).prop_map(|(t, p)| Op::Insert(t, p)),
-        1 => (0u64..40).prop_map(Op::Invalidate),
         1 => Just(Op::Flush),
     ]
 }
@@ -74,13 +72,6 @@ proptest! {
                     let set = (tag as usize) % sets;
                     let got = dut.insert(set, tag, payload);
                     let want = reference[set].insert(tag, payload, ways);
-                    prop_assert_eq!(got, want);
-                }
-                Op::Invalidate(tag) => {
-                    let set = (tag as usize) % sets;
-                    let got = dut.invalidate(set, tag);
-                    let pos = reference[set].ways.iter().position(|&(t, _)| t == tag);
-                    let want = pos.map(|p| reference[set].ways.remove(p).expect("valid").1);
                     prop_assert_eq!(got, want);
                 }
                 Op::Flush => {

@@ -41,13 +41,6 @@ impl TraceFileError {
     pub fn corrupt(what: impl Into<String>, detail: impl Into<String>) -> Self {
         TraceFileError::Corrupt { what: what.into(), detail: detail.into() }
     }
-
-    /// `true` when the error reports malformed bytes (as opposed to an
-    /// I/O failure or a missing store entry).
-    #[must_use]
-    pub fn is_corrupt(&self) -> bool {
-        matches!(self, TraceFileError::Corrupt { .. } | TraceFileError::UnsupportedVersion { .. })
-    }
 }
 
 impl fmt::Display for TraceFileError {
@@ -108,6 +101,17 @@ pub type Result<T> = std::result::Result<T, TraceFileError>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceFileError {
+        /// `true` when the error reports malformed bytes (as opposed to an
+        /// I/O failure or a missing store entry).
+        pub(crate) fn is_corrupt(&self) -> bool {
+            matches!(
+                self,
+                TraceFileError::Corrupt { .. } | TraceFileError::UnsupportedVersion { .. }
+            )
+        }
+    }
 
     #[test]
     fn display_names_the_structure() {

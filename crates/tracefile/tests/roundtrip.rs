@@ -10,7 +10,7 @@
 
 use hytlb_tracefile::block::{encode_block, RawBlock, BLOCK_MAGIC};
 use hytlb_tracefile::format::FOOTER_BYTES;
-use hytlb_tracefile::{verify, TraceMeta, TraceReader, TraceWriter};
+use hytlb_tracefile::{verify, TraceFileError, TraceMeta, TraceReader, TraceWriter};
 use proptest::prelude::*;
 
 fn write_to_vec(addresses: &[u64], block_accesses: u32) -> Vec<u8> {
@@ -129,10 +129,10 @@ fn footer_totals_disagreeing_with_the_blocks_are_detected() {
     bytes[footer + 20..footer + 24].copy_from_slice(&crc.to_le_bytes());
 
     let err = verify(&bytes[..]).unwrap_err();
-    assert!(err.is_corrupt(), "{err}");
+    assert!(matches!(err, TraceFileError::Corrupt { .. }), "{err}");
     assert!(err.to_string().contains("totals"), "{err}");
     let err = read_from_slice(&bytes).unwrap_err();
-    assert!(err.is_corrupt(), "{err}");
+    assert!(matches!(err, TraceFileError::Corrupt { .. }), "{err}");
 }
 
 #[test]

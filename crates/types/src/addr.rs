@@ -1,6 +1,6 @@
 //! Strongly-typed virtual/physical addresses and page/frame numbers.
 
-use crate::{PAGE_SHIFT, PAGE_SIZE};
+use crate::PAGE_SHIFT;
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
@@ -36,13 +36,6 @@ macro_rules! addr_common {
                 self.0
             }
 
-            /// Checked addition of a raw offset; `None` on overflow.
-            #[must_use]
-            #[inline]
-            pub fn checked_add(self, rhs: u64) -> Option<Self> {
-                self.0.checked_add(rhs).map(Self)
-            }
-
             /// Checked distance to another value of the same domain;
             /// `None` when `rhs` is larger. The loud alternative to raw
             /// `u64` subtraction, which silently wraps in release builds.
@@ -50,13 +43,6 @@ macro_rules! addr_common {
             #[inline]
             pub fn checked_sub(self, rhs: Self) -> Option<u64> {
                 self.0.checked_sub(rhs.0)
-            }
-
-            /// Checked subtraction of a raw offset; `None` on underflow.
-            #[must_use]
-            #[inline]
-            pub fn checked_sub_offset(self, rhs: u64) -> Option<Self> {
-                self.0.checked_sub(rhs).map(Self)
             }
 
             /// Offset of this value inside its aligned `span`-sized group
@@ -162,29 +148,6 @@ impl VirtAddr {
     pub const fn page_number(self) -> VirtPageNum {
         VirtPageNum::new(self.0 >> PAGE_SHIFT)
     }
-
-    /// Byte offset inside the containing 4 KB page.
-    #[must_use]
-    #[inline]
-    pub const fn page_offset(self) -> usize {
-        (self.0 as usize) & (PAGE_SIZE - 1)
-    }
-}
-
-impl PhysAddr {
-    /// Physical frame number containing this address.
-    #[must_use]
-    #[inline]
-    pub const fn frame_number(self) -> PhysFrameNum {
-        PhysFrameNum::new(self.0 >> PAGE_SHIFT)
-    }
-
-    /// Byte offset inside the containing 4 KB frame.
-    #[must_use]
-    #[inline]
-    pub const fn page_offset(self) -> usize {
-        (self.0 as usize) & (PAGE_SIZE - 1)
-    }
 }
 
 impl VirtPageNum {
@@ -253,15 +216,7 @@ mod tests {
     fn va_splits_into_vpn_and_offset() {
         let va = VirtAddr::new(0x1234_5678);
         assert_eq!(va.page_number(), VirtPageNum::new(0x12345));
-        assert_eq!(va.page_offset(), 0x678);
-        assert_eq!(va.page_number().base_addr().as_u64() + va.page_offset() as u64, va.as_u64());
-    }
-
-    #[test]
-    fn pa_splits_into_pfn_and_offset() {
-        let pa = PhysAddr::new(0xdead_beef);
-        assert_eq!(pa.frame_number(), PhysFrameNum::new(0xdeadb));
-        assert_eq!(pa.page_offset(), 0xeef);
+        assert_eq!(va.page_number().base_addr(), VirtAddr::new(0x1234_5000));
     }
 
     #[test]
@@ -289,7 +244,6 @@ mod tests {
         assert_eq!(c, VirtPageNum::new(12));
         assert_eq!(u64::from(b), 15);
         assert_eq!(VirtPageNum::from(15u64), b);
-        assert_eq!(VirtPageNum::new(u64::MAX).checked_add(1), None);
     }
 
     #[test]
@@ -298,8 +252,6 @@ mod tests {
         let b = VirtPageNum::new(3);
         assert_eq!(a.checked_sub(b), Some(7));
         assert_eq!(b.checked_sub(a), None);
-        assert_eq!(a.checked_sub_offset(4), Some(VirtPageNum::new(6)));
-        assert_eq!(b.checked_sub_offset(4), None);
         assert_eq!(VirtPageNum::new(13).offset_within(8), 5);
         assert_eq!(PhysFrameNum::new(0xabcd).index_bits(4, 0xff), 0xbc);
         assert_eq!(VirtPageNum::new(0x1234).index_bits(0, 0x7f), 0x34);

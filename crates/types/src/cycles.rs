@@ -15,7 +15,6 @@ use core::ops::{Add, AddAssign, Mul};
 /// use hytlb_types::Cycles;
 /// let total = Cycles::new(7) + Cycles::new(50);
 /// assert_eq!(total.as_u64(), 57);
-/// assert_eq!(total.per_instruction(57), 1.0);
 /// ```
 #[derive(
     Debug,
@@ -46,25 +45,6 @@ impl Cycles {
     #[must_use]
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Cycles-per-instruction contribution given an instruction count.
-    ///
-    /// Returns 0.0 when `instructions` is zero rather than dividing by zero,
-    /// so empty simulations report a zero CPI contribution.
-    #[must_use]
-    pub fn per_instruction(self, instructions: u64) -> f64 {
-        if instructions == 0 {
-            0.0
-        } else {
-            self.0 as f64 / instructions as f64
-        }
-    }
-
-    /// Saturating addition, for accumulators that must never wrap.
-    #[must_use]
-    pub fn saturating_add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -124,17 +104,6 @@ mod tests {
         assert_eq!(Cycles::new(8) * 4, Cycles::new(32));
         let total: Cycles = [Cycles::new(1), Cycles::new(2), Cycles::new(3)].into_iter().sum();
         assert_eq!(total, Cycles::new(6));
-    }
-
-    #[test]
-    fn cpi_handles_zero_instructions() {
-        assert_eq!(Cycles::new(100).per_instruction(0), 0.0);
-        assert_eq!(Cycles::new(100).per_instruction(50), 2.0);
-    }
-
-    #[test]
-    fn saturating_add_does_not_wrap() {
-        assert_eq!(Cycles::new(u64::MAX).saturating_add(Cycles::new(10)), Cycles::new(u64::MAX));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! let va = VirtAddr::new(0x7f00_1234_5678);
 //! let vpn = va.page_number();
 //! assert_eq!(vpn.base_addr().as_u64() % PAGE_SIZE_U64, 0);
-//! assert_eq!(va.page_offset() as u64, va.as_u64() % PAGE_SIZE_U64);
+//! assert_eq!(vpn.base_addr().as_u64() + 0x678, va.as_u64());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -46,12 +46,6 @@ impl Permissions {
     pub const fn bits(self) -> u8 {
         self.0
     }
-
-    /// Reconstructs permissions from raw bits, masking unknown bits off.
-    #[must_use]
-    pub const fn from_bits_truncate(bits: u8) -> Permissions {
-        Permissions(bits & 0b111)
-    }
 }
 
 impl BitOr for Permissions {
@@ -102,11 +96,5 @@ mod tests {
         assert_eq!(Permissions::NONE.to_string(), "---");
         assert_eq!((Permissions::READ | Permissions::EXECUTE).to_string(), "r-x");
         assert_eq!(format!("{:?}", Permissions::READ), "Permissions(r--)");
-    }
-
-    #[test]
-    fn from_bits_truncate_masks_unknown_bits() {
-        assert_eq!(Permissions::from_bits_truncate(0xff).bits(), 0b111);
-        assert_eq!(Permissions::from_bits_truncate(0b011), Permissions::READ_WRITE);
     }
 }

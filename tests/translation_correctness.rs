@@ -5,10 +5,21 @@
 use hytlb::core::FillPolicy;
 use hytlb::prelude::*;
 use hytlb::schemes::{AnchorIndexing, Mmu};
-use hytlb::sim::experiment::{mapping_for, run_cell};
+use hytlb::sim::experiment::{mapping_for, run_suite_serial};
 use hytlb::sim::{AnyLevel, SchemeDispatch};
 use hytlb::trace::WorkloadKind;
 use std::sync::Arc;
+
+/// One (workload, scenario, scheme) cell, run from scratch.
+fn run_cell(
+    workload: WorkloadKind,
+    scenario: Scenario,
+    kind: SchemeKind,
+    config: &PaperConfig,
+) -> RunStats {
+    let mut suite = run_suite_serial(scenario, &[workload], &[kind], config).expect("mapped trace");
+    suite.rows.remove(0).runs.remove(0)
+}
 
 fn all_kinds() -> Vec<SchemeKind> {
     let mut kinds = SchemeKind::paper_set().to_vec();
@@ -66,7 +77,6 @@ fn machine_runs_agree_with_direct_scheme_access() {
     let config = tiny_config();
     let run = || {
         run_cell(WorkloadKind::Milc, Scenario::MediumContiguity, SchemeKind::AnchorDynamic, &config)
-            .expect("mapped trace")
     };
     let (run_a, run_b) = (run(), run());
     assert_eq!(run_a, run_b, "simulation must be deterministic");
@@ -77,8 +87,7 @@ fn machine_runs_agree_with_direct_scheme_access() {
 fn miss_counts_are_internally_consistent() {
     let config = tiny_config();
     for kind in all_kinds() {
-        let run = run_cell(WorkloadKind::Gups, Scenario::LowContiguity, kind, &config)
-            .expect("mapped trace");
+        let run = run_cell(WorkloadKind::Gups, Scenario::LowContiguity, kind, &config);
         let s = &run.stats;
         assert_eq!(
             s.accesses,
@@ -106,8 +115,7 @@ fn anchor_never_loses_to_itself_across_epochs() {
         Scenario::MediumContiguity,
         SchemeKind::AnchorDynamic,
         &config,
-    )
-    .expect("mapped trace");
+    );
     let d = run.anchor_distance.expect("anchor distance");
     assert!(d.is_power_of_two());
 }
