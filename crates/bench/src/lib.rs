@@ -1,6 +1,6 @@
-//! Shared plumbing for the `regenerate` binary and `bench_matrix`.
+//! Shared plumbing for the `regenerate` binary and the `hotloop` bench.
 //!
-//! Both accept the same flags:
+//! `regenerate` accepts these flags:
 //!
 //! * `--quick`   — tiny footprints and traces (seconds; shapes still hold)
 //! * `--paper`   — full scale (the default is a middle ground)
@@ -10,9 +10,9 @@
 //!
 //! Output goes to stdout and, as both text and JSON, into `results/`.
 //!
-//! The bench targets under `benches/` share one timing harness,
-//! [`min_of`] and [`Bench`]: min-of-N wall-clock, reported as text and
-//! JSON into `results/BENCH_<name>.{txt,json}`.
+//! The `hotloop` bench times with [`Bench`] (min-of-N wall clock, written to
+//! `results/BENCH_<name>.{txt,json}`); every other host timing, per layer
+//! included, is perfbench's (`perfbench/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// The flags every binary accepts.
+/// The flags `regenerate` accepts.
 pub const USAGE: &str = "flags: --quick --paper --seed N --accesses N (N <= 134217728)";
 
 /// Parses the common CLI flags into a [`PaperConfig`], returning it with
@@ -166,7 +166,7 @@ pub fn select_columns(suite: &SuiteResult, kinds: &[SchemeKind]) -> SuiteResult 
 /// # Panics
 ///
 /// Panics if `rounds` is zero.
-pub fn min_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+fn min_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     assert!(rounds > 0, "need at least one round");
     let mut best_s = f64::INFINITY;
     let mut value = None;
@@ -198,8 +198,8 @@ impl Bench {
         Bench { name: name.to_owned(), rounds, text: String::new(), rows: Vec::new() }
     }
 
-    /// Times `f` with [`min_of`], records it under `label` and returns
-    /// its last output. One run of `f` processes `elements` items
+    /// Times `f` (the minimum over the rounds), records it under `label`
+    /// and returns its last output. One run of `f` processes `elements` items
     /// (accesses, lookups, ...), from which ns/element and elements/s are
     /// derived.
     pub fn run<T>(&mut self, label: &str, elements: u64, f: impl FnMut() -> T) -> T {

@@ -94,28 +94,6 @@ impl ContiguityHistogram {
         }
     }
 
-    /// Cumulative distribution of *memory* (pages) over chunk sizes, as
-    /// plotted in Figure 1: `cdf(s)` is the fraction of mapped pages that
-    /// reside in chunks of at most `s` pages.
-    ///
-    /// Returns `(chunk_size, cumulative_fraction)` points in ascending
-    /// chunk-size order; empty for an empty histogram.
-    #[must_use]
-    pub fn page_weighted_cdf(&self) -> Vec<(u64, f64)> {
-        let total = self.total_pages();
-        if total == 0 {
-            return Vec::new();
-        }
-        let mut acc = 0u64;
-        self.entries
-            .iter()
-            .map(|(&c, &f)| {
-                acc += c * f;
-                (c, acc as f64 / total as f64)
-            })
-            .collect()
-    }
-
     /// Fraction of mapped pages residing in chunks of at most `size` pages.
     /// Returns 0.0 for an empty histogram.
     #[must_use]
@@ -182,7 +160,6 @@ mod tests {
         assert_eq!(h.total_pages(), 0);
         assert_eq!(h.max_contiguity(), 0);
         assert_eq!(h.mean_contiguity(), 0.0);
-        assert!(h.page_weighted_cdf().is_empty());
         assert_eq!(h.fraction_in_chunks_up_to(100), 0.0);
     }
 
@@ -211,9 +188,9 @@ mod tests {
     #[test]
     fn cdf_is_monotone_and_ends_at_one() {
         let h = hist(&[(1, 100), (16, 10), (512, 1)]);
-        let cdf = h.page_weighted_cdf();
-        assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1 && w[0].0 < w[1].0));
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
+        let cdf: Vec<f64> = h.iter().map(|(c, _)| h.fraction_in_chunks_up_to(c)).collect();
+        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(cdf.last(), Some(&1.0));
         // 100 pages of 772 total are in 1-page chunks.
         assert!((h.fraction_in_chunks_up_to(1) - 100.0 / 772.0).abs() < 1e-12);
         assert_eq!(h.fraction_in_chunks_up_to(1024), 1.0);

@@ -132,6 +132,8 @@ pub fn run_suite(
 /// The single-threaded reference implementation of [`run_suite`]: plain
 /// nested loops, no cache, no worker pool. The matrix driver is validated
 /// cell-for-cell against this.
+// audit:allow(dead-pub): the serial reference of
+// tests/matrix_determinism.rs::run_matrix_equals_serial_reference_cell_for_cell.
 pub fn run_suite_serial(
     scenario: Scenario,
     workloads: &[WorkloadKind],

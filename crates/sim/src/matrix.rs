@@ -263,7 +263,7 @@ impl MatrixCache {
 /// Resolves the worker-pool size: `config.threads`, else `HYTLB_THREADS`,
 /// else available parallelism. Always at least 1.
 #[must_use]
-pub fn worker_count(config: &PaperConfig) -> usize {
+fn worker_count(config: &PaperConfig) -> usize {
     config
         .threads
         .or_else(|| std::env::var("HYTLB_THREADS").ok().and_then(|v| v.parse().ok()))

@@ -28,7 +28,7 @@ impl WriteSummary {
     /// The size the same trace occupies as raw little-endian u64s
     /// (8 bytes per access).
     #[must_use]
-    pub fn raw_bytes(&self) -> u64 {
+    fn raw_bytes(&self) -> u64 {
         self.accesses * 8
     }
 

@@ -1,4 +1,4 @@
-//! Strongly-typed virtual/physical addresses and page/frame numbers.
+//! Strongly-typed virtual addresses and page/frame numbers.
 
 use crate::PAGE_SHIFT;
 use core::fmt;
@@ -134,7 +134,6 @@ macro_rules! addr_common {
 }
 
 addr_common!(VirtAddr, "A byte address in a process virtual address space.");
-addr_common!(PhysAddr, "A byte address in physical memory.");
 addr_common!(VirtPageNum, "A virtual page number (virtual address divided by the 4 KB page size).");
 addr_common!(
     PhysFrameNum,
@@ -181,13 +180,6 @@ impl VirtPageNum {
 }
 
 impl PhysFrameNum {
-    /// First byte address of the frame.
-    #[must_use]
-    #[inline]
-    pub const fn base_addr(self) -> PhysAddr {
-        PhysAddr::new(self.0 << PAGE_SHIFT)
-    }
-
     /// Aligns this PFN down to a multiple of `alignment` frames.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Fundamental types shared by every `hytlb` crate.
 //!
-//! The crate defines strongly-typed wrappers for virtual and physical
-//! addresses and page/frame numbers, page-size constants matching the x86-64
+//! The crate defines strongly-typed wrappers for virtual addresses and
+//! virtual/physical page numbers, page-size constants matching the x86-64
 //! architecture modelled by the paper, access permissions, and the cycle
 //! accounting unit used by the timing model.
 //!
@@ -23,7 +23,7 @@ mod addr;
 mod cycles;
 mod perm;
 
-pub use addr::{PhysAddr, PhysFrameNum, VirtAddr, VirtPageNum};
+pub use addr::{PhysFrameNum, VirtAddr, VirtPageNum};
 pub use cycles::Cycles;
 pub use perm::Permissions;
 
